@@ -1,10 +1,24 @@
 """Embedded smooth NLP solver: min f(x) s.t. c(x) = 0 and box bounds.
 
 A primal-dual interior-point method with a monotone barrier schedule
-(mu -> mu/10 on progress), an l1 merit line search with one second-order
-correction, and symmetric-indefinite (Bunch-Kaufman) factorization of the
-KKT system with inertia correction.  Returns equality and bound multipliers
-under the convention
+(mu -> mu/10 on progress), a filter line search with second-order
+corrections, and an inertia-corrected symmetric-indefinite factorization of
+the KKT system.
+
+The KKT system is factored in bordered-block form (Zavala, Laird & Biegler
+2008; Chiang, Petra & Zavala 2014).  ``NlpProblem.blocks`` labels every
+variable and constraint row with a diagonal block, or cell (label >= 0), or
+with the border (-1).  Each cell is factored by LAPACK's Bunch-Kaufman
+``dsytrf`` and eliminated into the Schur complement of the border, which is
+factored densely by ``scipy.linalg.ldl``.  The inertia is the sum of the
+cell inertias and the Schur inertia (Haynsworth additivity), so inertia
+correction stays exact.  Hessian entries that couple two cells are lifted
+into the border.  Without labels everything is border, and the whole KKT
+matrix gets one dense factorization.  A factorization that cannot be
+repaired (non-finite entries, or inertia correction run past its cap) ends
+the solve with status ``NUMERICAL`` and a diagnostic.
+
+Returns equality and bound multipliers under the convention
 
     L = f + lambda_eq^T c - lambda_lo^T (x - lo) - lambda_hi^T (hi - x)
 
@@ -26,6 +40,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dsytrf, dsytrs
 
 log = logging.getLogger("gasflow.nlp")
 
@@ -34,6 +49,7 @@ class SolveStatus(Enum):
     OPTIMAL = "optimal"
     MAX_ITER = "max_iter"
     INFEASIBLE = "infeasible"
+    NUMERICAL = "numerical"
 
 
 class EvaluationError(RuntimeError):
@@ -50,8 +66,14 @@ class NlpProblem:
 
     ``jacobian`` may return a scipy sparse matrix or an ndarray (m x n) with a
     fixed sparsity pattern.  ``hessian(x, y, obj_factor)`` returns the Hessian
-    of ``obj_factor * f + y @ c`` (n x n, lower/upper both fine; it is
-    symmetrized internally).
+    of ``obj_factor * f + y @ c`` (n x n, sparse or dense, both triangles;
+    it is symmetrized internally).
+
+    ``blocks`` optionally labels the n variables and then the m constraint
+    rows for the bordered-block KKT factorization: a label >= 0 names a cell,
+    -1 the border.  Cells must have equal sizes, and a constraint row may
+    touch only its own cell and the border.  ``None`` factors the whole KKT
+    matrix as one dense block.
     """
 
     n: int
@@ -64,6 +86,7 @@ class NlpProblem:
     upper: np.ndarray
     hessian: Callable[[np.ndarray, np.ndarray, float], object] | None = None
     name: str = ""
+    blocks: np.ndarray | None = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -73,6 +96,10 @@ class NlpProblem:
         if np.any(self.lower >= self.upper):
             bad = int(np.argmax(self.lower >= self.upper))
             raise ValueError(f"bounds must satisfy lo < hi elementwise (variable {bad})")
+        if self.blocks is not None:
+            self.blocks = np.asarray(self.blocks, dtype=np.intp)
+            if self.blocks.shape != (self.n + self.m,) or np.any(self.blocks < -1):
+                raise ValueError("blocks must hold n + m labels, each >= -1")
 
 
 @dataclass
@@ -98,6 +125,7 @@ class NlpSolution:
     iterations: int
     objective: float
     mu: float
+    diagnostic: str = ""  # why a NUMERICAL solve stopped
 
     @property
     def optimal(self) -> bool:
@@ -111,69 +139,226 @@ def _as_dense(mat, shape) -> np.ndarray:
     return arr.reshape(shape)
 
 
-class _LdlFactor:
-    """Solve with scipy's Bunch-Kaufman LDL^T factors; exposes the inertia."""
+def _as_sparse(mat, shape) -> sp.csr_matrix:
+    if sp.issparse(mat):
+        return sp.csr_matrix(mat)
+    return sp.csr_matrix(np.asarray(mat, dtype=float).reshape(shape))
 
-    def __init__(self, M: np.ndarray):
-        self.lu, self.d, self.perm = sla.ldl(M, lower=True)
-        self.n = M.shape[0]
 
-    def inertia(self) -> tuple[int, int, int]:
-        pos = neg = zero = 0
-        d = self.d
-        i = 0
-        while i < self.n:
-            off = d[i + 1, i] if i + 1 < self.n else 0.0
-            if off != 0.0:
-                det = d[i, i] * d[i + 1, i + 1] - off * off
-                if det < 0.0:
-                    pos += 1
-                    neg += 1
-                else:
-                    # should not happen for Bunch-Kaufman 2x2 pivots
-                    tr = d[i, i] + d[i + 1, i + 1]
-                    if det == 0.0:
-                        zero += 1
-                        pos += 1 if tr > 0 else 0
-                        neg += 1 if tr < 0 else 0
-                    elif tr > 0:
-                        pos += 2
-                    else:
-                        neg += 2
-                i += 2
-            else:
-                v = d[i, i]
-                if v > 0.0:
-                    pos += 1
-                elif v < 0.0:
-                    neg += 1
-                else:
-                    zero += 1
-                i += 1
-        return pos, neg, zero
+class _Breakdown(ArithmeticError):
+    """The KKT matrix cannot be factored: it holds non-finite entries."""
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        perm = self.perm
-        L = self.lu[perm]
-        w = sla.solve_triangular(L, b[perm], lower=True, unit_diagonal=True)
+
+class _BorderedKkt:
+    """Bordered-block form of the KKT matrix ``[[H + diag(sx), J^T], [J, diag(sy)]]``.
+
+    ``blocks`` labels each unknown (the n variables, then the m constraint
+    rows) with its cell (>= 0) or the border (-1); ``None`` puts everything
+    in the border.  All cells must have the same size.  A constraint row may
+    touch only its own cell and the border.  Hessian entries between two
+    cells are lifted into the border: for the set P of such columns, with
+    cross-cell part C, the unknowns (u, v) in R^|P| x R^|P| add the block
+    ``[[C, -I], [-I, 0]]`` and v couples to x_P with unit entries.  Eliminating
+    (u, v) returns the original matrix, and that block's inertia is exactly
+    (|P|, |P|, 0), which :class:`_BorderedFactor` subtracts.
+    """
+
+    def __init__(self, blocks, n: int, m: int):
+        labels = np.full(n + m, -1, dtype=np.intp) if blocks is None else np.asarray(blocks)
+        in_cell = np.flatnonzero(labels >= 0)
+        n_cells = int(labels.max()) + 1 if in_cell.size else 0
+        sizes = np.bincount(labels[in_cell], minlength=n_cells)
+        if n_cells and sizes.min() != sizes.max():
+            raise ValueError(f"cell blocks must have equal sizes; found {sorted(set(sizes.tolist()))}")
+        size = int(sizes[0]) if n_cells else 0
+        self.n, self.m, self.labels = n, m, labels
+        self.cells = in_cell[np.argsort(labels[in_cell], kind="stable")].reshape(n_cells, size)
+        self.border = np.flatnonzero(labels < 0)
+        self.local = np.empty(n + m, dtype=np.intp)
+        self.local[self.cells.ravel()] = np.tile(np.arange(size), n_cells)
+        self.local[self.border] = np.arange(self.border.size)
+
+    def system(self, H, J) -> "_KktSystem":
+        """Split the KKT matrix of Hessian ``H`` (symmetrized here) and
+        Jacobian ``J`` into cell blocks, cell-border couplings and the border."""
+        n = self.n
+        H, J = sp.coo_matrix(H), sp.coo_matrix(J)
+        kkt = sp.coo_matrix(
+            (
+                np.concatenate([0.5 * H.data, 0.5 * H.data, J.data, J.data]),
+                (
+                    np.concatenate([H.row, H.col, n + J.row, J.col]),
+                    np.concatenate([H.col, H.row, J.col, n + J.row]),
+                ),
+            ),
+            shape=(n + self.m, n + self.m),
+        )
+        kkt.sum_duplicates()
+        r, c, v = kkt.row, kkt.col, kkt.data
+        bi, bj = self.labels[r], self.labels[c]
+        li, lj = self.local[r], self.local[c]
+        cross = (bi >= 0) & (bj >= 0) & (bi != bj)
+        bad = np.flatnonzero(cross & (r >= n))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"constraint row {r[k] - n} (cell {bi[k]}) has an entry in variable "
+                f"{c[k]} of cell {bj[k]}; a row may touch only its own cell and the border"
+            )
+        if not np.all(np.isfinite(v)):
+            k = int(np.flatnonzero(~np.isfinite(v))[0])
+            raise _Breakdown(f"KKT entry ({r[k]}, {c[k]}) is not finite")
+
+        is_coupled = np.zeros(n + self.m, dtype=bool)
+        is_coupled[r[cross]] = True
+        coupled = np.flatnonzero(is_coupled)
+        slot = np.cumsum(is_coupled) - 1  # position of a coupled column in P
+        p = coupled.size
+        nb = self.border.size
+        width = nb + 2 * p
+        n_cells, size = self.cells.shape
+        A = np.zeros((n_cells, size, size))
+        same = (bi == bj) & (bi >= 0)
+        A[bi[same], li[same], lj[same]] = v[same]
+        S = np.zeros((width, width))
+        both = (bi < 0) & (bj < 0)
+        S[li[both], lj[both]] = v[both]
+        u = nb + np.arange(p)
+        S[nb + slot[r[cross]], nb + slot[c[cross]]] = v[cross]
+        S[u, u + p] = S[u + p, u] = -1.0
+        # couplings (cell, local row, border column); v couples to x_P with ones
+        edge = (bi >= 0) & (bj < 0)
+        cell = np.concatenate([bi[edge], self.labels[coupled]])
+        row = np.concatenate([li[edge], self.local[coupled]])
+        col = np.concatenate([lj[edge], u + p])
+        val = np.concatenate([v[edge], np.ones(p)])
+        # B (cells * size, border) in CSR form; every row of a cell stores all
+        # the border columns that cell touches, so each cell's rows form a
+        # dense block for LAPACK
+        touched = np.zeros((n_cells, width), dtype=bool)
+        touched[cell, col] = True
+        indices = np.concatenate(
+            [np.zeros(0, dtype=np.intp)] + [np.tile(np.flatnonzero(t), size) for t in touched]
+        )
+        indptr = np.r_[0, np.cumsum(np.repeat(touched.sum(axis=1), size))]
+        data = np.zeros(indices.size)
+        data[indptr[cell * size + row] + (np.cumsum(touched, axis=1) - 1)[cell, col]] = val
+        B = sp.csr_matrix((data, indices, indptr), shape=(n_cells * size, width))
+        BT = sp.csr_matrix((val, (col, cell * size + row)), shape=(width, n_cells * size))
+        return _KktSystem(self, A, B, BT, S, p)
+
+
+@dataclass
+class _KktSystem:
+    kkt: _BorderedKkt
+    A: np.ndarray  # (cells, size, size) diagonal blocks
+    B: sp.csr_matrix  # (cells * size, border) couplings, lifted unknowns last
+    BT: sp.csr_matrix  # B transposed, without B's stored zeros
+    S: np.ndarray  # (border, border)
+    lifted: int
+
+
+def _pivot_inertia(d1: np.ndarray, n2: int) -> tuple[int, int, int]:
+    """Inertia of a Bunch-Kaufman D from its 1x1 pivots ``d1`` and its count
+    of 2x2 pivots, which that pivoting always picks indefinite."""
+    pos = int(np.count_nonzero(d1 > 0))
+    neg = int(np.count_nonzero(d1 < 0))
+    return pos + n2, neg + n2, d1.size - pos - neg
+
+
+class _BorderedFactor:
+    """Bunch-Kaufman factors of every cell (LAPACK ``dsytrf``) and of the
+    border's Schur complement (``scipy.linalg.ldl``).  The inertia is the sum
+    of theirs (Haynsworth), less the lifted block's.  When a cell has a zero
+    pivot the border is left unfactored and the zero is reported.  ``shift``
+    (length n + m) is added to the diagonal."""
+
+    def __init__(self, system: _KktSystem, shift: np.ndarray):
+        kkt = system.kkt
+        n_cells, size = kkt.cells.shape
+        self.system = system
+        diag = np.arange(size)
+        A = system.A.copy()
+        A[:, diag, diag] += shift[kkt.cells]
+        self.lu = np.empty_like(A)
+        self.piv = np.empty((n_cells, size), dtype=np.int32)
+        for k in range(n_cells):
+            self.lu[k], self.piv[k], _ = dsytrf(A[k], lower=1)
+        one = self.piv > 0  # LAPACK marks both rows of a 2x2 pivot negative
+        cells = _pivot_inertia(self.lu[:, diag, diag][one], int(np.count_nonzero(~one)) // 2)
+        if cells[2]:
+            self.inertia = cells
+            return
+
+        nb = kkt.border.size
+        S = system.S.copy()
+        S[np.arange(nb), np.arange(nb)] += shift[kkt.border]
+        # X = blockdiag(cells)^-1 B has the sparsity of B
+        B = system.B
+        x = np.empty_like(B.data)
+        for k in range(n_cells):
+            block = slice(B.indptr[k * size], B.indptr[(k + 1) * size])
+            x[block] = dsytrs(self.lu[k], self.piv[k], B.data[block].reshape(size, -1), lower=1)[0].ravel()
+        self.X = sp.csr_matrix((x, B.indices, B.indptr), shape=B.shape)
+        S -= (system.BT @ self.X).toarray()
+        lu, D, self.perm = sla.ldl(S, lower=True)
+        self.L = lu[self.perm]
+        self.first = np.flatnonzero(np.diag(D, -1))  # 2x2 pivots at (i, i + 1)
+        self.single = np.ones(S.shape[0], dtype=bool)
+        self.single[self.first] = self.single[self.first + 1] = False
+        i, j = self.first, self.first + 1
+        self.d1 = np.diag(D)[self.single]
+        self.d2 = (D[i, i], D[j, i], D[j, j])
+        border = _pivot_inertia(self.d1, self.first.size)
+        p = system.lifted
+        self.inertia = (cells[0] + border[0] - p, cells[1] + border[1] - p, border[2])
+
+    def _border_solve(self, b: np.ndarray) -> np.ndarray:
+        w = sla.solve_triangular(self.L, b[self.perm], lower=True, unit_diagonal=True,
+                                 check_finite=False)
         v = np.empty_like(w)
-        d = self.d
-        i = 0
-        while i < self.n:
-            off = d[i + 1, i] if i + 1 < self.n else 0.0
-            if off != 0.0:
-                a, bb, c = d[i, i], off, d[i + 1, i + 1]
-                det = a * c - bb * bb
-                v[i] = (c * w[i] - bb * w[i + 1]) / det
-                v[i + 1] = (-bb * w[i] + a * w[i + 1]) / det
-                i += 2
-            else:
-                v[i] = w[i] / d[i, i]
-                i += 1
-        u = sla.solve_triangular(L.T, v, lower=False, unit_diagonal=True)
+        v[self.single] = w[self.single] / self.d1
+        i, j = self.first, self.first + 1
+        a, off, c = self.d2
+        det = a * c - off * off
+        v[i] = (c * w[i] - off * w[j]) / det
+        v[j] = (a * w[j] - off * w[i]) / det
+        u = sla.solve_triangular(self.L.T, v, lower=False, unit_diagonal=True,
+                                 check_finite=False)
         out = np.empty_like(u)
-        out[perm] = u
+        out[self.perm] = u
         return out
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        kkt = self.system.kkt
+        nb = kkt.border.size
+        y = rhs[kkt.cells]
+        for k in range(y.shape[0]):
+            y[k] = dsytrs(self.lu[k], self.piv[k], y[k][:, None], lower=1)[0][:, 0]
+        r_b = np.concatenate([rhs[kkt.border], np.zeros(2 * self.system.lifted)])
+        r_b -= self.system.BT @ y.ravel()
+        z = self._border_solve(r_b)
+        out = np.empty(rhs.size)
+        out[kkt.border] = z[:nb]
+        out[kkt.cells] = y - (self.X @ z).reshape(y.shape)
+        return out
+
+
+def _least_squares_multipliers(kkt: _BorderedKkt, J, rhs: np.ndarray) -> np.ndarray:
+    """Multipliers minimizing ``|rhs - J^T y|`` from one solve of
+    ``[[I, J^T], [J, 0]] [w; y] = [rhs; 0]`` (Waechter & Biegler 2006, sec. 3.6).
+    Zero when J is rank deficient or the estimate exceeds 1e3."""
+    n, m = kkt.n, kkt.m
+    try:
+        factor = _BorderedFactor(
+            kkt.system(sp.coo_matrix((n, n)), J), np.concatenate([np.ones(n), np.zeros(m)])
+        )
+    except _Breakdown:
+        return np.zeros(m)
+    if factor.inertia != (n, m, 0):
+        return np.zeros(m)
+    y = factor.solve(np.concatenate([rhs, np.zeros(m)]))[n:]
+    return y if np.abs(y).max() <= 1e3 else np.zeros(m)
 
 
 def _project_interior(x, lo, hi, kappa=1e-2):
@@ -259,10 +444,12 @@ def solve(
     KKT residuals are below ``options.tol`` with correctly signed bound
     multipliers.  ``MAX_ITER`` returns the best iterate found;
     ``INFEASIBLE`` indicates the equality residual stalled well above
-    tolerance.
+    tolerance; ``NUMERICAL`` means the KKT matrix could not be factored with
+    the right inertia, and ``NlpSolution.diagnostic`` says why.
     """
     opts = options or NlpOptions()
     n, m = problem.n, problem.m
+    kkt = _BorderedKkt(problem.blocks, n, m)
     it = _Iterate(problem, x0, opts.mu0, push=1e-9 if duals0 is not None else 1e-2)
     has_lo, has_hi = it.has_lo, it.has_hi
     if duals0 is not None:
@@ -279,13 +466,10 @@ def solve(
         idx = int(np.flatnonzero(~np.isfinite(c))[0])
         raise EvaluationError(f"constraint {idx} is not finite at the start point", index=idx)
     g = np.asarray(problem.gradient(it.x), dtype=float).reshape(n)
-    J = _as_dense(problem.jacobian(it.x), (m, n))
+    J = _as_sparse(problem.jacobian(it.x), (m, n))
 
-    # least-squares multiplier initialization
     if m and duals0 is None:
-        rhs = -(g - it.z_lo + it.z_hi)
-        y_ls, *_ = np.linalg.lstsq(J.T, rhs, rcond=None)
-        it.y = y_ls if np.abs(y_ls).max() <= 1e3 else np.zeros(m)
+        it.y = _least_squares_multipliers(kkt, J, -(g - it.z_lo + it.z_hi))
 
     e0, *_ = _kkt_error(problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T, 0.0, has_lo, has_hi)
     mu = min(opts.mu0, max(opts.tol / 11.0, e0 / 10.0))
@@ -312,6 +496,7 @@ def solve(
     best = None
     status = SolveStatus.MAX_ITER
     iteration = 0
+    diagnostic = ""
     _dbg = ""
 
     for iteration in range(1, opts.max_iter + 1):
@@ -346,8 +531,7 @@ def solve(
         grad_phi = g - np.where(has_lo, mu / sl_lo, 0.0) + np.where(has_hi, mu / sl_hi, 0.0)
 
         if problem.hessian is not None:
-            W = _as_dense(problem.hessian(it.x, it.y, 1.0), (n, n))
-            W = 0.5 * (W + W.T)
+            W = problem.hessian(it.x, it.y, 1.0)
         else:
             W = bfgs_B
 
@@ -356,30 +540,32 @@ def solve(
         # inertia-corrected factorization
         delta_w = 0.0
         delta_c = 0.0
-        factor = None
-        for attempt in range(40):
-            M = np.zeros((n + m, n + m))
-            M[:n, :n] = W
-            M[np.arange(n), np.arange(n)] += sigma + delta_w
-            M[:n, n:] = J.T
-            M[n:, :n] = J
-            if delta_c or m:
-                M[np.arange(n, n + m), np.arange(n, n + m)] = -delta_c
-            try:
-                factor = _LdlFactor(M)
-                pos, neg, zero = factor.inertia()
-            except Exception:
-                pos, neg, zero = -1, -1, 1
-            if pos == n and neg == m and zero == 0:
+        try:
+            system = kkt.system(_as_sparse(W, (n, n)), J)
+        except _Breakdown as exc:
+            status = SolveStatus.NUMERICAL
+            diagnostic = f"KKT factorization failed at iteration {iteration}: {exc}"
+            break
+        while True:
+            factor = _BorderedFactor(system, np.concatenate([sigma + delta_w, np.full(m, -delta_c)]))
+            if factor.inertia == (n, m, 0):
                 break
-            if zero > 0 and delta_c == 0.0:
+            if factor.inertia[2] > 0 and delta_c == 0.0:
                 delta_c = 1e-8 * max(mu, 1e-8) ** 0.25
             if delta_w == 0.0:
                 delta_w = 1e-4 if delta_w_last == 0.0 else max(1e-20, delta_w_last / 3.0)
             else:
                 delta_w *= 8.0 if delta_w_last != 0.0 else 100.0
             if delta_w > 1e40:
-                raise RuntimeError("inertia correction failed: KKT matrix seems singular")
+                break
+        if factor.inertia != (n, m, 0):
+            status = SolveStatus.NUMERICAL
+            diagnostic = (
+                f"inertia correction failed at iteration {iteration}: delta_w reached "
+                f"{delta_w:.1e} with inertia (pos, neg, zero) = {factor.inertia}, "
+                f"want {(n, m, 0)}"
+            )
+            break
         delta_w_last = delta_w if delta_w > 0 else delta_w_last
 
         step = factor.solve(rhs)
@@ -536,7 +722,7 @@ def solve(
 
         f, c = f_new, c_new
         g = np.asarray(problem.gradient(it.x), dtype=float).reshape(n)
-        J = _as_dense(problem.jacobian(it.x), (m, n))
+        J = _as_sparse(problem.jacobian(it.x), (m, n))
 
         if problem.hessian is None and prev_for_bfgs is not None:
             x_old, gl_old = prev_for_bfgs
@@ -567,7 +753,7 @@ def solve(
             it.x, it.y, it.z_lo, it.z_hi, f = bx, by, bzl, bzh, bf
             c = np.asarray(problem.constraints(it.x), dtype=float).reshape(m)
             g = np.asarray(problem.gradient(it.x), dtype=float).reshape(n)
-            J = _as_dense(problem.jacobian(it.x), (m, n))
+            J = _as_sparse(problem.jacobian(it.x), (m, n))
 
     r_stat = g + J.T @ it.y - it.z_lo + it.z_hi
     sl_lo, sl_hi = it.slacks()
@@ -591,6 +777,7 @@ def solve(
         iterations=iteration,
         objective=f,
         mu=mu,
+        diagnostic=diagnostic,
     )
 
 
@@ -619,4 +806,34 @@ def check_derivatives(problem: NlpProblem, x: np.ndarray, step: float = 1e-6) ->
             fd_c = (cp - cm) / (2 * h)
             denom = np.maximum(1.0, np.abs(J[:, i]))
             worst = max(worst, float(np.max(np.abs(fd_c - J[:, i]) / denom)))
+    return worst
+
+
+def check_hessian(problem: NlpProblem, x: np.ndarray, y: np.ndarray, step: float = 1e-6) -> float:
+    """Compare the analytic Hessian of the Lagrangian ``f + y^T c`` with
+    central finite differences of ``gradient + J^T y``.
+
+    Returns the worst relative discrepancy ``|analytic - fd| / max(1, |analytic|)``
+    over all Hessian entries.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, m = problem.n, problem.m
+    H = _as_dense(problem.hessian(x, y, 1.0), (n, n))
+    H = 0.5 * (H + H.T)
+
+    def lagrangian_gradient(z):
+        g = np.asarray(problem.gradient(z), dtype=float).reshape(n)
+        return g + _as_sparse(problem.jacobian(z), (m, n)).T @ y
+
+    worst = 0.0
+    for i in range(n):
+        h = step * (1.0 + abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        fd = (lagrangian_gradient(xp) - lagrangian_gradient(xm)) / (2 * h)
+        denom = np.maximum(1.0, np.abs(H[:, i]))
+        worst = max(worst, float(np.max(np.abs(fd - H[:, i]) / denom)))
     return worst

@@ -483,54 +483,77 @@ def _assemble(
 
     def hessian(x, y, obj_factor):
         alpha, Pi, phi = gather(x)
-        H = np.zeros((n_var, n_var))
-        phi_c = phi[:, n_pipe:]
-        s_c = smooth(phi_c) if n_comp else None
+        rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
+
+        def add(r, c, v, mirror=False):
+            """Entries (r, c) += v, and (c, r) += v too when ``mirror``."""
+            r = np.asarray(r, dtype=int).ravel()
+            c = np.asarray(c, dtype=int).ravel()
+            v = np.asarray(v, dtype=float).ravel()
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+            if mirror:
+                rows.append(c)
+                cols.append(r)
+                vals.append(v)
+
+        a_cols = np.array([alpha_idx[c.id] for c in net.compressors], dtype=int)
         if n_comp and obj_factor != 0.0:
+            phi_c = phi[:, n_pipe:]
+            s_c = smooth(phi_c)
             coef = eta_nd * (alpha**comp_m - 1.0)
-            d2_phi = obj_factor * coef[None, :] * cell_mass[:, None] * (
+            c_cols = phi_idx[:, n_pipe:]
+            add(c_cols, c_cols, obj_factor * coef[None, :] * cell_mass[:, None] * (
                 delta_nd**2 / s_c**3
-            )
-            cols = phi_idx[:, n_pipe:]
-            H[cols.ravel(), cols.ravel()] += d2_phi.ravel()
-            a_cols = np.array([alpha_idx[c.id] for c in net.compressors])
+            ))
             cross = (
                 obj_factor
                 * (eta_nd * comp_m * alpha ** (comp_m - 1.0))[None, :]
                 * cell_mass[:, None]
                 * (phi_c / s_c)
             )
-            np.add.at(H, (np.broadcast_to(a_cols[None, :], (K, n_comp)).ravel(), cols.ravel()), cross.ravel())
-            np.add.at(H, (cols.ravel(), np.broadcast_to(a_cols[None, :], (K, n_comp)).ravel()), cross.ravel())
+            add(np.broadcast_to(a_cols[None, :], (K, n_comp)), c_cols, cross, mirror=True)
             exp_flow = cell_mass @ s_c
-            d2_alpha = obj_factor * eta_nd * comp_m * (comp_m - 1.0) * alpha ** (comp_m - 2.0) * exp_flow
-            H[a_cols, a_cols] += d2_alpha
+            add(a_cols, a_cols,
+                obj_factor * eta_nd * comp_m * (comp_m - 1.0) * alpha ** (comp_m - 2.0) * exp_flow)
         if n_pipe:
             phi_p = phi[:, :n_pipe]
             s_p = smooth(phi_p)
-            y_pipe = y[pipe_rows]
-            d2 = y_pipe * kappa_nd[None, :] * (3.0 * phi_p / s_p - phi_p**3 / s_p**3)
-            cols = phi_idx[:, :n_pipe]
-            np.add.at(H, (cols.ravel(), cols.ravel()), d2.ravel())
+            p_cols = phi_idx[:, :n_pipe]
+            add(p_cols, p_cols,
+                y[pipe_rows] * kappa_nd[None, :] * (3.0 * phi_p / s_p - phi_p**3 / s_p**3))
         if n_comp:
-            y_comp = y[comp_rows]  # (K, n_comp)
-            a_cols = np.array([alpha_idx[c.id] for c in net.compressors])
             fr_cols = pi_idx[:, comp_from]  # (K, n_comp)
             mask = fr_cols >= 0
-            rr = np.broadcast_to(a_cols[None, :], (K, n_comp))[mask]
-            cc = fr_cols[mask]
-            vv = -y_comp[mask]
-            np.add.at(H, (rr, cc), vv)
-            np.add.at(H, (cc, rr), vv)
+            add(np.broadcast_to(a_cols[None, :], (K, n_comp))[mask], fr_cols[mask],
+                -y[comp_rows][mask], mirror=True)
         for cid in sorted(chance_ids):
             st = cc_static[cid]
             z = st["pimin_nd"] - st["W"] @ Pi[:, st["col"]]
             _, _, ddv = penalty.shape(z)
-            y_g = y[colloc_rows[cid]]
-            block = st["W"].T @ ((ddv * y_g)[:, None] * st["W"])  # (K, K)
+            block = st["W"].T @ ((ddv * y[colloc_rows[cid]])[:, None] * st["W"])  # (K, K)
             pi_cols = pi_idx[:, st["col"]]
-            H[np.ix_(pi_cols, pi_cols)] += block
-        return H
+            add(np.repeat(pi_cols, K), np.tile(pi_cols, K), block)
+        return sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n_var, n_var),
+        )
+
+    blocks = None
+    if grids:
+        # one cell per stochastic cell: its states, recourse flows and rows;
+        # the compressor ratios, the expansion and the budget rows are border
+        # (the deterministic problem is a single cell, with nothing to eliminate)
+        blocks = np.full(n_var + n_con, -1, dtype=int)
+        cell = np.arange(K)
+        blocks[pi_idx[pi_idx >= 0]] = np.broadcast_to(cell[:, None], pi_idx.shape)[pi_idx >= 0]
+        blocks[phi_idx] = cell[:, None]
+        blocks[qs_idx] = cell
+        for cols in (*d_idx.values(), *s_idx.values()):
+            blocks[cols] = cell
+        for r in (pipe_rows, comp_rows, bal_rows):
+            blocks[n_var + r] = cell[:, None]
 
     problem = NlpProblem(
         n=n_var,
@@ -543,6 +566,7 @@ def _assemble(
         upper=upper,
         hessian=hessian,
         name="ogf-cc" if grids else "ogf-det",
+        blocks=blocks,
     )
     layout = CcLayout(
         net=net,

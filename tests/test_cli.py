@@ -234,3 +234,4 @@ class TestArgumentHandling:
         assert _status_exit(SolveStatus.OPTIMAL) == 0
         assert _status_exit(SolveStatus.MAX_ITER) == 2
         assert _status_exit(SolveStatus.INFEASIBLE) == 1
+        assert _status_exit(SolveStatus.NUMERICAL) == 1

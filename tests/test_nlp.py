@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
 from gasflow.nlp import (
@@ -7,7 +8,10 @@ from gasflow.nlp import (
     NlpOptions,
     NlpProblem,
     SolveStatus,
+    _BorderedFactor,
+    _BorderedKkt,
     check_derivatives,
+    check_hessian,
     solve,
 )
 
@@ -266,3 +270,149 @@ class TestDerivativeChecker:
             upper=np.array([np.inf]),
         )
         assert check_derivatives(p, np.array([2.0])) > 1e-2
+
+
+class TestNumericalBreakdown:
+    def test_nan_hessian_gives_numerical_status(self):
+        base = rosenbrock_eq()
+        calls = []
+
+        def hessian(x, y, sigma):
+            calls.append(1)
+            H = base.hessian(x, y, sigma)
+            return H if len(calls) == 1 else np.full_like(H, np.nan)
+
+        p = NlpProblem(
+            n=2, m=1, objective=base.objective, gradient=base.gradient,
+            constraints=base.constraints, jacobian=base.jacobian,
+            lower=base.lower, upper=base.upper, hessian=hessian,
+        )
+        sol = solve(p, np.array([0.5, 0.5]))
+        assert sol.status is SolveStatus.NUMERICAL
+        assert "not finite" in sol.diagnostic
+        assert sol.iterations == 2
+        assert np.all(np.isfinite(sol.x))
+
+
+def random_bordered(rng, cells=4, cell_vars=3, cell_rows=2, border_vars=3, border_rows=2):
+    """Random labels, Hessian, Jacobian and diagonal shift of a bordered-block
+    KKT matrix: indefinite cells, border rows, and Hessian entries between
+    the first variable of every cell."""
+    var_label = rng.permutation(np.r_[np.repeat(np.arange(cells), cell_vars), -np.ones(border_vars, int)])
+    row_label = rng.permutation(np.r_[np.repeat(np.arange(cells), cell_rows), -np.ones(border_rows, int)])
+    n, m = var_label.size, row_label.size
+    first = np.zeros(n, dtype=bool)
+    for k in range(cells):
+        first[np.flatnonzero(var_label == k)[0]] = True
+    allowed = (
+        (var_label[:, None] == var_label[None, :])
+        | (var_label[:, None] < 0)
+        | (var_label[None, :] < 0)
+        | (first[:, None] & first[None, :])
+    )
+    H = np.triu(rng.normal(size=(n, n)) * allowed * (rng.random((n, n)) < 0.7))
+    H = H + np.triu(H, 1).T
+    j_allowed = (row_label[:, None] < 0) | (var_label[None, :] < 0) | (row_label[:, None] == var_label[None, :])
+    J = rng.normal(size=(m, n)) * j_allowed * (rng.random((m, n)) < 0.7)
+    shift = np.r_[rng.uniform(-1.0, 2.0, n), -rng.uniform(0.0, 1e-3, m)]
+    return np.r_[var_label, row_label], H, J, shift
+
+
+def kkt_matrix(H, J, shift):
+    n = H.shape[0]
+    M = np.block([[H, J.T], [J, np.zeros((J.shape[0], J.shape[0]))]])
+    return M + np.diag(shift)
+
+
+class TestBorderedKkt:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_inertia_and_solution_match_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        blocks, H, J, shift = random_bordered(rng)
+        n, m = J.shape[1], J.shape[0]
+        M = kkt_matrix(H, J, shift)
+        eig = np.linalg.eigvalsh(M)
+        tol = 1e-10 * np.abs(eig).max()
+        assert np.abs(eig).min() > tol
+        expect = (int(np.sum(eig > tol)), int(np.sum(eig < -tol)), 0)
+        rhs = rng.normal(size=n + m)
+        for labels in (blocks, None):
+            system = _BorderedKkt(labels, n, m).system(sp.coo_matrix(H), sp.coo_matrix(J))
+            factor = _BorderedFactor(system, shift)
+            assert factor.inertia == expect
+            np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(M, rhs), rtol=1e-7, atol=1e-9)
+
+    def test_cross_cell_hessian_is_lifted(self):
+        rng = np.random.default_rng(3)
+        blocks, H, J, shift = random_bordered(rng)
+        system = _BorderedKkt(blocks, J.shape[1], J.shape[0]).system(sp.coo_matrix(H), sp.coo_matrix(J))
+        assert system.lifted == 4  # the first variable of each of the 4 cells
+
+    def test_singular_cell_reported_as_zero(self):
+        # cells {x0} and {x1} have zero Hessian; the border row x0 + x1 - t
+        # makes the whole matrix nonsingular, but the cells cannot be eliminated
+        H = np.diag([0.0, 0.0, 2.0])
+        J = np.array([[1.0, 1.0, -1.0]])
+        kkt = _BorderedKkt(np.array([0, 1, -1, -1]), 3, 1)
+        system = kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+        assert _BorderedFactor(system, np.zeros(4)).inertia[2] > 0
+        assert _BorderedFactor(system, np.r_[np.full(3, 1e-4), -1e-8]).inertia == (3, 1, 0)
+
+    def test_jacobian_linking_two_cells_rejected(self):
+        # row 1 belongs to cell 1 but also uses variable 0 of cell 0
+        H = np.eye(4)
+        J = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0]])
+        kkt = _BorderedKkt(np.array([0, 0, 1, 1, 0, 1]), 4, 2)
+        with pytest.raises(ValueError, match="constraint row 1"):
+            kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+
+    def test_cells_must_have_equal_sizes(self):
+        with pytest.raises(ValueError, match="equal sizes"):
+            _BorderedKkt(np.array([0, 0, 1]), 2, 1)
+
+
+def linked_cells(blocks):
+    """min (t - 1)^2  s.t.  x_k - t = 0 for two cells k: every cell block has
+    a zero Hessian and no bounds, so it is singular until regularized."""
+    return NlpProblem(
+        n=3,
+        m=2,
+        objective=lambda x: float((x[2] - 1.0) ** 2),
+        gradient=lambda x: np.array([0.0, 0.0, 2.0 * (x[2] - 1.0)]),
+        constraints=lambda x: np.array([x[0] - x[2], x[1] - x[2]]),
+        jacobian=lambda x: sp.csr_matrix(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])),
+        lower=np.full(3, -np.inf),
+        upper=np.full(3, np.inf),
+        hessian=lambda x, y, s: sp.diags([0.0, 0.0, 2.0 * s]),
+        blocks=blocks,
+    )
+
+
+class TestStructuredSolve:
+    def test_singular_cells_corrected_by_regularization(self):
+        x0 = np.array([3.0, -2.0, 0.5])
+        plain = solve(linked_cells(None), x0)
+        blocked = solve(linked_cells(np.array([0, 1, -1, -1, -1])), x0)
+        for sol in (plain, blocked):
+            assert sol.status is SolveStatus.OPTIMAL
+            np.testing.assert_allclose(sol.x, 1.0, atol=1e-8)
+
+    def test_blocks_validated(self):
+        with pytest.raises(ValueError, match="labels"):
+            linked_cells(np.array([0, 1, -1]))
+
+
+class TestHessianChecker:
+    def test_rosenbrock_hessian_exact(self):
+        p = rosenbrock_eq()
+        assert check_hessian(p, np.array([0.3, -0.7]), np.array([1.5])) <= 1e-6
+
+    def test_detects_wrong_hessian(self):
+        base = rosenbrock_eq()
+        p = NlpProblem(
+            n=2, m=1, objective=base.objective, gradient=base.gradient,
+            constraints=base.constraints, jacobian=base.jacobian,
+            lower=base.lower, upper=base.upper,
+            hessian=lambda x, y, s: 2.0 * base.hessian(x, y, s),
+        )
+        assert check_hessian(p, np.array([0.3, -0.7]), np.array([1.5])) > 1e-2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gasflow import configs, parse_network, solve_steady
-from gasflow.nlp import NlpOptions, check_derivatives
+from gasflow.nlp import NlpOptions, check_derivatives, check_hessian, solve
 from gasflow.ogf import (
     OgfError,
     PenaltyConfig,
@@ -264,6 +264,51 @@ class TestDerivatives:
         for _ in range(3):
             x = random_interior(problem, rng)
             assert check_derivatives(problem, x) <= 1e-5
+
+    @pytest.mark.parametrize("config", ["eight_node", "single_pipe"])
+    def test_chance_assembly_hessian(self, config):
+        net = configs.load(config)
+        unc = net.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
+        problem, layout = assemble_chance_constrained(net, {unc.id: grid}, PEN)
+        rng = np.random.default_rng(5)
+        x = random_interior(problem, rng)
+        # spread the chance node's squared pressure around its floor so the
+        # penalty is active at some collocation points and idle at others
+        (cid,) = layout.chance_nodes
+        j = net.node_index[cid]
+        pimin = net.node(cid).pressure_min ** 2 / layout.scaling.squared_pressure
+        x[layout.pi_idx[:, j]] = pimin * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, layout.K))
+        z = pimin - grid.interpolation_weights(grid.greville) @ x[layout.pi_idx[:, j]]
+        assert np.any(z > 1e-3) and np.any(z < -1e-3)
+        y = rng.normal(size=problem.m)
+        assert check_hessian(problem, x, y) <= 1e-5
+
+
+class TestStructuredKkt:
+    def test_blocks_follow_the_cells(self, single_pipe):
+        unc = single_pipe.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
+        problem, layout = assemble_chance_constrained(single_pipe, {unc.id: grid}, PEN)
+        var, row = problem.blocks[: problem.n], problem.blocks[problem.n :]
+        assert np.all(var[layout.phi_idx] == np.arange(8)[:, None])
+        assert np.all(row[layout.bal_rows] == np.arange(8)[:, None])
+        assert var[layout.alpha_idx["C1"]] == -1
+        assert np.all(var[layout.a_idx["N3"]] == -1)
+        assert np.all(row[layout.colloc_rows["N3"]] == -1)
+        assert assemble_deterministic(single_pipe)[0].blocks is None
+
+    def test_bordered_solve_matches_dense(self, eight_node):
+        net = eight_node.with_node(replace(eight_node.node("J3"), demand_max=300.0))
+        unc = net.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, 16, node_id=unc.id)
+        problem, layout = assemble_chance_constrained(net, {unc.id: grid}, PEN)
+        x0 = initial_point_chance_constrained(net, layout)
+        blocked = solve(problem, x0)
+        dense = solve(replace(problem, blocks=None), x0)
+        assert blocked.optimal and dense.optimal
+        assert blocked.iterations == dense.iterations
+        assert blocked.objective == pytest.approx(dense.objective, rel=1e-10)
 
 
 def supply_relief_net(pressure_floor=4.82e6):
