@@ -7,16 +7,16 @@ the KKT system.
 
 The KKT system is factored in bordered-block form (Zavala, Laird & Biegler
 2008; Chiang, Petra & Zavala 2014).  ``NlpProblem.blocks`` labels every
-variable and constraint row with a diagonal block, or cell (label >= 0), or
-with the border (-1).  Each cell is factored by LAPACK's Bunch-Kaufman
-``dsytrf`` and eliminated into the Schur complement of the border, which is
-factored densely by ``scipy.linalg.ldl``.  The inertia is the sum of the
-cell inertias and the Schur inertia (Haynsworth additivity), so inertia
-correction stays exact.  Hessian entries that couple two cells are lifted
-into the border.  Without labels everything is border, and the whole KKT
-matrix gets one dense factorization.  A factorization that cannot be
-repaired (non-finite entries, or inertia correction run past its cap) ends
-the solve with status ``NUMERICAL`` and a diagnostic.
+variable and constraint row either with its diagonal block, called a cell
+(label >= 0), or with the border (-1).  Each cell is factored by LAPACK's
+Bunch-Kaufman ``dsytrf`` and eliminated into the Schur complement of the
+border, which is factored densely by ``scipy.linalg.ldl``.  The inertia is
+the sum of the cell inertias and the Schur inertia (Haynsworth additivity),
+so inertia correction stays exact.  Hessian entries that couple two cells
+are lifted into the border.  Without labels everything is border, and the
+whole KKT matrix gets one dense factorization.  A factorization that cannot
+be repaired (non-finite entries, or inertia correction run past its cap)
+ends the solve with status ``NUMERICAL`` and a diagnostic.
 
 Returns equality and bound multipliers under the convention
 
@@ -130,13 +130,6 @@ class NlpSolution:
     @property
     def optimal(self) -> bool:
         return self.status is SolveStatus.OPTIMAL
-
-
-def _as_dense(mat, shape) -> np.ndarray:
-    if sp.issparse(mat):
-        return mat.toarray()
-    arr = np.asarray(mat, dtype=float)
-    return arr.reshape(shape)
 
 
 def _as_sparse(mat, shape) -> sp.csr_matrix:
@@ -790,7 +783,7 @@ def check_derivatives(problem: NlpProblem, x: np.ndarray, step: float = 1e-6) ->
     x = np.asarray(x, dtype=float)
     n, m = problem.n, problem.m
     g = np.asarray(problem.gradient(x), dtype=float).reshape(n)
-    J = _as_dense(problem.jacobian(x), (m, n))
+    J = _as_sparse(problem.jacobian(x), (m, n)).toarray()
     worst = 0.0
     for i in range(n):
         h = step * (1.0 + abs(x[i]))
@@ -819,7 +812,7 @@ def check_hessian(problem: NlpProblem, x: np.ndarray, y: np.ndarray, step: float
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = problem.n, problem.m
-    H = _as_dense(problem.hessian(x, y, 1.0), (n, n))
+    H = _as_sparse(problem.hessian(x, y, 1.0), (n, n)).toarray()
     H = 0.5 * (H + H.T)
 
     def lagrangian_gradient(z):

@@ -319,7 +319,6 @@ def random_bordered(rng, cells=4, cell_vars=3, cell_rows=2, border_vars=3, borde
 
 
 def kkt_matrix(H, J, shift):
-    n = H.shape[0]
     M = np.block([[H, J.T], [J, np.zeros((J.shape[0], J.shape[0]))]])
     return M + np.diag(shift)
 
