@@ -27,7 +27,6 @@ from gasflow.stochastic import (
     UncertaintySpec,
     build_grid,
     measure_basis_integrals,
-    sample_value,
 )
 from gasflow.steady import (
     Scaling,
@@ -77,7 +76,6 @@ __all__ = [
     "UncertaintySpec",
     "build_grid",
     "measure_basis_integrals",
-    "sample_value",
     "Scaling",
     "SteadySolveError",
     "SteadyState",

@@ -15,7 +15,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from gasflow.network import Network, NetworkError, load_network
@@ -43,7 +43,11 @@ _MODES = ("simulate", "opt-det", "opt-cc", "validate", "prices")
 
 @dataclass
 class RunConfig:
-    """One reproducible run: every knob that affects the outputs."""
+    """One reproducible run: every knob that affects the outputs.
+
+    ``epsilons`` lists violation levels to sweep in ``opt-cc`` mode; ``None``
+    solves once at ``epsilon``.
+    """
 
     network_path: str
     mode: str = "opt-cc"
@@ -55,7 +59,7 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "gasflow_out"
     qmax: dict[str, float] = field(default_factory=dict)
-    epsilons: list[float] = field(default_factory=list)
+    epsilons: list[float] | None = None
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -84,8 +88,6 @@ def _write_distribution_csvs(out: Path, tag: str, dist):
 
 
 def _apply_qmax(net: Network, qmax: dict[str, float]) -> Network:
-    from dataclasses import replace
-
     for nid, value in qmax.items():
         node = net.node(nid)
         net = net.with_node(replace(node, demand_max=value))
@@ -105,13 +107,6 @@ def _status_exit(status: SolveStatus) -> int:
     if status is SolveStatus.MAX_ITER:
         return 2
     return 1
-
-
-def _solve_cc(net: Network, config: RunConfig) -> CcSolution:
-    penalty = PenaltyConfig(gamma=config.gamma, delta=config.delta)
-    return solve_chance_constrained(
-        net, K=config.cells, penalty=penalty, epsilon=config.epsilon
-    )
 
 
 def _cc_artifacts(net: Network, config: RunConfig, solution: CcSolution, out: Path):
@@ -134,7 +129,6 @@ def _cc_artifacts(net: Network, config: RunConfig, solution: CcSolution, out: Pa
     for qty in quantities:
         dist = distribution_of(solution, qty, grid, seed=config.seed)
         _write_distribution_csvs(out, qty.replace("@", "_"), dist)
-    return estimates
 
 
 def _chance_slack(solution: CcSolution) -> float:
@@ -146,12 +140,15 @@ def _chance_slack(solution: CcSolution) -> float:
 
 
 def run(config: RunConfig) -> int:
-    """Execute one mode and write its artifacts; returns the process exit code."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Execute one mode and write its artifacts; returns the process exit code.
+
+    In ``opt-cc`` mode a list of ``epsilons`` runs a sweep instead of one
+    solve.  Input errors print ``error: ...`` to stderr and return 1.
+    """
     try:
-        net = load_network(config.network_path)
-        net = _apply_qmax(net, config.qmax)
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        net = _apply_qmax(load_network(config.network_path), config.qmax)
 
         if config.mode == "simulate":
             loads = _mean_loads(net)
@@ -168,6 +165,7 @@ def run(config: RunConfig) -> int:
             print(f"simulate status=converged residual={state.residual_norm:.3e}")
             return 0
 
+        penalty = PenaltyConfig(gamma=config.gamma, delta=config.delta)
         if config.mode == "opt-det":
             if net.uncertain_nodes:
                 log.warning(
@@ -175,30 +173,26 @@ def run(config: RunConfig) -> int:
                 )
                 print("warning: uncertainty ignored, deterministic solve at mean load",
                       file=sys.stderr)
-            solution = solve_deterministic(
-                net,
-                loads=_mean_loads(net),
-                penalty=PenaltyConfig(gamma=config.gamma, delta=config.delta),
-            )
+            solution = solve_deterministic(net, loads=_mean_loads(net), penalty=penalty)
             _json_dump(out / "solution.json", solution.to_json_dict())
             print(
                 f"opt-det status={solution.status.value} objective={solution.objective:.6f}"
             )
             return _status_exit(solution.status)
 
-        if config.mode in ("opt-cc", "validate", "prices"):
-            if config.epsilons and config.mode == "opt-cc":
-                return sweep(config, config.epsilons)
-            solution = _solve_cc(net, config)
-            estimates = _cc_artifacts(net, config, solution, out)
-            slack = _chance_slack(solution)
-            print(
-                f"{config.mode} status={solution.status.value} "
-                f"objective={solution.objective:.6f} max_chance_slack={slack:.3e}"
-            )
-            return _status_exit(solution.status)
+        if config.mode == "opt-cc" and config.epsilons is not None:
+            return _sweep(net, penalty, config, out)
 
-        raise ValueError(f"unknown mode {config.mode!r}")
+        solution = solve_chance_constrained(
+            net, K=config.cells, penalty=penalty, epsilon=config.epsilon
+        )
+        _cc_artifacts(net, config, solution, out)
+        slack = _chance_slack(solution)
+        print(
+            f"{config.mode} status={solution.status.value} "
+            f"objective={solution.objective:.6f} max_chance_slack={slack:.3e}"
+        )
+        return _status_exit(solution.status)
     except (NetworkError, OgfError, PricingError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -214,11 +208,10 @@ def sweep(config: RunConfig, epsilons: list[float]) -> int:
     sweep continues.  Each row revalidates by Monte Carlo with the same seed
     so estimates are comparable across rows.
     """
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    net = load_network(config.network_path)
-    net = _apply_qmax(net, config.qmax)
-    penalty = PenaltyConfig(gamma=config.gamma, delta=config.delta)
+    return run(replace(config, mode="opt-cc", epsilons=list(epsilons)))
+
+
+def _sweep(net: Network, penalty: PenaltyConfig, config: RunConfig, out: Path) -> int:
     comp_ids = [c.id for c in net.compressors]
     header = (
         ["epsilon"]
@@ -228,7 +221,7 @@ def sweep(config: RunConfig, epsilons: list[float]) -> int:
     )
     rows = []
     x_prev = None
-    for eps in sorted(epsilons):
+    for eps in sorted(config.epsilons):
         try:
             solution = solve_chance_constrained(
                 net, K=config.cells, penalty=penalty, epsilon=eps, x0=x_prev
@@ -312,35 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_mode(args) -> str:
-    mode = args.mode
-    if mode == "det":
-        mode = "opt-det"
-    if mode == "cc":
-        mode = "opt-cc"
-    if args.command == "simulate":
-        return "simulate"
-    if args.command == "validate":
-        return "validate"
-    if args.command == "prices":
-        return "prices"
-    if args.command in ("optimize", "sweep"):
-        return mode or "opt-cc"
-    return mode or "opt-cc"
+    if args.command in ("simulate", "validate", "prices"):
+        return args.command
+    if args.command == "sweep":
+        return "opt-cc"
+    return {"det": "opt-det", "cc": "opt-cc"}.get(args.mode, args.mode or "opt-cc")
 
 
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("GASFLOW_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        epsilons = (
-            [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
-            if args.epsilons is not None
-            else []
-        )
         if args.command == "sweep" and args.epsilons is None:
             raise ValueError("sweep requires --epsilons")
+        epsilons = [float(tok) for tok in (args.epsilons or "").split(",") if tok.strip()]
         config = RunConfig(
             network_path=args.network,
             mode=_resolve_mode(args),
@@ -352,17 +331,12 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             out_dir=args.out,
             qmax=_parse_qmax(args.qmax),
-            epsilons=epsilons,
+            # an empty --epsilons sweeps only under the sweep command
+            epsilons=epsilons if epsilons or args.command == "sweep" else None,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command == "sweep" or (config.epsilons and config.mode == "opt-cc"):
-        try:
-            return sweep(config, config.epsilons)
-        except (NetworkError, OgfError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     return run(config)
 
 

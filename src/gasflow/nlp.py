@@ -23,8 +23,8 @@ Returns equality and bound multipliers under the convention
     L = f + lambda_eq^T c - lambda_lo^T (x - lo) - lambda_hi^T (hi - x)
 
 so at a solution ``grad f + J^T lambda_eq - lambda_lo + lambda_hi = 0`` with
-``lambda_lo, lambda_hi >= 0``.  The Hessian of the Lagrangian may be supplied
-exactly; otherwise a damped BFGS approximation is maintained.
+``lambda_lo, lambda_hi >= 0``.  Every problem supplies the exact Hessian of
+its Lagrangian; there is no quasi-Newton approximation.
 
 Everything is deterministic: identical inputs and options produce identical
 iterates and multipliers.
@@ -65,9 +65,9 @@ class NlpProblem:
     """Smooth NLP data: callbacks plus box bounds.
 
     ``jacobian`` may return a scipy sparse matrix or an ndarray (m x n) with a
-    fixed sparsity pattern.  ``hessian(x, y, obj_factor)`` returns the Hessian
-    of ``obj_factor * f + y @ c`` (n x n, sparse or dense, both triangles;
-    it is symmetrized internally).
+    fixed sparsity pattern.  ``hessian(x, y, obj_factor)`` is required and
+    returns the exact Hessian of ``obj_factor * f + y @ c`` (n x n, sparse or
+    dense, both triangles; it is symmetrized internally).
 
     ``blocks`` optionally labels the n variables and then the m constraint
     rows for the bordered-block KKT factorization: a label >= 0 names a cell,
@@ -84,7 +84,7 @@ class NlpProblem:
     jacobian: Callable[[np.ndarray], object]
     lower: np.ndarray
     upper: np.ndarray
-    hessian: Callable[[np.ndarray, np.ndarray, float], object] | None = None
+    hessian: Callable[[np.ndarray, np.ndarray, float], object]
     name: str = ""
     blocks: np.ndarray | None = None
 
@@ -468,11 +468,6 @@ def solve(
     mu = min(opts.mu0, max(opts.tol / 11.0, e0 / 10.0))
     tau = max(opts.tau_min, 1.0 - mu)
 
-    bfgs_B = None
-    if problem.hessian is None:
-        bfgs_B = np.eye(n)
-    prev_for_bfgs = None
-
     # Waechter-Biegler filter constants; the filter is reset per barrier stage
     G_THETA = 1e-5
     G_PHI = 1e-5
@@ -523,10 +518,7 @@ def solve(
         sigma = np.where(has_lo, it.z_lo / sl_lo, 0.0) + np.where(has_hi, it.z_hi / sl_hi, 0.0)
         grad_phi = g - np.where(has_lo, mu / sl_lo, 0.0) + np.where(has_hi, mu / sl_hi, 0.0)
 
-        if problem.hessian is not None:
-            W = problem.hessian(it.x, it.y, 1.0)
-        else:
-            W = bfgs_B
+        W = problem.hessian(it.x, it.y, 1.0)
 
         rhs = np.concatenate([-(grad_phi + J.T @ it.y), -c])
 
@@ -695,9 +687,6 @@ def solve(
             continue
         consecutive_failures = 0
 
-        if problem.hessian is None:
-            prev_for_bfgs = (it.x.copy(), g + J.T @ (it.y + alpha * dy_used))
-
         it.x = x_new
         it.y = it.y + alpha * dy_used
         it.z_lo = np.where(has_lo, it.z_lo + alpha_z * dz_lo, 0.0)
@@ -716,24 +705,6 @@ def solve(
         f, c = f_new, c_new
         g = np.asarray(problem.gradient(it.x), dtype=float).reshape(n)
         J = _as_sparse(problem.jacobian(it.x), (m, n))
-
-        if problem.hessian is None and prev_for_bfgs is not None:
-            x_old, gl_old = prev_for_bfgs
-            s = it.x - x_old
-            gl_new = g + J.T @ it.y
-            yv = gl_new - gl_old
-            ss = float(s @ s)
-            if ss > 1e-16:
-                Bs = bfgs_B @ s
-                sBs = float(s @ Bs)
-                sy = float(s @ yv)
-                if sy < 0.2 * sBs:
-                    theta_d = 0.8 * sBs / (sBs - sy)
-                    yv = theta_d * yv + (1.0 - theta_d) * Bs
-                    sy = float(s @ yv)
-                if sy > 1e-12 * ss:
-                    bfgs_B = bfgs_B - np.outer(Bs, Bs) / sBs + np.outer(yv, yv) / sy
-
     else:
         iteration = opts.max_iter
 

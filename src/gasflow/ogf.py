@@ -52,42 +52,24 @@ class PenaltyConfig:
     ``gamma`` is the curvature of the one-sided quadratic penalty in
     nondimensional squared-pressure units: it fixes what one unit of the
     violation budget epsilon means physically.  ``delta`` is the friction
-    smoothing width in kg/s.
-
-    The bare penalty has a curvature jump at zero shortfall.  Setting
-    ``blend_width`` replaces it within ``|z| <= blend_width`` by the quartic
-    ``(z + w)^4 / (16 w^2)``, which spreads the jump over the blend interval
-    at the cost of a pointwise error of at most ``w^2/16``.  Off by default.
+    smoothing width in kg/s.  The penalty shape is ``max(z, 0)^2``; its
+    curvature jumps from 0 to 2 at zero shortfall.
     """
 
     gamma: float = 1.0
     delta: float = 1e-3
-    blend_width: float = 0.0
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise OgfError("penalty curvature gamma must be positive")
         if self.delta < 0:
             raise OgfError("smoothing width delta must be nonnegative")
-        if self.blend_width < 0:
-            raise OgfError("blend width must be nonnegative")
 
     def shape(self, z):
         """Penalty shape (curvature-free): value, slope and curvature at z."""
         z = np.asarray(z, dtype=float)
-        w = self.blend_width
-        if w == 0.0:
-            pos = np.maximum(z, 0.0)
-            return pos * pos, 2.0 * pos, 2.0 * (z > 0.0)
-        v = np.where(z >= w, z * z, 0.0)
-        dv = np.where(z >= w, 2.0 * z, 0.0)
-        ddv = np.where(z >= w, 2.0, 0.0)
-        mid = (z > -w) & (z < w)
-        s = z + w
-        v = np.where(mid, s**4 / (16.0 * w * w), v)
-        dv = np.where(mid, s**3 / (4.0 * w * w), dv)
-        ddv = np.where(mid, 3.0 * s**2 / (4.0 * w * w), ddv)
-        return v, dv, ddv
+        pos = np.maximum(z, 0.0)
+        return pos * pos, 2.0 * pos, 2.0 * (z > 0.0)
 
 
 @dataclass

@@ -50,10 +50,6 @@ class ValueDistribution:
     def mean(self) -> float:
         return float(self.mass @ self.support)
 
-    def to_rows(self) -> list[tuple[float, float, float]]:
-        """(omega-index-free) rows ``(support, mass)`` for CSV export."""
-        return [(float(v), float(m)) for v, m in zip(self.support, self.mass)]
-
 
 def _per_cell_values(solution: CcSolution, quantity: str) -> np.ndarray:
     try:

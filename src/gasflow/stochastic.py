@@ -107,11 +107,6 @@ class UncertaintySpec:
         return self.mean + self.std * (phi_a - phi_b) / self._norm_mass
 
 
-def sample_value(spec: UncertaintySpec, u: float):
-    """Map a uniform(0, 1) draw to a withdrawal value via the inverse CDF."""
-    return spec.ppf(u)
-
-
 def _gauss_legendre_panels(breaks: np.ndarray, n_points: int):
     """Gauss-Legendre nodes/weights on each interval of ``breaks``."""
     xg, wg = np.polynomial.legendre.leggauss(n_points)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from gasflow import configs
-from gasflow.cli import RunConfig, main, sweep
+from gasflow.cli import RunConfig, build_parser, main, sweep
 
 
 @pytest.fixture()
@@ -24,6 +24,55 @@ def eight_node_path(tmp_path):
 
 def read_dir_bytes(path: Path) -> dict[str, bytes]:
     return {f.name: f.read_bytes() for f in sorted(path.iterdir()) if f.is_file()}
+
+
+CC_FILES = {"solution.json", "violation.json"} | {
+    f"{qty}_N3_{kind}.csv"
+    for qty in ("pressure", "lambda_q", "lambda_q_per_mass")
+    for kind in ("discrete", "density")
+}
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["simulate"], {"steady_state.json"}),
+            (["optimize"], CC_FILES),
+            (["optimize", "--mode", "simulate"], {"steady_state.json"}),
+            (["optimize", "--mode", "opt-det"], {"solution.json"}),
+            (["optimize", "--mode", "det"], {"solution.json"}),
+            (["optimize", "--mode", "opt-cc"], CC_FILES),
+            (["optimize", "--mode", "cc"], CC_FILES),
+            (["optimize", "--mode", "validate"], CC_FILES),
+            (["optimize", "--mode", "prices"], CC_FILES),
+            (["optimize", "--mode", "cc", "--epsilons", "0.05"], {"sweep.csv"}),
+            (["validate"], CC_FILES),
+            (["validate", "--epsilons", "0.05"], CC_FILES),
+            (["prices"], CC_FILES),
+            (["sweep", "--epsilons", "0.05"], {"sweep.csv"}),
+        ],
+    )
+    def test_command_writes_its_artifacts(self, single_pipe_path, tmp_path, argv, files):
+        out = tmp_path / "o"
+        common = ["--network", str(single_pipe_path), "--cells", "8", "--mc-samples", "50"]
+        assert main(argv + common + ["--out", str(out)]) == 0
+        assert {f.name for f in out.iterdir()} == files
+
+    def test_parser_offers_the_readme_surface(self):
+        parser = build_parser()
+        actions = {a.dest: a for a in parser._actions}
+        assert set(actions["command"].choices) == {
+            "simulate", "optimize", "validate", "prices", "sweep"
+        }
+        assert set(actions["mode"].choices) == {
+            "simulate", "opt-det", "opt-cc", "validate", "prices", "det", "cc"
+        }
+        flags = {opt for a in parser._actions for opt in a.option_strings}
+        assert flags == {
+            "-h", "--help", "--network", "--mode", "--cells", "--epsilon", "--epsilons",
+            "--gamma", "--delta", "--mc-samples", "--seed", "--out", "--qmax",
+        }
 
 
 class TestModes:
@@ -216,6 +265,21 @@ class TestArgumentHandling:
         code = main(["simulate", "--network", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")])
         assert code == 1
+
+    def test_sweep_missing_network_file(self, tmp_path, capsys):
+        code = main(["sweep", "--network", str(tmp_path / "nope.json"),
+                     "--epsilons", "0.1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate", "sweep"])
+    def test_out_under_a_regular_file(self, single_pipe_path, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main([command, "--network", str(single_pipe_path), "--epsilons", "0.1",
+                     "--out", str(blocker / "o")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_sweep_requires_epsilons(self, single_pipe_path, capsys):
         assert main(["sweep", "--network", str(single_pipe_path)]) == 1

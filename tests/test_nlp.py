@@ -27,6 +27,7 @@ def box_qp():
         jacobian=lambda x: np.zeros((0, 1)),
         lower=np.array([1.0]),
         upper=np.array([np.inf]),
+        hessian=lambda x, y, s: np.array([[2.0 * s]]),
     )
 
 
@@ -40,10 +41,11 @@ def bounded_lp(c1=3.0, c2=2.0, total=5.0, u=(4.0, 4.0)):
         jacobian=lambda x: np.array([[1.0, 1.0]]),
         lower=np.zeros(2),
         upper=np.array(u),
+        hessian=lambda x, y, s: np.zeros((2, 2)),
     )
 
 
-def rosenbrock_eq(with_hessian=True):
+def rosenbrock_eq():
     # min 100(x2 - x1^2)^2 + (1 - x1)^2  s.t. x1 + x2 = 1
 
     def f(x):
@@ -75,7 +77,7 @@ def rosenbrock_eq(with_hessian=True):
         jacobian=lambda x: np.array([[1.0, 1.0]]),
         lower=np.full(2, -np.inf),
         upper=np.full(2, np.inf),
-        hessian=h if with_hessian else None,
+        hessian=h,
     )
 
 
@@ -135,13 +137,6 @@ class TestAnalyticProblems:
         )
         assert max(sol.kkt_residuals.values()) <= 1e-8
 
-    def test_rosenbrock_bfgs_fallback(self):
-        x_ref, lam_ref = rosenbrock_oracle()
-        sol = solve(rosenbrock_eq(with_hessian=False), np.array([0.5, 0.5]))
-        assert sol.status is SolveStatus.OPTIMAL
-        np.testing.assert_allclose(sol.x, x_ref, atol=1e-6)
-        assert sol.lambda_eq[0] == pytest.approx(lam_ref, abs=1e-5)
-
 
 class TestSolverProperties:
     def test_dual_signs(self):
@@ -163,6 +158,7 @@ class TestSolverProperties:
             jacobian=p.jacobian,
             lower=p.lower,
             upper=p.upper,
+            hessian=p.hessian,
         )
         scaled = solve(p_scaled, np.array([1.0, 1.0]))
         np.testing.assert_allclose(scaled.x, base.x, atol=1e-6)
@@ -200,6 +196,7 @@ class TestSolverProperties:
             jacobian=lambda x: np.array([[2.0 * x[0]]]),
             lower=np.array([-np.inf]),
             upper=np.array([np.inf]),
+            hessian=lambda x, y, s: np.array([[2.0 * s + 2.0 * y[0]]]),
         )
         sol = solve(p, np.array([0.5]), NlpOptions(max_iter=60))
         assert sol.status is not SolveStatus.OPTIMAL
@@ -215,6 +212,7 @@ class TestSolverProperties:
             jacobian=lambda x: np.ones((1, 1)),
             lower=np.array([-np.inf]),
             upper=np.array([np.inf]),
+            hessian=lambda x, y, s: np.zeros((1, 1)),
         )
         with pytest.raises(EvaluationError) as err:
             solve(p, np.array([0.0]))
@@ -231,6 +229,7 @@ class TestSolverProperties:
                 jacobian=lambda x: np.zeros((0, 1)),
                 lower=np.array([2.0]),
                 upper=np.array([1.0]),
+                hessian=lambda x, y, s: np.zeros((1, 1)),
             )
 
 
@@ -255,6 +254,7 @@ class TestDerivativeChecker:
             jacobian=lambda x: np.zeros((0, 1)),
             lower=np.array([-np.inf]),
             upper=np.array([np.inf]),
+            hessian=lambda x, y, s: np.array([[s * delta**2 / (x[0] ** 2 + delta**2) ** 1.5]]),
         )
         assert check_derivatives(p, np.array([5e-3])) <= 1e-5
 
@@ -268,6 +268,7 @@ class TestDerivativeChecker:
             jacobian=lambda x: np.zeros((0, 1)),
             lower=np.array([-np.inf]),
             upper=np.array([np.inf]),
+            hessian=lambda x, y, s: np.array([[2.0 * s]]),
         )
         assert check_derivatives(p, np.array([2.0])) > 1e-2
 

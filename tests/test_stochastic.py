@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gasflow import UncertaintySpec, build_grid, measure_basis_integrals, sample_value
+from gasflow import UncertaintySpec, build_grid, measure_basis_integrals
 
 UNIFORM = UncertaintySpec(dist="uniform", lo=200.0, hi=300.0)
 TNORM = UncertaintySpec(dist="truncated_normal", lo=200.0, hi=300.0, mean=250.0, std=50.0 / 3.0)
@@ -125,21 +125,21 @@ class TestSplineBasis:
 
 class TestSampling:
     def test_uniform_midpoint(self):
-        assert sample_value(UNIFORM, 0.5) == pytest.approx(250.0)
+        assert UNIFORM.ppf(0.5) == pytest.approx(250.0)
 
     def test_uniform_endpoint(self):
         spec = UncertaintySpec(dist="uniform", lo=0.0, hi=32.0)
-        assert sample_value(spec, 1.0) == pytest.approx(32.0)
+        assert spec.ppf(1.0) == pytest.approx(32.0)
 
     def test_truncnormal_median(self):
         spec = UncertaintySpec(
             dist="truncated_normal", lo=-50.0, hi=50.0, mean=0.0, std=50.0 / 3.0
         )
-        assert sample_value(spec, 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert spec.ppf(0.5) == pytest.approx(0.0, abs=1e-12)
 
     def test_out_of_range_draw(self):
         with pytest.raises(ValueError):
-            sample_value(UNIFORM, 1.5)
+            UNIFORM.ppf(1.5)
 
     @pytest.mark.parametrize("spec", [UNIFORM, TNORM], ids=["uniform", "truncnormal"])
     def test_empirical_mean_matches_analytic(self, spec):
