@@ -28,13 +28,8 @@ from gasflow.stochastic import (
     build_grid,
     measure_basis_integrals,
 )
-from gasflow.steady import (
-    Scaling,
-    SteadySolveError,
-    SteadyState,
-    nondimensionalize,
-    solve_steady,
-)
+from gasflow.physics import Scaling, nondimensionalize
+from gasflow.steady import SteadySolveError, SteadyState, solve_steady
 from gasflow.nlp import (
     NlpOptions,
     NlpProblem,

@@ -66,6 +66,9 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "opt-cc" and self.cells < 4:
             raise ValueError("chance-constrained mode needs at least 4 cells")
+        if self.mode in ("opt-cc", "validate", "prices") and self.mc_samples < 2:
+            raise ValueError("the Monte-Carlo check needs at least 2 samples, "
+                             f"got {self.mc_samples}")
 
 
 def _json_dump(path: Path, payload: dict):

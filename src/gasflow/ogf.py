@@ -18,7 +18,9 @@ expansion by the acceptable level.  Internally the expansion coefficients are
 stored divided by the penalty curvature so the Jacobian stays well scaled for
 any curvature; reported coefficients are rescaled back.
 
-The friction nonlinearity ``phi * |phi|`` is smoothed to
+The per-cell pipe, compressor and balance rows come from the shared
+:mod:`gasflow.physics` kernel, evaluated over the K cells at once.  Its
+friction nonlinearity ``phi * |phi|`` is smoothed here to
 ``phi * sqrt(phi^2 + delta^2)`` so the problem is twice differentiable; the
 steady simulation solver keeps the exact term, and the smoothing error is far
 below the cross-check tolerances at the default delta.
@@ -33,9 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from gasflow.network import Network, Node, NodeKind, incidence
+from gasflow.network import Network, Node, NodeKind
 from gasflow.nlp import NlpOptions, NlpProblem, NlpSolution, SolveStatus, solve
-from gasflow.steady import Scaling, SteadySolveError, nondimensionalize, solve_steady
+from gasflow.physics import Scaling, _spanning_tree_flows, kernel, magnitude
+from gasflow.steady import SteadySolveError, solve_steady
 from gasflow.stochastic import StochasticGrid, build_grid
 
 log = logging.getLogger("gasflow.ogf")
@@ -52,7 +55,9 @@ class PenaltyConfig:
     ``gamma`` is the curvature of the one-sided quadratic penalty in
     nondimensional squared-pressure units: it fixes what one unit of the
     violation budget epsilon means physically.  ``delta`` is the friction
-    smoothing width in kg/s.  The penalty shape is ``max(z, 0)^2``; its
+    smoothing width in kg/s; it must be positive, because the smoothed
+    friction slope divides by ``sqrt(phi^2 + delta^2)``, which vanishes at
+    zero flow when ``delta`` is zero.  The penalty shape is ``max(z, 0)^2``; its
     curvature jumps from 0 to 2 at zero shortfall.
     """
 
@@ -62,8 +67,8 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.gamma <= 0:
             raise OgfError("penalty curvature gamma must be positive")
-        if self.delta < 0:
-            raise OgfError("smoothing width delta must be nonnegative")
+        if not self.delta > 0:
+            raise OgfError("smoothing width delta must be positive")
 
     def shape(self, z):
         """Penalty shape (curvature-free): value, slope and curvature at z."""
@@ -137,6 +142,26 @@ def _objective_scale(net: Network, scaling: Scaling) -> float:
     return max(cands)
 
 
+class _Entries:
+    """Sparse matrix entries collected block by block; repeated entries add up."""
+
+    def __init__(self):
+        empty = np.zeros(0, dtype=int)
+        self.rows, self.cols, self.vals = [empty], [empty], [np.zeros(0)]
+
+    def add(self, r, c, v, mirror=False):
+        """Entries (r, c) += v, and (c, r) += v too when ``mirror``."""
+        r, c = np.asarray(r, dtype=int).ravel(), np.asarray(c, dtype=int).ravel()
+        v = np.asarray(v, dtype=float).ravel()
+        self.rows += [r, c] if mirror else [r]
+        self.cols += [c, r] if mirror else [c]
+        self.vals += [v, v] if mirror else [v]
+
+    def matrix(self, shape) -> sp.coo_matrix:
+        rows, cols = np.concatenate(self.rows), np.concatenate(self.cols)
+        return sp.coo_matrix((np.concatenate(self.vals), (rows, cols)), shape=shape)
+
+
 def _assemble(
     net: Network,
     grids: dict[str, StochasticGrid] | None,
@@ -145,10 +170,10 @@ def _assemble(
 ) -> tuple[NlpProblem, CcLayout]:
     """Shared assembler; ``grids`` empty/None builds the deterministic problem."""
     grids = dict(grids) if grids else {}
-    scaling = nondimensionalize(net)
-    nodes, edges = net.nodes, net.edges
-    nv, ne = len(nodes), len(edges)
-    n_pipe, n_comp = len(net.pipes), len(net.compressors)
+    kern = kernel(net)
+    scaling = kern.scaling
+    nodes = net.nodes
+    nv, n_pipe, n_comp = kern.nv, kern.n_pipe, kern.n_comp
     idx = net.node_index
 
     uncertain = [n for n in nodes if n.uncertainty is not None]
@@ -185,8 +210,8 @@ def _assemble(
     gamma = penalty.gamma
     delta_nd = penalty.delta / flow_sc
 
-    slack = idx[net.slack_node.id]
-    pi_slack_nd = net.slack_node.slack_pressure**2 / pi_sc
+    slack = kern.slack
+    cell = np.arange(K)[:, None]
 
     opt_d = [n for n in nodes if n.demand_optimized]
     opt_s = [n for n in nodes if n.supply_optimized]
@@ -204,16 +229,13 @@ def _assemble(
     for n in opt_s:
         s_idx[n.id] = np.arange(pos, pos + K)
         pos += K
-    free_nodes = np.array([j for j in range(nv) if j != slack], dtype=int)
-    free_rank = np.full(nv, -1, dtype=int)
-    free_rank[free_nodes] = np.arange(nv - 1)
-    stride = (nv - 1) + ne + 1
-    state_base = pos
+    # per cell: the kernel's states (free squared pressures, then flows), then qs
+    stride = kern.n_state + 1
+    state = pos + stride * cell + np.arange(kern.n_state)
     pi_idx = np.full((K, nv), -1, dtype=int)
-    for k in range(K):
-        pi_idx[k, free_nodes] = state_base + k * stride + free_rank[free_nodes]
-    phi_idx = state_base + (nv - 1) + np.arange(ne)[None, :] + stride * np.arange(K)[:, None]
-    qs_idx = state_base + (nv - 1) + ne + stride * np.arange(K)
+    pi_idx[:, kern.free] = state[:, : nv - 1]
+    phi_idx = state[:, nv - 1 :]
+    qs_idx = pos + stride * cell[:, 0] + kern.n_state
     pos += K * stride
     a_idx = {}
     t_idx = {}
@@ -226,12 +248,9 @@ def _assemble(
     n_var = pos
 
     # ---- constraint rows ---------------------------------------------------
-    row = 0
-    per_cell = n_pipe + n_comp + nv
-    pipe_rows = np.arange(n_pipe)[None, :] + per_cell * np.arange(K)[:, None]
-    comp_rows = n_pipe + np.arange(n_comp)[None, :] + per_cell * np.arange(K)[:, None]
-    bal_rows = n_pipe + n_comp + np.arange(nv)[None, :] + per_cell * np.arange(K)[:, None]
-    row += per_cell * K
+    cell_rows = kern.n_rows * cell + np.arange(kern.n_rows)
+    pipe_rows, comp_rows, bal_rows = np.split(cell_rows, [n_pipe, n_pipe + n_comp], axis=1)
+    row = cell_rows.size
     colloc_rows = {}
     cc_rows = {}
     for cid in sorted(chance_ids):
@@ -243,15 +262,9 @@ def _assemble(
     n_con = row
 
     # ---- static data --------------------------------------------------------
-    kappa_nd = net.kappa()[:n_pipe] * flow_sc**2 / pi_sc
-    pipe_from = np.array([idx[p.from_node] for p in net.pipes], dtype=int)
-    pipe_to = np.array([idx[p.to_node] for p in net.pipes], dtype=int)
-    comp_from = np.array([idx[c.from_node] for c in net.compressors], dtype=int)
-    comp_to = np.array([idx[c.to_node] for c in net.compressors], dtype=int)
-    edge_from = np.concatenate([pipe_from, comp_from]).astype(int)
-    edge_to = np.concatenate([pipe_to, comp_to]).astype(int)
+    kern_rows, kern_cols = cell_rows[:, kern.jac_rows], state[:, kern.jac_cols]
+    a_cols = np.array([alpha_idx[c.id] for c in net.compressors], dtype=int)
     comp_m = np.array([c.m for c in net.compressors])
-    comp_alpha_max = np.array([c.alpha_max for c in net.compressors])
     eta_nd = np.array([c.eta for c in net.compressors]) * flow_sc / f_scale
 
     loads = dict(loads or {})
@@ -265,7 +278,6 @@ def _assemble(
     if grids:
         r_cells[:, idx[unc_node.id]] = cell_omega
     q_cells_nd = (base_q[None, :] + r_cells) / flow_sc
-    q_cells_nd[:, slack] = 0.0  # slack withdrawal is the qs variable
 
     # expected economic value of fixed priced flows (constant in the objective)
     econ_const = 0.0
@@ -323,14 +335,11 @@ def _assemble(
 
     # ---- evaluation helpers ---------------------------------------------------
     def gather(x):
-        alpha = np.array([x[alpha_idx[c.id]] for c in net.compressors])
+        alpha = x[a_cols]
         Pi = x[np.maximum(pi_idx, 0)]
-        Pi[:, slack] = pi_slack_nd
+        Pi[:, slack] = kern.pi_slack
         phi = x[phi_idx]
         return alpha, Pi, phi
-
-    def smooth(phi):
-        return np.sqrt(phi * phi + delta_nd * delta_nd)
 
     def q_all(x):
         q = q_cells_nd.copy()
@@ -338,14 +347,14 @@ def _assemble(
             q[:, idx[nid]] += x[cols]
         for nid, cols in s_idx.items():
             q[:, idx[nid]] -= x[cols]
-        q[:, slack] = x[qs_idx]
+        q[:, slack] = x[qs_idx]  # the slack withdrawal is the qs variable
         return q
 
     def objective(x):
         alpha, Pi, phi = gather(x)
         val = 0.0
         if n_comp:
-            s_phi = smooth(phi[:, n_pipe:])
+            s_phi = magnitude(phi[:, n_pipe:], delta_nd)
             exp_flow = cell_mass @ s_phi  # (n_comp,)
             val += float(np.sum(eta_nd * (alpha**comp_m - 1.0) * exp_flow))
         for nid, cols in d_idx.items():
@@ -359,12 +368,9 @@ def _assemble(
         g = np.zeros(n_var)
         if n_comp:
             phi_c = phi[:, n_pipe:]
-            s_phi = smooth(phi_c)
+            s_phi = magnitude(phi_c, delta_nd)
             exp_flow = cell_mass @ s_phi
-            for i, c in enumerate(net.compressors):
-                g[alpha_idx[c.id]] = (
-                    eta_nd[i] * comp_m[i] * alpha[i] ** (comp_m[i] - 1.0) * exp_flow[i]
-                )
+            g[a_cols] = eta_nd * comp_m * alpha ** (comp_m - 1.0) * exp_flow
             coef = eta_nd * (alpha**comp_m - 1.0)  # (n_comp,)
             g_phi = coef[None, :] * cell_mass[:, None] * (phi_c / s_phi)
             g[phi_idx[:, n_pipe:]] += g_phi
@@ -374,18 +380,10 @@ def _assemble(
             g[cols] = price_s_nd[nid] * cell_mass
         return g
 
-    A_dense = incidence(net).toarray()  # (nv, ne)
-
     def constraints(x):
         alpha, Pi, phi = gather(x)
         c = np.empty(n_con)
-        phi_p = phi[:, :n_pipe]
-        c[pipe_rows] = (
-            Pi[:, pipe_to] - Pi[:, pipe_from] + kappa_nd[None, :] * phi_p * smooth(phi_p)
-        )
-        c[comp_rows] = Pi[:, comp_to] - alpha[None, :] * Pi[:, comp_from]
-        inflow = phi @ A_dense.T  # (K, nv)
-        c[bal_rows] = inflow - q_all(x)
+        c[cell_rows] = kern.residual(Pi, phi, alpha, q_all(x), delta_nd)
         for cid in sorted(chance_ids):
             st = cc_static[cid]
             z = st["pimin_nd"] - st["W"] @ Pi[:, st["col"]]
@@ -396,48 +394,14 @@ def _assemble(
 
     def jacobian(x):
         alpha, Pi, phi = gather(x)
-        rows, cols, vals = [], [], []
-
-        def add(r, c, v):
-            rows.append(np.asarray(r, dtype=int).ravel())
-            cols.append(np.asarray(c, dtype=int).ravel())
-            vals.append(np.asarray(v, dtype=float).ravel())
-
-        # pipes
-        if n_pipe:
-            to_cols = pi_idx[:, pipe_to]
-            mask = to_cols >= 0
-            add(pipe_rows[mask], to_cols[mask], np.ones(mask.sum()))
-            fr_cols = pi_idx[:, pipe_from]
-            mask = fr_cols >= 0
-            add(pipe_rows[mask], fr_cols[mask], -np.ones(mask.sum()))
-            phi_p = phi[:, :n_pipe]
-            s_p = smooth(phi_p)
-            dphi = kappa_nd[None, :] * (s_p + phi_p**2 / s_p)
-            add(pipe_rows, phi_idx[:, :n_pipe], dphi)
-        # compressors
-        if n_comp:
-            to_cols = pi_idx[:, comp_to]
-            mask = to_cols >= 0
-            add(comp_rows[mask], to_cols[mask], np.ones(mask.sum()))
-            fr_cols = pi_idx[:, comp_from]
-            mask = fr_cols >= 0
-            vals_fr = -np.broadcast_to(alpha[None, :], (K, n_comp))
-            add(comp_rows[mask], fr_cols[mask], vals_fr[mask])
-            a_cols = np.array([alpha_idx[c.id] for c in net.compressors])
-            add(
-                comp_rows,
-                np.broadcast_to(a_cols[None, :], (K, n_comp)),
-                -Pi[:, comp_from],
-            )
-        # balances
-        add(bal_rows[:, edge_to], phi_idx, np.ones((K, ne)))
-        add(bal_rows[:, edge_from], phi_idx, -np.ones((K, ne)))
+        J = _Entries()
+        J.add(kern_rows, kern_cols, kern.jacobian(phi, alpha, delta_nd))
+        J.add(comp_rows, np.broadcast_to(a_cols, (K, n_comp)), kern.ratio_jacobian(Pi))
         for nid, vcols in d_idx.items():
-            add(bal_rows[:, idx[nid]], vcols, -np.ones(K))
+            J.add(bal_rows[:, idx[nid]], vcols, -np.ones(K))
         for nid, vcols in s_idx.items():
-            add(bal_rows[:, idx[nid]], vcols, np.ones(K))
-        add(bal_rows[:, slack], qs_idx, -np.ones(K))
+            J.add(bal_rows[:, idx[nid]], vcols, np.ones(K))
+        J.add(bal_rows[:, slack], qs_idx, -np.ones(K))
         # chance blocks
         for cid in sorted(chance_ids):
             st = cc_static[cid]
@@ -446,47 +410,29 @@ def _assemble(
             nb = st["B"].shape[0]
             pi_cols = pi_idx[:, st["col"]]  # (K,)
             dpi = -dv[:, None] * st["W"]  # (nb, K)
-            add(
+            J.add(
                 np.repeat(colloc_rows[cid], K),
                 np.tile(pi_cols, nb),
                 dpi,
             )
-            add(
+            J.add(
                 np.repeat(colloc_rows[cid], nb),
                 np.tile(a_idx[cid], nb),
                 -st["B"],
             )
-            add(np.full(nb, cc_rows[cid]), a_idx[cid], gamma * st["I"])
-            add([cc_rows[cid]], [t_idx[cid]], [1.0])
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-        return sp.coo_matrix((v, (r, c)), shape=(n_con, n_var)).tocsr()
+            J.add(np.full(nb, cc_rows[cid]), a_idx[cid], gamma * st["I"])
+            J.add([cc_rows[cid]], [t_idx[cid]], [1.0])
+        return J.matrix((n_con, n_var)).tocsr()
 
     def hessian(x, y, obj_factor):
         alpha, Pi, phi = gather(x)
-        rows, cols, vals = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)], [np.zeros(0)]
-
-        def add(r, c, v, mirror=False):
-            """Entries (r, c) += v, and (c, r) += v too when ``mirror``."""
-            r = np.asarray(r, dtype=int).ravel()
-            c = np.asarray(c, dtype=int).ravel()
-            v = np.asarray(v, dtype=float).ravel()
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-            if mirror:
-                rows.append(c)
-                cols.append(r)
-                vals.append(v)
-
-        a_cols = np.array([alpha_idx[c.id] for c in net.compressors], dtype=int)
+        H = _Entries()
         if n_comp and obj_factor != 0.0:
             phi_c = phi[:, n_pipe:]
-            s_c = smooth(phi_c)
+            s_c = magnitude(phi_c, delta_nd)
             coef = eta_nd * (alpha**comp_m - 1.0)
             c_cols = phi_idx[:, n_pipe:]
-            add(c_cols, c_cols, obj_factor * coef[None, :] * cell_mass[:, None] * (
+            H.add(c_cols, c_cols, obj_factor * coef[None, :] * cell_mass[:, None] * (
                 delta_nd**2 / s_c**3
             ))
             cross = (
@@ -495,32 +441,24 @@ def _assemble(
                 * cell_mass[:, None]
                 * (phi_c / s_c)
             )
-            add(np.broadcast_to(a_cols[None, :], (K, n_comp)), c_cols, cross, mirror=True)
+            H.add(np.broadcast_to(a_cols[None, :], (K, n_comp)), c_cols, cross, mirror=True)
             exp_flow = cell_mass @ s_c
-            add(a_cols, a_cols,
+            H.add(a_cols, a_cols,
                 obj_factor * eta_nd * comp_m * (comp_m - 1.0) * alpha ** (comp_m - 2.0) * exp_flow)
-        if n_pipe:
-            phi_p = phi[:, :n_pipe]
-            s_p = smooth(phi_p)
-            p_cols = phi_idx[:, :n_pipe]
-            add(p_cols, p_cols,
-                y[pipe_rows] * kappa_nd[None, :] * (3.0 * phi_p / s_p - phi_p**3 / s_p**3))
-        if n_comp:
-            fr_cols = pi_idx[:, comp_from]  # (K, n_comp)
-            mask = fr_cols >= 0
-            add(np.broadcast_to(a_cols[None, :], (K, n_comp))[mask], fr_cols[mask],
-                -y[comp_rows][mask], mirror=True)
+        p_cols = phi_idx[:, :n_pipe]
+        H.add(p_cols, p_cols, kern.pipe_hessian(phi, y[pipe_rows], delta_nd))
+        fr_cols = pi_idx[:, kern.comp_from]  # (K, n_comp)
+        mask = fr_cols >= 0
+        H.add(np.broadcast_to(a_cols, (K, n_comp))[mask], fr_cols[mask],
+            -y[comp_rows][mask], mirror=True)
         for cid in sorted(chance_ids):
             st = cc_static[cid]
             z = st["pimin_nd"] - st["W"] @ Pi[:, st["col"]]
             _, _, ddv = penalty.shape(z)
             block = st["W"].T @ ((ddv * y[colloc_rows[cid]])[:, None] * st["W"])  # (K, K)
             pi_cols = pi_idx[:, st["col"]]
-            add(np.repeat(pi_cols, K), np.tile(pi_cols, K), block)
-        return sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_var, n_var),
-        )
+            H.add(np.repeat(pi_cols, K), np.tile(pi_cols, K), block)
+        return H.matrix((n_var, n_var))
 
     blocks = None
     if grids:
@@ -528,14 +466,10 @@ def _assemble(
         # the compressor ratios, the expansion and the budget rows are border
         # (the deterministic problem is a single cell, with nothing to eliminate)
         blocks = np.full(n_var + n_con, -1, dtype=int)
-        cell = np.arange(K)
-        blocks[pi_idx[pi_idx >= 0]] = np.broadcast_to(cell[:, None], pi_idx.shape)[pi_idx >= 0]
-        blocks[phi_idx] = cell[:, None]
-        blocks[qs_idx] = cell
-        for cols in (*d_idx.values(), *s_idx.values()):
-            blocks[cols] = cell
-        for r in (pipe_rows, comp_rows, bal_rows):
-            blocks[n_var + r] = cell[:, None]
+        blocks[state] = cell
+        for cols in (qs_idx, *d_idx.values(), *s_idx.values()):
+            blocks[cols] = cell[:, 0]
+        blocks[n_var + cell_rows] = cell
 
     problem = NlpProblem(
         n=n_var,
@@ -739,16 +673,15 @@ def decode(solution: NlpSolution, layout: CcLayout) -> CcSolution:
     if solution.status is SolveStatus.INFEASIBLE:
         log.warning("decoding an infeasible NLP solution; values are indicative only")
     net = layout.net
-    K, nv, ne = layout.K, len(net.nodes), len(net.edges)
+    kern = kernel(net)
     x, y = solution.x, solution.lambda_eq
     flow_sc = layout.scaling.flow
     pi_sc = layout.scaling.squared_pressure
     f_sc = layout.f_scale
     price_unit = f_sc / flow_sc  # currency per (kg/s) per unit of internal dual
 
-    Pi = x[np.maximum(layout.pi_idx, 0)].copy()
-    slack_col = net.node_index[net.slack_node.id]
-    Pi[:, slack_col] = net.slack_node.slack_pressure**2 / pi_sc
+    Pi = x[np.maximum(layout.pi_idx, 0)]
+    Pi[:, kern.slack] = kern.pi_slack
     Pi = Pi * pi_sc
     phi = x[layout.phi_idx] * flow_sc
     qs = x[layout.qs_idx] * flow_sc
@@ -777,10 +710,9 @@ def decode(solution: NlpSolution, layout: CcLayout) -> CcSolution:
     # objective pieces in physical units
     mass = layout.cell_mass
     delta_nd = layout.penalty.delta / flow_sc
-    n_pipe = len(net.pipes)
     wc = 0.0
     for i, c in enumerate(net.compressors):
-        s_phi = np.sqrt((phi[:, n_pipe + i] / flow_sc) ** 2 + delta_nd**2) * flow_sc
+        s_phi = magnitude(phi[:, kern.n_pipe + i] / flow_sc, delta_nd) * flow_sc
         wc += c.eta * (alpha[c.id] ** c.m - 1.0) * float(mass @ s_phi)
     we = 0.0
     for node in net.nodes:
@@ -823,8 +755,6 @@ def decode(solution: NlpSolution, layout: CcLayout) -> CcSolution:
 
 def _initial_point_deterministic(net: Network, layout: CcLayout) -> np.ndarray:
     """Feasible-ish start: flat pressures, spanning-tree flows at warm loads."""
-    from gasflow.steady import _spanning_tree_flows
-
     idx = net.node_index
     flow_sc = layout.scaling.flow
     x0 = np.zeros(layout.n)
@@ -843,10 +773,7 @@ def _initial_point_deterministic(net: Network, layout: CcLayout) -> np.ndarray:
         warm = min(node.supply, node.supply_max)
         x0[cols] = warm / flow_sc
         q[idx[nid]] -= warm
-    pi_slack_nd = net.slack_node.slack_pressure**2 / layout.scaling.squared_pressure
-    for k in range(layout.K):
-        cols = layout.pi_idx[k]
-        x0[cols[cols >= 0]] = pi_slack_nd
+    x0[layout.pi_idx[layout.pi_idx >= 0]] = kernel(net).pi_slack
     phi0 = _spanning_tree_flows(net, q / flow_sc)
     x0[layout.phi_idx] = phi0[None, :]
     x0[layout.qs_idx] = q.sum() / flow_sc

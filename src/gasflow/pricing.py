@@ -239,6 +239,8 @@ def violation_probability(
     layout = solution.layout
     if layout.deterministic:
         raise PricingError("violation_probability needs a chance-constrained solution")
+    if mc_samples < 2:
+        raise PricingError(f"the Monte-Carlo check needs at least 2 samples, got {mc_samples}")
     unc_id = grid.node_id
     idx = net.node_index
     gamma = layout.penalty.gamma

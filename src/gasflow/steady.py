@@ -2,7 +2,8 @@
 
 Solves the square system of pipe friction laws, compressor ratio relations
 and nodal balances for given compressor ratios and withdrawals using a damped
-Newton method on the nondimensionalized residual.  The slack node holds its
+Newton method on the nondimensionalized residual, evaluated by the shared
+:mod:`gasflow.physics` kernel with a batch of one.  The slack node holds its
 pressure; its injection floats and is recovered from the solved flows.  The
 solver is the physics oracle behind Monte-Carlo validation, so it keeps the
 exact ``phi*|phi|`` friction term (its derivative ``2|phi|`` is continuous and
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gasflow.network import Network
+from gasflow.physics import _spanning_tree_flows, kernel
 
 
 class SteadySolveError(RuntimeError):
@@ -25,34 +27,6 @@ class SteadySolveError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.node = node
-
-
-@dataclass(frozen=True)
-class Scaling:
-    """Nondimensionalization record: pressure (Pa), flow (kg/s), length (m)."""
-
-    pressure: float
-    flow: float
-    length: float
-
-    @property
-    def squared_pressure(self) -> float:
-        return self.pressure**2
-
-
-def nondimensionalize(net: Network) -> Scaling:
-    """Choose scales so the slack squared pressure maps to one and the largest
-    scaled pipe resistance is exactly one."""
-    p0 = net.slack_node.slack_pressure
-    kappa = net.kappa()
-    kmax = float(kappa.max()) if kappa.size and kappa.max() > 0 else 0.0
-    if kmax > 0:
-        flow = p0 / np.sqrt(kmax)
-    else:
-        demands = [abs(n.base_withdrawal) for n in net.nodes]
-        flow = max(max(demands, default=0.0), 1.0)
-    length = max((p.length for p in net.pipes), default=1.0)
-    return Scaling(pressure=p0, flow=flow, length=length)
 
 
 @dataclass
@@ -86,38 +60,6 @@ class SteadyState:
         return float(self.phi[self.net.edge_index[edge_id]])
 
 
-def _spanning_tree_flows(net: Network, q: np.ndarray) -> np.ndarray:
-    """Initial flows: route each node's withdrawal along a BFS tree from the
-    slack node; loop chords start at zero."""
-    idx = net.node_index
-    adjacency: dict[int, list[tuple[int, int, float]]] = {i: [] for i in range(len(net.nodes))}
-    for k, e in enumerate(net.edges):
-        i, j = idx[e.from_node], idx[e.to_node]
-        adjacency[i].append((j, k, +1.0))
-        adjacency[j].append((i, k, -1.0))
-    root = idx[net.slack_node.id]
-    parent_edge: dict[int, tuple[int, int, float]] = {}
-    order = [root]
-    seen = {root}
-    for node in order:
-        for nb, k, sign in adjacency[node]:
-            if nb not in seen:
-                seen.add(nb)
-                parent_edge[nb] = (node, k, sign)
-                order.append(nb)
-    phi = np.zeros(len(net.edges))
-    subtree = q.copy()
-    subtree[root] = 0.0
-    for node in reversed(order):
-        if node == root:
-            continue
-        parent, k, sign = parent_edge[node]
-        # sign +1 means the edge is oriented parent -> node
-        phi[k] += sign * subtree[node]
-        subtree[parent] += subtree[node]
-    return phi
-
-
 def solve_steady(
     net: Network,
     alpha: dict[str, float] | np.ndarray | None = None,
@@ -145,12 +87,10 @@ def solve_steady(
         If Newton stalls (reports the last residual) or the converged state
         has a nonpositive squared pressure (reports the node).
     """
-    nv, ne = len(net.nodes), len(net.edges)
-    npipe, ncomp = len(net.pipes), len(net.compressors)
-    idx = net.node_index
+    kern = kernel(net)
 
     if alpha is None:
-        alpha_vec = np.ones(ncomp)
+        alpha_vec = np.ones(kern.n_comp)
     elif isinstance(alpha, dict):
         alpha_vec = np.array([alpha[c.id] for c in net.compressors], dtype=float)
     else:
@@ -164,102 +104,56 @@ def solve_steady(
     if q is None:
         q_vec = np.array([n.base_withdrawal for n in net.nodes])
     elif isinstance(q, dict):
+        idx = net.node_index
         unknown = sorted(set(q) - set(idx))
         if unknown:
             raise SteadySolveError(f"withdrawals reference unknown node {unknown[0]!r}",
                                    node=unknown[0])
         q_vec = np.array([q.get(n.id, 0.0) for n in net.nodes], dtype=float)
     else:
-        q_vec = np.asarray(q, dtype=float).copy()
+        q_vec = np.asarray(q, dtype=float)
 
-    scaling = nondimensionalize(net)
-    pi_scale = scaling.squared_pressure
-    slack = idx[net.slack_node.id]
-    pi_slack = net.slack_node.slack_pressure**2 / pi_scale
-    kappa_nd = net.kappa() * scaling.flow**2 / pi_scale
-    q_nd = q_vec / scaling.flow
-    q_nd[slack] = 0.0
-
-    pipe_from = np.array([idx[p.from_node] for p in net.pipes], dtype=int)
-    pipe_to = np.array([idx[p.to_node] for p in net.pipes], dtype=int)
-    comp_from = np.array([idx[c.from_node] for c in net.compressors], dtype=int)
-    comp_to = np.array([idx[c.to_node] for c in net.compressors], dtype=int)
-
-    # unknowns: Pi at non-slack nodes, then all edge flows
-    free_nodes = np.array([j for j in range(nv) if j != slack], dtype=int)
-    col_of_node = np.full(nv, -1, dtype=int)
-    col_of_node[free_nodes] = np.arange(nv - 1)
-    n_unknown = (nv - 1) + ne
-
-    balance_nodes = free_nodes  # slack balance row dropped; injection recovered after
-    edge_from = np.concatenate([pipe_from, comp_from])
-    edge_to = np.concatenate([pipe_to, comp_to])
+    flow_sc = kern.scaling.flow
+    pi_scale = kern.scaling.squared_pressure
+    q_nd = q_vec[None, :] / flow_sc  # the slack's entry meets only the dropped row
 
     if x0 is not None:
         pi_full = np.asarray(x0[0], dtype=float) / pi_scale
-        phi = np.asarray(x0[1], dtype=float) / scaling.flow
+        phi = np.asarray(x0[1], dtype=float) / flow_sc
     else:
-        pi_full = np.full(nv, pi_slack)
-        phi = _spanning_tree_flows(net, q_nd)
+        pi_full = np.full(kern.nv, kern.pi_slack)
+        phi = _spanning_tree_flows(net, q_nd[0])
+    pi_full[kern.slack] = kern.pi_slack
 
-    def residual(pi_full: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        r = np.empty(npipe + ncomp + len(balance_nodes))
-        phi_p = phi[:npipe]
-        r[:npipe] = pi_full[pipe_to] - pi_full[pipe_from] + kappa_nd[:npipe] * phi_p * np.abs(phi_p)
-        r[npipe : npipe + ncomp] = pi_full[comp_to] - alpha_vec * pi_full[comp_from]
-        inflow = np.zeros(nv)
-        np.add.at(inflow, edge_to, phi)
-        np.subtract.at(inflow, edge_from, phi)
-        r[npipe + ncomp :] = inflow[balance_nodes] - q_nd[balance_nodes]
-        return r
+    # unknowns: Pi at the non-slack nodes, then the edge flows; the slack
+    # balance row is dropped and its injection recovered after the solve
+    rows = kern.square_rows
 
-    def jacobian(pi_full: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        J = np.zeros((n_unknown, n_unknown))
-        for p in range(npipe):
-            ci, cj = col_of_node[pipe_from[p]], col_of_node[pipe_to[p]]
-            if cj >= 0:
-                J[p, cj] += 1.0
-            if ci >= 0:
-                J[p, ci] -= 1.0
-            J[p, (nv - 1) + p] = 2.0 * kappa_nd[p] * abs(phi[p])
-        for c in range(ncomp):
-            row = npipe + c
-            ci, cj = col_of_node[comp_from[c]], col_of_node[comp_to[c]]
-            if cj >= 0:
-                J[row, cj] += 1.0
-            if ci >= 0:
-                J[row, ci] -= alpha_vec[c]
-        for b, node in enumerate(balance_nodes):
-            row = npipe + ncomp + b
-            for k in range(ne):
-                if edge_to[k] == node:
-                    J[row, (nv - 1) + k] += 1.0
-                if edge_from[k] == node:
-                    J[row, (nv - 1) + k] -= 1.0
-        return J
+    def square_residual(pi_full: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        return kern.residual(pi_full[None], phi[None], alpha_vec, q_nd, 0.0)[0, rows]
 
-    pi_full[slack] = pi_slack
-    r = residual(pi_full, phi)
+    r = square_residual(pi_full, phi)
     rnorm = np.linalg.norm(r, np.inf)
     history = [float(rnorm)]
     iterations = 0
     while rnorm > tol and iterations < max_iter:
-        J = jacobian(pi_full, phi)
+        J = np.zeros((kern.n_rows, kern.n_state))
+        J[kern.jac_rows, kern.jac_cols] = kern.jacobian(phi[None], alpha_vec, 0.0)[0]
         try:
-            step = np.linalg.solve(J, -r)
+            step = np.linalg.solve(J[rows], -r)
         except np.linalg.LinAlgError:
             raise SteadySolveError(
                 f"singular Jacobian at iteration {iterations}", residual=float(rnorm)
             ) from None
-        d_pi = step[: nv - 1]
-        d_phi = step[nv - 1 :]
+        d_pi = np.zeros(kern.nv)
+        d_pi[kern.free] = step[: kern.nv - 1]
+        d_phi = step[kern.nv - 1 :]
         t = 1.0
         merit0 = float(r @ r)
         while True:
-            pi_try = pi_full.copy()
-            pi_try[free_nodes] += t * d_pi
+            pi_try = pi_full + t * d_pi
             phi_try = phi + t * d_phi
-            r_try = residual(pi_try, phi_try)
+            r_try = square_residual(pi_try, phi_try)
             if float(r_try @ r_try) <= (1.0 - 1e-4 * t) * merit0:
                 break
             t *= 0.5
@@ -284,16 +178,12 @@ def solve_steady(
             node=net.nodes[bad].id,
         )
 
-    inflow = np.zeros(nv)
-    np.add.at(inflow, edge_to, phi)
-    np.subtract.at(inflow, edge_from, phi)
-
     return SteadyState(
         net=net,
         Pi=pi_full * pi_scale,
-        phi=phi * scaling.flow,
+        phi=phi * flow_sc,
         residual_norm=float(rnorm),
         iterations=iterations,
-        slack_injection=float(-inflow[slack] * scaling.flow),
+        slack_injection=float(-(kern.incidence[kern.slack] @ phi) * flow_sc),
         residual_history=history,
     )

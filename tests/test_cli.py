@@ -291,6 +291,21 @@ class TestArgumentHandling:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("samples", ["0", "1", "-5"])
+    def test_too_few_mc_samples(self, single_pipe_path, tmp_path, capsys, samples):
+        out = tmp_path / "o"
+        code = main(["optimize", "--mode", "cc", "--network", str(single_pipe_path),
+                     "--cells", "8", "--mc-samples", samples, "--out", str(out)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "violation.json").exists()
+
+    def test_zero_delta(self, eight_node_path, tmp_path, capsys):
+        code = main(["optimize", "--mode", "det", "--network", str(eight_node_path),
+                     "--delta", "0", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "delta" in capsys.readouterr().err
+
     def test_exit_code_mapping(self):
         from gasflow.cli import _status_exit
         from gasflow.nlp import SolveStatus

@@ -437,8 +437,9 @@ class TestAssemblyErrors:
     def test_bad_penalty(self):
         with pytest.raises(OgfError, match="gamma"):
             PenaltyConfig(gamma=0.0)
-        with pytest.raises(OgfError, match="delta"):
-            PenaltyConfig(delta=-1.0)
+        for delta in (-1.0, 0.0):
+            with pytest.raises(OgfError, match="delta"):
+                PenaltyConfig(delta=delta)
 
     def test_unknown_load_override(self, single_pipe):
         with pytest.raises(OgfError, match="N9"):

@@ -194,6 +194,11 @@ class TestViolationProbability:
         with pytest.raises(PricingError, match="chance"):
             violation_probability(det, single_pipe, sp_grid)
 
+    @pytest.mark.parametrize("samples", [0, 1, -5])
+    def test_too_few_samples(self, sp_solution, single_pipe, sp_grid, samples):
+        with pytest.raises(PricingError, match="at least 2 samples"):
+            violation_probability(sp_solution, single_pipe, sp_grid, mc_samples=samples)
+
     def test_failed_resimulations_are_counted(
         self, sp_solution, single_pipe, sp_grid, monkeypatch
     ):
