@@ -224,7 +224,8 @@ def _sweep(net: Network, penalty: PenaltyConfig, config: RunConfig, out: Path) -
     )
     rows = []
     x_prev = None
-    for eps in sorted(config.epsilons):
+    # NaN compares false with everything, so it would stop sorted() from ordering the rest
+    for eps in sorted(config.epsilons, key=lambda e: (math.isnan(e), e)):
         try:
             solution = solve_chance_constrained(
                 net, K=config.cells, penalty=penalty, epsilon=eps, x0=x_prev

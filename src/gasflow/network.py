@@ -106,8 +106,11 @@ class Node:
                 f"node {self.id!r}: cannot optimize demand and supply at the same node",
                 entity=self.id,
             )
-        if self.epsilon is not None and self.epsilon < 0:
-            raise NetworkError(f"node {self.id!r}: epsilon must be >= 0", entity=self.id)
+        if self.epsilon is not None and not 0 <= self.epsilon < math.inf:
+            raise NetworkError(
+                f"node {self.id!r}: epsilon must be finite and >= 0 (got {self.epsilon})",
+                entity=self.id,
+            )
         if self.uncertainty is not None and self.kind is not NodeKind.FLOW:
             raise NetworkError(
                 f"node {self.id!r}: uncertainty is only supported at flow nodes",

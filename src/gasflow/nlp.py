@@ -12,11 +12,13 @@ variable and constraint row either with its diagonal block, called a cell
 Bunch-Kaufman ``dsytrf`` and eliminated into the Schur complement of the
 border, which is factored densely by ``scipy.linalg.ldl``.  The inertia is
 the sum of the cell inertias and the Schur inertia (Haynsworth additivity),
-so inertia correction stays exact.  Hessian entries that couple two cells
-are lifted into the border.  Without labels everything is border, and the
-whole KKT matrix gets one dense factorization.  A factorization that cannot
-be repaired (non-finite entries, or inertia correction run past its cap)
-ends the solve with status ``NUMERICAL`` and a diagnostic.
+so inertia correction stays exact.  Cells meet only through the border: a
+Hessian or Jacobian entry that links two cells is rejected, so a problem
+writes any quantity that couples cells as a border variable with its own
+defining row.  Without labels everything is border, and the whole KKT matrix
+gets one dense factorization.  A factorization that cannot be repaired
+(non-finite entries, or inertia correction run past its cap) ends the solve
+with status ``NUMERICAL`` and a diagnostic.
 
 Returns equality and bound multipliers under the convention
 
@@ -43,6 +45,22 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dsytrf, dsytrs
 
 log = logging.getLogger("gasflow.nlp")
+
+# barrier schedule and line search (Waechter & Biegler 2006): the initial
+# barrier parameter, the tolerance factor that triggers a barrier decrease,
+# the floor of the fraction-to-boundary factor, the Armijo factor and the
+# smallest step tried
+MU0 = 0.1
+KAPPA_EPS = 10.0
+TAU_MIN = 0.99
+ARMIJO = 1e-4
+MIN_STEP = 1e-12
+# filter constants; the filter is reset per barrier stage
+G_THETA = 1e-5
+G_PHI = 1e-5
+S_THETA = 1.1
+S_PHI = 2.3
+FILTER_DELTA = 1.0
 
 
 class SolveStatus(Enum):
@@ -71,9 +89,9 @@ class NlpProblem:
 
     ``blocks`` optionally labels the n variables and then the m constraint
     rows for the bordered-block KKT factorization: a label >= 0 names a cell,
-    -1 the border.  Cells must have equal sizes, and a constraint row may
-    touch only its own cell and the border.  ``None`` factors the whole KKT
-    matrix as one dense block.
+    -1 the border.  Cells must have equal sizes, and no Jacobian or Hessian
+    entry may link two cells.  ``None`` factors the whole KKT matrix as one
+    dense block.
     """
 
     n: int
@@ -104,14 +122,10 @@ class NlpProblem:
 
 @dataclass
 class NlpOptions:
+    """Convergence tolerance on the scaled KKT error and the iteration cap."""
+
     tol: float = 1e-8
     max_iter: int = 500
-    mu0: float = 0.1
-    kappa_eps: float = 10.0
-    tau_min: float = 0.99
-    armijo: float = 1e-4
-    min_step: float = 1e-12
-    verbose: bool = False
 
 
 @dataclass
@@ -147,13 +161,9 @@ class _BorderedKkt:
 
     ``blocks`` labels each unknown (the n variables, then the m constraint
     rows) with its cell (>= 0) or the border (-1); ``None`` puts everything
-    in the border.  All cells must have the same size.  A constraint row may
-    touch only its own cell and the border.  Hessian entries between two
-    cells are lifted into the border: for the set P of such columns, with
-    cross-cell part C, the unknowns (u, v) in R^|P| x R^|P| add the block
-    ``[[C, -I], [-I, 0]]`` and v couples to x_P with unit entries.  Eliminating
-    (u, v) returns the original matrix, and that block's inertia is exactly
-    (|P|, |P|, 0), which :class:`_BorderedFactor` subtracts.
+    in the border.  All cells must have the same size.  One rule fixes the
+    structure: an entry may link a cell only to itself or to the border.  A
+    Jacobian or Hessian entry between two cells raises ``ValueError``.
     """
 
     def __init__(self, blocks, n: int, m: int):
@@ -190,25 +200,23 @@ class _BorderedKkt:
         r, c, v = kkt.row, kkt.col, kkt.data
         bi, bj = self.labels[r], self.labels[c]
         li, lj = self.local[r], self.local[c]
-        cross = (bi >= 0) & (bj >= 0) & (bi != bj)
-        bad = np.flatnonzero(cross & (r >= n))
-        if bad.size:
-            k = bad[0]
+        cross = np.flatnonzero((bi >= 0) & (bj >= 0) & (bi != bj))
+        if cross.size:
+            k = cross[np.argmax(r[cross] >= n)]  # a constraint row first
+            if r[k] >= n:
+                raise ValueError(
+                    f"constraint row {r[k] - n} (cell {bi[k]}) has an entry in variable "
+                    f"{c[k]} of cell {bj[k]}; a row may touch only its own cell and the border"
+                )
             raise ValueError(
-                f"constraint row {r[k] - n} (cell {bi[k]}) has an entry in variable "
-                f"{c[k]} of cell {bj[k]}; a row may touch only its own cell and the border"
+                f"Hessian entry ({r[k]}, {c[k]}) links variable {r[k]} of cell {bi[k]} and "
+                f"variable {c[k]} of cell {bj[k]}; cells may meet only through the border"
             )
         if not np.all(np.isfinite(v)):
             k = int(np.flatnonzero(~np.isfinite(v))[0])
             raise _Breakdown(f"KKT entry ({r[k]}, {c[k]}) is not finite")
 
-        is_coupled = np.zeros(n + self.m, dtype=bool)
-        is_coupled[r[cross]] = True
-        coupled = np.flatnonzero(is_coupled)
-        slot = np.cumsum(is_coupled) - 1  # position of a coupled column in P
-        p = coupled.size
-        nb = self.border.size
-        width = nb + 2 * p
+        width = self.border.size
         n_cells, size = self.cells.shape
         A = np.zeros((n_cells, size, size))
         same = (bi == bj) & (bi >= 0)
@@ -216,15 +224,9 @@ class _BorderedKkt:
         S = np.zeros((width, width))
         both = (bi < 0) & (bj < 0)
         S[li[both], lj[both]] = v[both]
-        u = nb + np.arange(p)
-        S[nb + slot[r[cross]], nb + slot[c[cross]]] = v[cross]
-        S[u, u + p] = S[u + p, u] = -1.0
-        # couplings (cell, local row, border column); v couples to x_P with ones
+        # couplings (cell, local row, border column)
         edge = (bi >= 0) & (bj < 0)
-        cell = np.concatenate([bi[edge], self.labels[coupled]])
-        row = np.concatenate([li[edge], self.local[coupled]])
-        col = np.concatenate([lj[edge], u + p])
-        val = np.concatenate([v[edge], np.ones(p)])
+        cell, row, col, val = bi[edge], li[edge], lj[edge], v[edge]
         # B (cells * size, border) in CSR form; every row of a cell stores all
         # the border columns that cell touches, so each cell's rows form a
         # dense block for LAPACK
@@ -238,17 +240,16 @@ class _BorderedKkt:
         data[indptr[cell * size + row] + (np.cumsum(touched, axis=1) - 1)[cell, col]] = val
         B = sp.csr_matrix((data, indices, indptr), shape=(n_cells * size, width))
         BT = sp.csr_matrix((val, (col, cell * size + row)), shape=(width, n_cells * size))
-        return _KktSystem(self, A, B, BT, S, p)
+        return _KktSystem(self, A, B, BT, S)
 
 
 @dataclass
 class _KktSystem:
     kkt: _BorderedKkt
     A: np.ndarray  # (cells, size, size) diagonal blocks
-    B: sp.csr_matrix  # (cells * size, border) couplings, lifted unknowns last
+    B: sp.csr_matrix  # (cells * size, border) couplings
     BT: sp.csr_matrix  # B transposed, without B's stored zeros
     S: np.ndarray  # (border, border)
-    lifted: int
 
 
 def _pivot_inertia(d1: np.ndarray, n2: int) -> tuple[int, int, int]:
@@ -262,9 +263,9 @@ def _pivot_inertia(d1: np.ndarray, n2: int) -> tuple[int, int, int]:
 class _BorderedFactor:
     """Bunch-Kaufman factors of every cell (LAPACK ``dsytrf``) and of the
     border's Schur complement (``scipy.linalg.ldl``).  The inertia is the sum
-    of theirs (Haynsworth), less the lifted block's.  When a cell has a zero
-    pivot the border is left unfactored and the zero is reported.  ``shift``
-    (length n + m) is added to the diagonal."""
+    of theirs (Haynsworth).  When a cell has a zero pivot the border is left
+    unfactored and the zero is reported.  ``shift`` (length n + m) is added to
+    the diagonal."""
 
     def __init__(self, system: _KktSystem, shift: np.ndarray):
         kkt = system.kkt
@@ -303,8 +304,7 @@ class _BorderedFactor:
         self.d1 = np.diag(D)[self.single]
         self.d2 = (D[i, i], D[j, i], D[j, j])
         border = _pivot_inertia(self.d1, self.first.size)
-        p = system.lifted
-        self.inertia = (cells[0] + border[0] - p, cells[1] + border[1] - p, border[2])
+        self.inertia = (cells[0] + border[0], cells[1] + border[1], border[2])
 
     def _border_solve(self, b: np.ndarray) -> np.ndarray:
         w = sla.solve_triangular(self.L, b[self.perm], lower=True, unit_diagonal=True,
@@ -324,15 +324,12 @@ class _BorderedFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         kkt = self.system.kkt
-        nb = kkt.border.size
         y = rhs[kkt.cells]
         for k in range(y.shape[0]):
             y[k] = dsytrs(self.lu[k], self.piv[k], y[k][:, None], lower=1)[0][:, 0]
-        r_b = np.concatenate([rhs[kkt.border], np.zeros(2 * self.system.lifted)])
-        r_b -= self.system.BT @ y.ravel()
-        z = self._border_solve(r_b)
+        z = self._border_solve(rhs[kkt.border] - self.system.BT @ y.ravel())
         out = np.empty(rhs.size)
-        out[kkt.border] = z[:nb]
+        out[kkt.border] = z
         out[kkt.cells] = y - (self.X @ z).reshape(y.shape)
         return out
 
@@ -443,7 +440,7 @@ def solve(
     opts = options or NlpOptions()
     n, m = problem.n, problem.m
     kkt = _BorderedKkt(problem.blocks, n, m)
-    it = _Iterate(problem, x0, opts.mu0, push=1e-9 if duals0 is not None else 1e-2)
+    it = _Iterate(problem, x0, MU0, push=1e-9 if duals0 is not None else 1e-2)
     has_lo, has_hi = it.has_lo, it.has_hi
     if duals0 is not None:
         y0, zl0, zh0 = duals0
@@ -465,15 +462,9 @@ def solve(
         it.y = _least_squares_multipliers(kkt, J, -(g - it.z_lo + it.z_hi))
 
     e0, *_ = _kkt_error(problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T, 0.0, has_lo, has_hi)
-    mu = min(opts.mu0, max(opts.tol / 11.0, e0 / 10.0))
-    tau = max(opts.tau_min, 1.0 - mu)
+    mu = min(MU0, max(opts.tol / 11.0, e0 / 10.0))
+    tau = max(TAU_MIN, 1.0 - mu)
 
-    # Waechter-Biegler filter constants; the filter is reset per barrier stage
-    G_THETA = 1e-5
-    G_PHI = 1e-5
-    S_THETA = 1.1
-    S_PHI = 2.3
-    FILTER_DELTA = 1.0
     theta_init = float(np.abs(c).sum()) if m else 0.0
     theta_cap = 1e4 * max(1.0, theta_init)
     theta_floor = 1e-4 * max(1.0, theta_init)
@@ -485,7 +476,8 @@ def solve(
     status = SolveStatus.MAX_ITER
     iteration = 0
     diagnostic = ""
-    _dbg = ""
+    step_note = ""  # the previous iteration's step, for the debug log
+    debug = log.isEnabledFor(logging.DEBUG)
 
     for iteration in range(1, opts.max_iter + 1):
         e_scaled, stat, feas, comp = _kkt_error(
@@ -493,12 +485,12 @@ def solve(
         )
         if best is None or e_scaled < best[0]:
             best = (e_scaled, it.x.copy(), it.y.copy(), it.z_lo.copy(), it.z_hi.copy(), f)
-        if opts.verbose:
-            log.info(
+        if debug:
+            log.debug(
                 "iter %3d  f=% .8e  stat=%.2e  feas=%.2e  comp=%.2e  mu=%.1e  %s",
-                iteration - 1, f, stat, feas, comp, mu, _dbg,
+                iteration - 1, f, stat, feas, comp, mu, step_note,
             )
-            _dbg = ""
+            step_note = ""
         if e_scaled <= opts.tol:
             status = SolveStatus.OPTIMAL
             break
@@ -506,9 +498,9 @@ def solve(
         e_mu, *_ = _kkt_error(
             problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T, mu, has_lo, has_hi
         )
-        while e_mu <= opts.kappa_eps * mu and mu > opts.tol / 11.0:
+        while e_mu <= KAPPA_EPS * mu and mu > opts.tol / 11.0:
             mu = max(opts.tol / 11.0, mu / 10.0)
-            tau = max(opts.tau_min, 1.0 - mu)
+            tau = max(TAU_MIN, 1.0 - mu)
             filter_entries.clear()
             e_mu, *_ = _kkt_error(
                 problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T, mu, has_lo, has_hi
@@ -600,7 +592,7 @@ def solve(
                 and alpha_t * (-dphi) ** S_PHI > FILTER_DELTA * theta_k**S_THETA
             )
             if theta_k <= theta_floor and switching:
-                return phi_t <= phi_k + opts.armijo * alpha_t * dphi
+                return phi_t <= phi_k + ARMIJO * alpha_t * dphi
             return (
                 theta_t <= (1 - G_THETA) * theta_k or phi_t <= phi_k - G_PHI * theta_k
             )
@@ -611,7 +603,7 @@ def solve(
         dx_used, dy_used = dx, dy
         x_new = f_new = c_new = None
         theta_soc_last = np.inf
-        while alpha >= opts.min_step:
+        while alpha >= MIN_STEP:
             x_try = it.x + alpha * dx_used
             theta_t, phi_t, f_try, c_try = trial_values(x_try)
             if acceptable(alpha, theta_t, phi_t):
@@ -666,8 +658,8 @@ def solve(
             if np.any(negd):
                 alpha_z = min(alpha_z, float(np.min(-tau * z[negd] / dz[negd])))
 
-        if opts.verbose:
-            _dbg = (
+        if debug:
+            step_note = (
                 f"alpha={alpha if accepted else 0:.2e} amax={alpha_max:.2e} "
                 f"az={alpha_z:.2e} nfilt={len(filter_entries)} dw={delta_w:.1e} "
                 f"soc={soc_count}"
@@ -681,8 +673,8 @@ def solve(
                     status = SolveStatus.MAX_ITER
                 break
             # retreat: raise the barrier and retry from the same point
-            mu = min(opts.mu0, max(mu * 100.0, 1e-6))
-            tau = max(opts.tau_min, 1.0 - mu)
+            mu = min(MU0, max(mu * 100.0, 1e-6))
+            tau = max(TAU_MIN, 1.0 - mu)
             filter_entries.clear()
             continue
         consecutive_failures = 0

@@ -12,11 +12,14 @@ multiplier.
 The minimum-pressure chance constraint at flagged nodes is expressed with a
 one-sided quadratic penalty expanded in the cubic spline basis of the
 stochastic grid: penalty values are collocated at the Greville points of the
-basis (squared pressure between cell centers comes from the cubic interpolant
-of the per-cell values) and the expectation row bounds the integral of the
-expansion by the acceptable level.  Internally the expansion coefficients are
-stored divided by the penalty curvature so the Jacobian stays well scaled for
-any curvature; reported coefficients are rescaled back.
+basis and the expectation row bounds the integral of the expansion by the
+acceptable level.  The squared pressure at a Greville point comes from the
+cubic interpolant of the per-cell values, which couples all K cells, so it is
+a border variable ``w`` of its own, defined by the linear row ``w - W @ Pi =
+0`` with the interpolation weights ``W``; the cells then meet only through
+the border.  Internally the expansion coefficients are stored divided by the
+penalty curvature so the Jacobian stays well scaled for any curvature;
+reported coefficients are rescaled back.
 
 The per-cell pipe, compressor and balance rows come from the shared
 :mod:`gasflow.physics` kernel, evaluated over the K cells at once.  Its
@@ -31,6 +34,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,10 +69,10 @@ class PenaltyConfig:
     delta: float = 1e-3
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise OgfError("penalty curvature gamma must be positive")
-        if not self.delta > 0:
-            raise OgfError("smoothing width delta must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise OgfError(f"penalty curvature gamma must be positive and finite, got {self.gamma}")
+        if not 0 < self.delta < math.inf:
+            raise OgfError(f"smoothing width delta must be positive and finite, got {self.delta}")
 
     def shape(self, z):
         """Penalty shape (curvature-free): value, slope and curvature at z."""
@@ -100,11 +104,13 @@ class CcLayout:
     pi_idx: np.ndarray  # (K, nv), -1 at the slack column
     phi_idx: np.ndarray  # (K, ne)
     qs_idx: np.ndarray  # (K,)
+    w_idx: dict[str, np.ndarray]  # interpolated squared pressures at the Greville points
     a_idx: dict[str, np.ndarray]
     t_idx: dict[str, int]
     pipe_rows: np.ndarray  # (K, n_pipes)
     comp_rows: np.ndarray  # (K, n_comps)
     bal_rows: np.ndarray  # (K, nv)
+    w_rows: dict[str, np.ndarray]  # w - W @ Pi = 0
     colloc_rows: dict[str, np.ndarray]
     cc_rows: dict[str, int]
     epsilon: dict[str, float]
@@ -237,28 +243,25 @@ def _assemble(
     phi_idx = state[:, nv - 1 :]
     qs_idx = pos + stride * cell[:, 0] + kern.n_state
     pos += K * stride
-    a_idx = {}
-    t_idx = {}
+    nb = grid.n_basis if grid is not None else 0
+    w_idx, a_idx, t_idx = {}, {}, {}
     for cid in sorted(chance_ids):
-        nb = grids[unc_node.id].n_basis if grids else 1
-        a_idx[cid] = np.arange(pos, pos + nb)
-        pos += nb
-        t_idx[cid] = pos
-        pos += 1
+        w_idx[cid] = np.arange(pos, pos + nb)
+        a_idx[cid] = np.arange(pos + nb, pos + 2 * nb)
+        t_idx[cid] = pos + 2 * nb
+        pos += 2 * nb + 1
     n_var = pos
 
     # ---- constraint rows ---------------------------------------------------
     cell_rows = kern.n_rows * cell + np.arange(kern.n_rows)
     pipe_rows, comp_rows, bal_rows = np.split(cell_rows, [n_pipe, n_pipe + n_comp], axis=1)
     row = cell_rows.size
-    colloc_rows = {}
-    cc_rows = {}
+    w_rows, colloc_rows, cc_rows = {}, {}, {}
     for cid in sorted(chance_ids):
-        nb = a_idx[cid].size
-        colloc_rows[cid] = np.arange(row, row + nb)
-        row += nb
-        cc_rows[cid] = row
-        row += 1
+        w_rows[cid] = np.arange(row, row + nb)
+        colloc_rows[cid] = np.arange(row + nb, row + 2 * nb)
+        cc_rows[cid] = row + 2 * nb
+        row += 2 * nb + 1
     n_con = row
 
     # ---- static data --------------------------------------------------------
@@ -294,22 +297,13 @@ def _assemble(
     price_d_nd = {n.id: n.demand_price * flow_sc / f_scale for n in opt_d}
     price_s_nd = {n.id: n.supply_price * flow_sc / f_scale for n in opt_s}
 
-    # chance machinery (per chance node)
-    cc_static: dict[str, dict] = {}
-    for cid in sorted(chance_ids):
-        cn = net.node(cid)
-        g = grids[unc_node.id]
-        W = g.interpolation_weights(g.greville)  # (nb, K)
-        B = g.collocation_matrix()  # (nb, nb)
-        I_vec = g.basis_integrals  # (nb,)
-        cc_static[cid] = {
-            "W": W,
-            "B": B,
-            "I": I_vec,
-            "pimin_nd": cn.pressure_min**2 / pi_sc,
-            "col": idx[cid],
-            "epsilon": cn.epsilon,
-        }
+    # chance machinery: one grid serves every chance node
+    if grid is not None:
+        W = grid.interpolation_weights(grid.greville)  # (nb, K)
+        B = grid.collocation_matrix()  # (nb, nb)
+        basis_int = grid.basis_integrals  # (nb,)
+    pimin_nd = {cid: net.node(cid).pressure_min**2 / pi_sc for cid in chance_ids}
+    epsilon = {cid: net.node(cid).epsilon for cid in chance_ids}
 
     # ---- bounds --------------------------------------------------------------
     lower = np.full(n_var, -np.inf)
@@ -385,11 +379,11 @@ def _assemble(
         c = np.empty(n_con)
         c[cell_rows] = kern.residual(Pi, phi, alpha, q_all(x), delta_nd)
         for cid in sorted(chance_ids):
-            st = cc_static[cid]
-            z = st["pimin_nd"] - st["W"] @ Pi[:, st["col"]]
-            v, _, _ = penalty.shape(z)
-            c[colloc_rows[cid]] = v - st["B"] @ x[a_idx[cid]]
-            c[cc_rows[cid]] = gamma * (st["I"] @ x[a_idx[cid]]) + x[t_idx[cid]] - st["epsilon"]
+            w = x[w_idx[cid]]
+            v, _, _ = penalty.shape(pimin_nd[cid] - w)
+            c[colloc_rows[cid]] = v - B @ x[a_idx[cid]]
+            c[w_rows[cid]] = w - W @ Pi[:, idx[cid]]
+            c[cc_rows[cid]] = gamma * (basis_int @ x[a_idx[cid]]) + x[t_idx[cid]] - epsilon[cid]
         return c
 
     def jacobian(x):
@@ -402,30 +396,19 @@ def _assemble(
         for nid, vcols in s_idx.items():
             J.add(bal_rows[:, idx[nid]], vcols, np.ones(K))
         J.add(bal_rows[:, slack], qs_idx, -np.ones(K))
-        # chance blocks
+        # chance blocks; only the w rows touch the cells
         for cid in sorted(chance_ids):
-            st = cc_static[cid]
-            z = st["pimin_nd"] - st["W"] @ Pi[:, st["col"]]
-            _, dv, _ = penalty.shape(z)
-            nb = st["B"].shape[0]
-            pi_cols = pi_idx[:, st["col"]]  # (K,)
-            dpi = -dv[:, None] * st["W"]  # (nb, K)
-            J.add(
-                np.repeat(colloc_rows[cid], K),
-                np.tile(pi_cols, nb),
-                dpi,
-            )
-            J.add(
-                np.repeat(colloc_rows[cid], nb),
-                np.tile(a_idx[cid], nb),
-                -st["B"],
-            )
-            J.add(np.full(nb, cc_rows[cid]), a_idx[cid], gamma * st["I"])
+            _, dv, _ = penalty.shape(pimin_nd[cid] - x[w_idx[cid]])
+            J.add(colloc_rows[cid], w_idx[cid], -dv)
+            J.add(np.repeat(colloc_rows[cid], nb), np.tile(a_idx[cid], nb), -B)
+            J.add(w_rows[cid], w_idx[cid], np.ones(nb))
+            J.add(np.repeat(w_rows[cid], K), np.tile(pi_idx[:, idx[cid]], nb), -W)
+            J.add(np.full(nb, cc_rows[cid]), a_idx[cid], gamma * basis_int)
             J.add([cc_rows[cid]], [t_idx[cid]], [1.0])
         return J.matrix((n_con, n_var)).tocsr()
 
     def hessian(x, y, obj_factor):
-        alpha, Pi, phi = gather(x)
+        alpha, _, phi = gather(x)
         H = _Entries()
         if n_comp and obj_factor != 0.0:
             phi_c = phi[:, n_pipe:]
@@ -452,18 +435,14 @@ def _assemble(
         H.add(np.broadcast_to(a_cols, (K, n_comp))[mask], fr_cols[mask],
             -y[comp_rows][mask], mirror=True)
         for cid in sorted(chance_ids):
-            st = cc_static[cid]
-            z = st["pimin_nd"] - st["W"] @ Pi[:, st["col"]]
-            _, _, ddv = penalty.shape(z)
-            block = st["W"].T @ ((ddv * y[colloc_rows[cid]])[:, None] * st["W"])  # (K, K)
-            pi_cols = pi_idx[:, st["col"]]
-            H.add(np.repeat(pi_cols, K), np.tile(pi_cols, K), block)
+            _, _, ddv = penalty.shape(pimin_nd[cid] - x[w_idx[cid]])
+            H.add(w_idx[cid], w_idx[cid], ddv * y[colloc_rows[cid]])
         return H.matrix((n_var, n_var))
 
     blocks = None
     if grids:
         # one cell per stochastic cell: its states, recourse flows and rows;
-        # the compressor ratios, the expansion and the budget rows are border
+        # the compressor ratios and the chance variables and rows are border
         # (the deterministic problem is a single cell, with nothing to eliminate)
         blocks = np.full(n_var + n_con, -1, dtype=int)
         blocks[state] = cell
@@ -498,14 +477,16 @@ def _assemble(
         pi_idx=pi_idx,
         phi_idx=phi_idx,
         qs_idx=qs_idx,
+        w_idx=w_idx,
         a_idx=a_idx,
         t_idx=t_idx,
         pipe_rows=pipe_rows,
         comp_rows=comp_rows,
         bal_rows=bal_rows,
+        w_rows=w_rows,
         colloc_rows=colloc_rows,
         cc_rows=cc_rows,
-        epsilon={cid: net.node(cid).epsilon for cid in chance_ids},
+        epsilon=epsilon,
         f_scale=f_scale,
         n=n_var,
         m=n_con,
@@ -841,19 +822,17 @@ def initial_point_chance_constrained(
         x0[layout.phi_idx[k]] = phi_k / flow_sc
         x0[layout.qs_idx[k]] = q_k.sum() / flow_sc
 
-    # consistent penalty expansion start
+    # consistent interpolation and penalty expansion start
+    W = grid.interpolation_weights(grid.greville)
+    B = grid.collocation_matrix()
     for cid, cols in layout.a_idx.items():
         node = net.node(cid)
-        j = idx[cid]
-        grid_cc = grid
-        W = grid_cc.interpolation_weights(grid_cc.greville)
-        B = grid_cc.collocation_matrix()
-        pi_cells = x0[np.maximum(layout.pi_idx[:, j], 0)]
-        z = node.pressure_min**2 / pi_sc - W @ pi_cells
-        v, _, _ = layout.penalty.shape(z)
+        w = W @ x0[layout.pi_idx[:, idx[cid]]]
+        x0[layout.w_idx[cid]] = w
+        v, _, _ = layout.penalty.shape(node.pressure_min**2 / pi_sc - w)
         a0 = np.linalg.solve(B, v)
         x0[cols] = a0
-        slack_t = node.epsilon - layout.penalty.gamma * float(grid_cc.basis_integrals @ a0)
+        slack_t = node.epsilon - layout.penalty.gamma * float(grid.basis_integrals @ a0)
         x0[layout.t_idx[cid]] = max(slack_t, 1e-3 * max(node.epsilon, 1e-8))
     return x0
 
@@ -864,14 +843,15 @@ def solve_chance_constrained(
     penalty: PenaltyConfig | None = None,
     epsilon: float | None = None,
     options: NlpOptions | None = None,
-    x0: "np.ndarray | NlpSolution | CcSolution | None" = None,
+    x0: CcSolution | None = None,
 ) -> CcSolution:
     """Build the grid for the uncertain node, assemble, warm start and solve.
 
     ``epsilon`` overrides the acceptable violation level on every
-    chance-relaxed node.  ``x0`` may be a primal vector or a previous solution
-    of a structurally identical problem (its multipliers then warm start the
-    duals, e.g. along an epsilon sweep).
+    chance-relaxed node.  ``x0`` may be a previous solution of a structurally
+    identical problem: its primal point and multipliers then warm start the
+    solve, e.g. along an epsilon sweep.  Otherwise, or when its size does not
+    match, the solve starts cold from :func:`initial_point_chance_constrained`.
     """
     penalty = penalty or PenaltyConfig()
     uncertain = net.uncertain_nodes
@@ -880,8 +860,6 @@ def solve_chance_constrained(
             f"chance-constrained solve needs exactly one uncertain node, found {len(uncertain)}"
         )
     if epsilon is not None:
-        from dataclasses import replace as dc_replace
-
         for n in net.nodes:
             if n.uncertainty is not None or n.epsilon is not None:
                 net = net.with_node(dc_replace(n, epsilon=float(epsilon)))
@@ -890,14 +868,10 @@ def solve_chance_constrained(
         raise OgfError(f"uncertain node {unc.id!r} has no epsilon")
     grid = build_grid(unc.uncertainty, K, node_id=unc.id)
     problem, layout = assemble_chance_constrained(net, {unc.id: grid}, penalty)
-    duals0 = None
-    if isinstance(x0, CcSolution):
-        x0 = x0.nlp
-    if isinstance(x0, NlpSolution):
-        if x0.x.size == problem.n and x0.lambda_eq.size == problem.m:
-            duals0 = (x0.lambda_eq, x0.lambda_lo, x0.lambda_hi)
-        x0 = x0.x if x0.x.size == problem.n else None
-    if x0 is None:
-        x0 = initial_point_chance_constrained(net, layout, options=options)
-    sol = solve(problem, x0, options, duals0=duals0)
+    prev = x0.nlp if x0 is not None else None
+    if prev is not None and prev.x.size == problem.n and prev.lambda_eq.size == problem.m:
+        duals0 = (prev.lambda_eq, prev.lambda_lo, prev.lambda_hi)
+        sol = solve(problem, prev.x, options, duals0=duals0)
+    else:
+        sol = solve(problem, initial_point_chance_constrained(net, layout, options=options), options)
     return decode(sol, layout)

@@ -111,6 +111,7 @@ class Kernel:
         self.edge_from = np.array([idx[e.from_node] for e in net.edges], dtype=int)
         self.edge_to = np.array([idx[e.to_node] for e in net.edges], dtype=int)
         self.comp_from = self.edge_from[self.n_pipe :]
+        self.alpha_max = np.array([c.alpha_max for c in net.compressors], dtype=float)
         self.incidence = incidence(net).toarray()  # (nv, ne)
         self.n_rows = self.n_pipe + self.n_comp + self.nv
         self.n_state = self.nv - 1 + self.ne

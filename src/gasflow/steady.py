@@ -95,11 +95,12 @@ def solve_steady(
         alpha_vec = np.array([alpha[c.id] for c in net.compressors], dtype=float)
     else:
         alpha_vec = np.asarray(alpha, dtype=float)
-    for c, a in zip(net.compressors, alpha_vec):
-        if not 1.0 - 1e-9 <= a <= c.alpha_max + 1e-9:
-            raise SteadySolveError(
-                f"compressor {c.id!r}: ratio {a} outside [1, {c.alpha_max}]", node=c.id
-            )
+    bad = np.flatnonzero(~((1.0 - 1e-9 <= alpha_vec) & (alpha_vec <= kern.alpha_max + 1e-9)))
+    if bad.size:
+        c, a = net.compressors[bad[0]], alpha_vec[bad[0]]
+        raise SteadySolveError(
+            f"compressor {c.id!r}: ratio {a} outside [1, {c.alpha_max}]", node=c.id
+        )
 
     if q is None:
         q_vec = np.array([n.base_withdrawal for n in net.nodes])
@@ -133,7 +134,7 @@ def solve_steady(
         return kern.residual(pi_full[None], phi[None], alpha_vec, q_nd, 0.0)[0, rows]
 
     r = square_residual(pi_full, phi)
-    rnorm = np.linalg.norm(r, np.inf)
+    rnorm = np.abs(r).max()
     history = [float(rnorm)]
     iterations = 0
     while rnorm > tol and iterations < max_iter:
@@ -162,7 +163,7 @@ def solve_steady(
                     "Newton line search stalled (step below 1e-6)", residual=float(rnorm)
                 )
         pi_full, phi, r = pi_try, phi_try, r_try
-        rnorm = np.linalg.norm(r, np.inf)
+        rnorm = np.abs(r).max()
         history.append(float(rnorm))
         iterations += 1
 

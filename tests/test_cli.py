@@ -237,6 +237,18 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0]["status"].startswith("error")
 
+    def test_non_finite_epsilon_row_recorded(self, single_pipe_path, tmp_path):
+        out = tmp_path / "nan"
+        code = main(["sweep", "--network", str(single_pipe_path), "--cells", "8",
+                     "--gamma", "2500", "--epsilons", "0.05,nan,0.02", "--mc-samples", "50",
+                     "--out", str(out)])
+        assert code == 0
+        with (out / "sweep.csv").open() as fh:
+            rows = [(row["epsilon"], row["status"]) for row in csv.DictReader(fh)]
+        assert [eps for eps, _ in rows] == ["0.02", "0.05", "nan"]
+        assert rows[0][1] == rows[1][1] == "optimal"
+        assert rows[2][1].startswith("error") and "epsilon" in rows[2][1]
+
 
 class TestArgumentHandling:
     def test_qmax_override_parsing(self, eight_node_path, tmp_path):
@@ -305,6 +317,29 @@ class TestArgumentHandling:
                      "--delta", "0", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--epsilon", "nan"), ("--epsilon", "inf"),
+                                            ("--gamma", "nan"), ("--gamma", "inf"),
+                                            ("--delta", "nan"), ("--delta", "inf")])
+    def test_non_finite_input(self, single_pipe_path, tmp_path, capsys, flag, value):
+        code = main(["optimize", "--mode", "cc", "--network", str(single_pipe_path),
+                     "--cells", "8", "--mc-samples", "50", flag, value,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[2:] in err
+
+    def test_non_finite_epsilon_in_network(self, tmp_path, capsys):
+        doc = json.loads(configs.config_text("single_pipe"))
+        for node in doc["nodes"]:
+            if "epsilon" in node:
+                node["epsilon"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))  # json writes and reads NaN
+        code = main(["optimize", "--mode", "cc", "--network", str(path), "--cells", "8",
+                     "--mc-samples", "50", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "epsilon" in capsys.readouterr().err
 
     def test_exit_code_mapping(self):
         from gasflow.cli import _status_exit

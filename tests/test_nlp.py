@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -297,19 +299,14 @@ class TestNumericalBreakdown:
 
 def random_bordered(rng, cells=4, cell_vars=3, cell_rows=2, border_vars=3, border_rows=2):
     """Random labels, Hessian, Jacobian and diagonal shift of a bordered-block
-    KKT matrix: indefinite cells, border rows, and Hessian entries between
-    the first variable of every cell."""
+    KKT matrix: indefinite cells and border rows; no entry links two cells."""
     var_label = rng.permutation(np.r_[np.repeat(np.arange(cells), cell_vars), -np.ones(border_vars, int)])
     row_label = rng.permutation(np.r_[np.repeat(np.arange(cells), cell_rows), -np.ones(border_rows, int)])
     n, m = var_label.size, row_label.size
-    first = np.zeros(n, dtype=bool)
-    for k in range(cells):
-        first[np.flatnonzero(var_label == k)[0]] = True
     allowed = (
         (var_label[:, None] == var_label[None, :])
         | (var_label[:, None] < 0)
         | (var_label[None, :] < 0)
-        | (first[:, None] & first[None, :])
     )
     H = np.triu(rng.normal(size=(n, n)) * allowed * (rng.random((n, n)) < 0.7))
     H = H + np.triu(H, 1).T
@@ -342,11 +339,14 @@ class TestBorderedKkt:
             assert factor.inertia == expect
             np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(M, rhs), rtol=1e-7, atol=1e-9)
 
-    def test_cross_cell_hessian_is_lifted(self):
-        rng = np.random.default_rng(3)
-        blocks, H, J, shift = random_bordered(rng)
-        system = _BorderedKkt(blocks, J.shape[1], J.shape[0]).system(sp.coo_matrix(H), sp.coo_matrix(J))
-        assert system.lifted == 4  # the first variable of each of the 4 cells
+    def test_hessian_linking_two_cells_rejected(self):
+        # variable 1 (cell 0) and variable 2 (cell 1) share a Hessian entry
+        H = np.eye(4)
+        H[1, 2] = H[2, 1] = 0.5
+        J = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        kkt = _BorderedKkt(np.array([0, 0, 1, 1, 0, 1]), 4, 2)
+        with pytest.raises(ValueError, match="variable 1 of cell 0 and variable 2 of cell 1"):
+            kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
 
     def test_singular_cell_reported_as_zero(self):
         # cells {x0} and {x1} have zero Hessian; the border row x0 + x1 - t
@@ -416,3 +416,20 @@ class TestHessianChecker:
             hessian=lambda x, y, s: 2.0 * base.hessian(x, y, s),
         )
         assert check_hessian(p, np.array([0.3, -0.7]), np.array([1.5])) > 1e-2
+
+
+class TestIterationLog:
+    def test_one_debug_record_per_iteration(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="gasflow.nlp")
+        sol = solve(rosenbrock_eq(), np.array([0.5, 0.5]))
+        records = [r for r in caplog.records if r.name == "gasflow.nlp"]
+        assert sol.optimal and sol.iterations > 1
+        assert len(records) == sol.iterations
+        assert all(r.levelno == logging.DEBUG and r.getMessage().startswith("iter") for r in records)
+        # from the second record on, each carries the step that led to it
+        assert all("alpha=" in r.getMessage() for r in records[1:])
+
+    def test_silent_at_warning(self, caplog):
+        caplog.set_level(logging.WARNING, logger="gasflow.nlp")
+        assert solve(rosenbrock_eq(), np.array([0.5, 0.5])).optimal
+        assert not [r for r in caplog.records if r.name == "gasflow.nlp"]

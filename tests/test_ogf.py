@@ -126,9 +126,11 @@ class TestChanceConstrainedStructure:
         problem, layout = assemble_chance_constrained(net, {unc.id: grid}, PEN)
         K, nv, ne = 8, 3, 2
         assert layout.K == K
-        # alpha + per-cell (Pi without slack, flows, slack injection) + spline + budget slack
-        assert problem.n == 1 + K * ((nv - 1) + ne + 1) + (K + 3) + 1
-        assert problem.m == K * (1 + 1 + nv) + (K + 3) + 1
+        # alpha + per-cell (Pi without slack, flows, slack injection) + spline
+        # + interpolated squared pressures + budget slack
+        assert problem.n == 1 + K * ((nv - 1) + ne + 1) + 2 * (K + 3) + 1
+        # per-cell rows + collocation + interpolation + budget
+        assert problem.m == K * (1 + 1 + nv) + 2 * (K + 3) + 1
         assert layout.chance_nodes == ["N3"]
 
     def test_shared_alpha_single_variable(self, cc_single_pipe):
@@ -279,7 +281,9 @@ class TestDerivatives:
         j = net.node_index[cid]
         pimin = net.node(cid).pressure_min ** 2 / layout.scaling.squared_pressure
         x[layout.pi_idx[:, j]] = pimin * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, layout.K))
-        z = pimin - grid.interpolation_weights(grid.greville) @ x[layout.pi_idx[:, j]]
+        w = grid.interpolation_weights(grid.greville) @ x[layout.pi_idx[:, j]]
+        x[layout.w_idx[cid]] = w
+        z = pimin - w
         assert np.any(z > 1e-3) and np.any(z < -1e-3)
         y = rng.normal(size=problem.m)
         assert check_hessian(problem, x, y) <= 1e-5
@@ -295,8 +299,45 @@ class TestStructuredKkt:
         assert np.all(row[layout.bal_rows] == np.arange(8)[:, None])
         assert var[layout.alpha_idx["C1"]] == -1
         assert np.all(var[layout.a_idx["N3"]] == -1)
+        assert np.all(var[layout.w_idx["N3"]] == -1)
         assert np.all(row[layout.colloc_rows["N3"]] == -1)
+        assert np.all(row[layout.w_rows["N3"]] == -1)
         assert assemble_deterministic(single_pipe)[0].blocks is None
+
+    @pytest.mark.parametrize("config", ["eight_node", "single_pipe"])
+    def test_cells_meet_only_at_the_border(self, config):
+        net = configs.load(config)
+        unc = net.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
+        problem, layout = assemble_chance_constrained(net, {unc.id: grid}, PEN)
+        (cid,) = layout.chance_nodes
+        rng = np.random.default_rng(11)
+        x = random_interior(problem, rng)
+        y = rng.normal(size=problem.m)
+        var, row = problem.blocks[: problem.n], problem.blocks[problem.n :]
+        H = problem.hessian(x, y, 1.0).tocoo()
+        J = problem.jacobian(x).tocoo()
+        for a, b in ((var[H.row], var[H.col]), (row[J.row], var[J.col])):
+            assert not np.any((a >= 0) & (b >= 0) & (a != b))
+        # the penalty curvature sits on the diagonal of w: nb entries, not K^2
+        in_w = np.isin(H.row, layout.w_idx[cid]) | np.isin(H.col, layout.w_idx[cid])
+        assert np.array_equal(H.row[in_w], layout.w_idx[cid])
+        assert np.array_equal(H.col[in_w], layout.w_idx[cid])
+
+        # at the warm start w interpolates the cell values exactly, and the
+        # collocation rows carry the penalty at the interpolated pressures
+        # (also with the expansion moved off its consistent start)
+        x0 = initial_point_chance_constrained(net, layout)
+        pi_cells = x0[layout.pi_idx[:, net.node_index[cid]]]
+        pimin = net.node(cid).pressure_min ** 2 / layout.scaling.squared_pressure
+        z = pimin - grid.interpolation_weights(grid.greville) @ pi_cells
+        for shift in (0.0, rng.normal(size=grid.n_basis)):
+            x = x0.copy()
+            x[layout.a_idx[cid]] += shift
+            c = problem.constraints(x)
+            expect = np.maximum(z, 0.0) ** 2 - grid.collocation_matrix() @ x[layout.a_idx[cid]]
+            assert np.all(c[layout.w_rows[cid]] == 0.0)
+            np.testing.assert_allclose(c[layout.colloc_rows[cid]], expect, rtol=1e-12, atol=1e-12)
 
     def test_bordered_solve_matches_dense(self, eight_node):
         net = eight_node.with_node(replace(eight_node.node("J3"), demand_max=300.0))
@@ -435,9 +476,10 @@ class TestAssemblyErrors:
             assemble_chance_constrained(single_pipe, {}, PEN)
 
     def test_bad_penalty(self):
-        with pytest.raises(OgfError, match="gamma"):
-            PenaltyConfig(gamma=0.0)
-        for delta in (-1.0, 0.0):
+        for gamma in (0.0, math.nan, math.inf):
+            with pytest.raises(OgfError, match="gamma"):
+                PenaltyConfig(gamma=gamma)
+        for delta in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(OgfError, match="delta"):
                 PenaltyConfig(delta=delta)
 

@@ -147,6 +147,12 @@ class TestNewtonBehavior:
         net = configs.load("single_pipe")
         with pytest.raises(SteadySolveError, match="ratio"):
             solve_steady(net, {"C1": 2.0}, {"N3": 100.0})
+        # the first compressor out of [1, alpha_max] is named
+        net = configs.load("eight_node")
+        for alpha, first in (([1.1, 2.0, 0.5], "C2"), ([np.nan, 1.1, 1.1], "C1")):
+            with pytest.raises(SteadySolveError, match=f"{first}.*ratio") as err:
+                solve_steady(net, np.array(alpha))
+            assert err.value.node == first
 
     def test_unknown_withdrawal_node(self):
         net = configs.load("single_pipe")
