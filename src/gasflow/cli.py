@@ -34,7 +34,7 @@ from gasflow.pricing import (
     violation_probability,
 )
 from gasflow.steady import SteadySolveError, solve_steady
-from gasflow.stochastic import build_grid
+from gasflow.stochastic import build_grid  # noqa: F401  (perfbench/spans.py wraps cli.build_grid)
 
 log = logging.getLogger("gasflow.cli")
 
@@ -71,8 +71,18 @@ class RunConfig:
                              f"got {self.mc_samples}")
 
 
+def _finite(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _json_dump(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _write_distribution_csvs(out: Path, tag: str, dist):
@@ -112,9 +122,17 @@ def _status_exit(status: SolveStatus) -> int:
     return 1
 
 
+def _failed(solution: CcSolution) -> bool:
+    """A solve that ended away from any operating point: its controls are not
+    worth a Monte-Carlo check or price distributions."""
+    return solution.status in (SolveStatus.INFEASIBLE, SolveStatus.NUMERICAL)
+
+
 def _cc_artifacts(net: Network, config: RunConfig, solution: CcSolution, out: Path):
-    unc = net.uncertain_nodes[0]
-    grid = build_grid(unc.uncertainty, config.cells, node_id=unc.id)
+    if _failed(solution):
+        _json_dump(out / "solution.json", solution.to_json_dict())
+        return
+    grid = solution.layout.grids[net.uncertain_nodes[0].id]
     estimates = violation_probability(
         solution, net, grid, mc_samples=config.mc_samples, seed=config.seed
     )
@@ -231,12 +249,13 @@ def _sweep(net: Network, penalty: PenaltyConfig, config: RunConfig, out: Path) -
                 net, K=config.cells, penalty=penalty, epsilon=eps, x0=x_prev
             )
             x_prev = solution
-            unc = net.uncertain_nodes[0]
-            grid = build_grid(unc.uncertainty, config.cells, node_id=unc.id)
-            est = violation_probability(
-                solution, net, grid, mc_samples=config.mc_samples, seed=config.seed
-            )
-            chance = est[0] if est else None
+            chance = None
+            if not _failed(solution):
+                grid = solution.layout.grids[net.uncertain_nodes[0].id]
+                est = violation_probability(
+                    solution, net, grid, mc_samples=config.mc_samples, seed=config.seed
+                )
+                chance = est[0] if est else None
             rows.append(
                 [repr(eps)]
                 + [repr(solution.alpha[cid]) for cid in comp_ids]

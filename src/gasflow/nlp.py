@@ -15,10 +15,13 @@ the sum of the cell inertias and the Schur inertia (Haynsworth additivity),
 so inertia correction stays exact.  Cells meet only through the border: a
 Hessian or Jacobian entry that links two cells is rejected, so a problem
 writes any quantity that couples cells as a border variable with its own
-defining row.  Without labels everything is border, and the whole KKT matrix
-gets one dense factorization.  A factorization that cannot be repaired
-(non-finite entries, or inertia correction run past its cap) ends the solve
-with status ``NUMERICAL`` and a diagnostic.
+defining row.  That row belongs to the border when its cell's own rows
+already fix the cell's variables, because each cell block must be regular.
+The split of the KKT pattern is kept, so an iteration with the pattern of
+the last one only scatters values.  Without labels everything is border, and
+the whole KKT matrix gets one dense factorization.  A factorization that
+cannot be repaired (non-finite entries, or inertia correction run past its
+cap) ends the solve with status ``NUMERICAL`` and a diagnostic.
 
 Returns equality and bound multipliers under the convention
 
@@ -180,24 +183,43 @@ class _BorderedKkt:
         self.local = np.empty(n + m, dtype=np.intp)
         self.local[self.cells.ravel()] = np.tile(np.arange(size), n_cells)
         self.local[self.border] = np.arange(self.border.size)
+        self._pattern = None  # the (H, J) pattern that _split last classified
 
     def system(self, H, J) -> "_KktSystem":
         """Split the KKT matrix of Hessian ``H`` (symmetrized here) and
-        Jacobian ``J`` into cell blocks, cell-border couplings and the border."""
-        n = self.n
-        H, J = sp.coo_matrix(H), sp.coo_matrix(J)
-        kkt = sp.coo_matrix(
-            (
-                np.concatenate([0.5 * H.data, 0.5 * H.data, J.data, J.data]),
-                (
-                    np.concatenate([H.row, H.col, n + J.row, J.col]),
-                    np.concatenate([H.col, H.row, J.col, n + J.row]),
-                ),
-            ),
-            shape=(n + self.m, n + self.m),
-        )
-        kkt.sum_duplicates()
-        r, c, v = kkt.row, kkt.col, kkt.data
+        Jacobian ``J`` into cell blocks, cell-border couplings and the border.
+
+        The split of the sparsity pattern is kept, and a call whose ``H`` and
+        ``J`` have the pattern of the previous one only scatters values."""
+        H, J = sp.csr_matrix(H), sp.csr_matrix(J)
+        pattern = (H.indptr, H.indices, J.indptr, J.indices)
+        if self._pattern is None or not all(map(np.array_equal, pattern, self._pattern)):
+            self._pattern = None
+            self._split(H, J)
+            self._pattern = tuple(a.copy() for a in pattern)
+        v = np.bincount(self._slot, np.concatenate([0.5 * H.data, 0.5 * H.data, J.data, J.data]),
+                        minlength=self._r.size)
+        if not np.all(np.isfinite(v)):
+            k = int(np.flatnonzero(~np.isfinite(v))[0])
+            raise _Breakdown(f"KKT entry ({self._r[k]}, {self._c[k]}) is not finite")
+        n_cells, size = self.cells.shape
+        A = np.zeros((n_cells, size, size))
+        A.flat[self._a_at] = v[self._a_of]
+        S = np.zeros((self.border.size, self.border.size))
+        S.flat[self._s_at] = v[self._s_of]
+        data = np.zeros(self._B.data.size)
+        data[self._b_at] = v[self._edge]
+        B = sp.csr_matrix((data, self._B.indices, self._B.indptr), shape=self._B.shape)
+        return _KktSystem(self, A, B, S)
+
+    def _split(self, H, J):
+        """Classify the entries of the KKT pattern of ``H`` and ``J`` (CSR)."""
+        n, N = self.n, self.n + self.m
+        hr = np.repeat(np.arange(n), np.diff(H.indptr))
+        jr = n + np.repeat(np.arange(self.m), np.diff(J.indptr))
+        keys = [hr * N + H.indices, H.indices * N + hr, jr * N + J.indices, J.indices * N + jr]
+        keys, self._slot = np.unique(np.concatenate(keys), return_inverse=True)
+        r, c = self._r, self._c = keys // N, keys % N
         bi, bj = self.labels[r], self.labels[c]
         li, lj = self.local[r], self.local[c]
         cross = np.flatnonzero((bi >= 0) & (bj >= 0) & (bi != bj))
@@ -212,21 +234,16 @@ class _BorderedKkt:
                 f"Hessian entry ({r[k]}, {c[k]}) links variable {r[k]} of cell {bi[k]} and "
                 f"variable {c[k]} of cell {bj[k]}; cells may meet only through the border"
             )
-        if not np.all(np.isfinite(v)):
-            k = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise _Breakdown(f"KKT entry ({r[k]}, {c[k]}) is not finite")
 
         width = self.border.size
         n_cells, size = self.cells.shape
-        A = np.zeros((n_cells, size, size))
-        same = (bi == bj) & (bi >= 0)
-        A[bi[same], li[same], lj[same]] = v[same]
-        S = np.zeros((width, width))
-        both = (bi < 0) & (bj < 0)
-        S[li[both], lj[both]] = v[both]
+        same = np.flatnonzero((bi == bj) & (bi >= 0))
+        self._a_of, self._a_at = same, (bi[same] * size + li[same]) * size + lj[same]
+        both = np.flatnonzero((bi < 0) & (bj < 0))
+        self._s_of, self._s_at = both, li[both] * width + lj[both]
         # couplings (cell, local row, border column)
-        edge = (bi >= 0) & (bj < 0)
-        cell, row, col, val = bi[edge], li[edge], lj[edge], v[edge]
+        self._edge = np.flatnonzero((bi >= 0) & (bj < 0))
+        cell, row, col = bi[self._edge], li[self._edge], lj[self._edge]
         # B (cells * size, border) in CSR form; every row of a cell stores all
         # the border columns that cell touches, so each cell's rows form a
         # dense block for LAPACK
@@ -236,11 +253,9 @@ class _BorderedKkt:
             [np.zeros(0, dtype=np.intp)] + [np.tile(np.flatnonzero(t), size) for t in touched]
         )
         indptr = np.r_[0, np.cumsum(np.repeat(touched.sum(axis=1), size))]
-        data = np.zeros(indices.size)
-        data[indptr[cell * size + row] + (np.cumsum(touched, axis=1) - 1)[cell, col]] = val
-        B = sp.csr_matrix((data, indices, indptr), shape=(n_cells * size, width))
-        BT = sp.csr_matrix((val, (col, cell * size + row)), shape=(width, n_cells * size))
-        return _KktSystem(self, A, B, BT, S)
+        self._B = sp.csr_matrix((np.zeros(indices.size), indices, indptr),
+                                shape=(n_cells * size, width))
+        self._b_at = indptr[cell * size + row] + (np.cumsum(touched, axis=1) - 1)[cell, col]
 
 
 @dataclass
@@ -248,7 +263,6 @@ class _KktSystem:
     kkt: _BorderedKkt
     A: np.ndarray  # (cells, size, size) diagonal blocks
     B: sp.csr_matrix  # (cells * size, border) couplings
-    BT: sp.csr_matrix  # B transposed, without B's stored zeros
     S: np.ndarray  # (border, border)
 
 
@@ -294,7 +308,7 @@ class _BorderedFactor:
             block = slice(B.indptr[k * size], B.indptr[(k + 1) * size])
             x[block] = dsytrs(self.lu[k], self.piv[k], B.data[block].reshape(size, -1), lower=1)[0].ravel()
         self.X = sp.csr_matrix((x, B.indices, B.indptr), shape=B.shape)
-        S -= (system.BT @ self.X).toarray()
+        S -= (B.T @ self.X).toarray()
         lu, D, self.perm = sla.ldl(S, lower=True)
         self.L = lu[self.perm]
         self.first = np.flatnonzero(np.diag(D, -1))  # 2x2 pivots at (i, i + 1)
@@ -327,7 +341,7 @@ class _BorderedFactor:
         y = rhs[kkt.cells]
         for k in range(y.shape[0]):
             y[k] = dsytrs(self.lu[k], self.piv[k], y[k][:, None], lower=1)[0][:, 0]
-        z = self._border_solve(rhs[kkt.border] - self.system.BT @ y.ravel())
+        z = self._border_solve(rhs[kkt.border] - self.system.B.T @ y.ravel())
         out = np.empty(rhs.size)
         out[kkt.border] = z
         out[kkt.cells] = y - (self.X @ z).reshape(y.shape)

@@ -13,13 +13,16 @@ The minimum-pressure chance constraint at flagged nodes is expressed with a
 one-sided quadratic penalty expanded in the cubic spline basis of the
 stochastic grid: penalty values are collocated at the Greville points of the
 basis and the expectation row bounds the integral of the expansion by the
-acceptable level.  The squared pressure at a Greville point comes from the
-cubic interpolant of the per-cell values, which couples all K cells, so it is
-a border variable ``w`` of its own, defined by the linear row ``w - W @ Pi =
-0`` with the interpolation weights ``W``; the cells then meet only through
-the border.  Internally the expansion coefficients are stored divided by the
-penalty curvature so the Jacobian stays well scaled for any curvature;
-reported coefficients are rescaled back.
+acceptable level.  The squared pressures there come from the not-a-knot
+cubic interpolant of the per-cell values, whose K B-spline coefficients ``c``
+are border variables with one border row per cell, ``Pi_k - Dc[k] @ c = 0``
+(a cell's own rows already fix its state, so the row cannot sit in the
+cell).  The values at the Greville points are ``Dg @ c``, and the integral of
+the expansion is ``rho @ v(pimin - Dg @ c)`` with quadrature weights ``rho``.
+The budget row is that integral plus ``(t - epsilon) / gamma``: it stays in
+the curvature-free units of the penalty shape, and its multiplier is
+reported times ``1 / gamma``.  A cell touches only its own spline row and
+the compressor ratios in the border.
 
 The per-cell pipe, compressor and balance rows come from the shared
 :mod:`gasflow.physics` kernel, evaluated over the K cells at once.  Its
@@ -38,6 +41,7 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from gasflow.network import Network, Node, NodeKind
 from gasflow.nlp import NlpOptions, NlpProblem, NlpSolution, SolveStatus, solve
@@ -104,15 +108,13 @@ class CcLayout:
     pi_idx: np.ndarray  # (K, nv), -1 at the slack column
     phi_idx: np.ndarray  # (K, ne)
     qs_idx: np.ndarray  # (K,)
-    w_idx: dict[str, np.ndarray]  # interpolated squared pressures at the Greville points
-    a_idx: dict[str, np.ndarray]
-    t_idx: dict[str, int]
+    c_idx: dict[str, np.ndarray]  # (K,) spline coefficients of the chance node's squared pressure
+    t_idx: dict[str, int]  # budget slack
     pipe_rows: np.ndarray  # (K, n_pipes)
     comp_rows: np.ndarray  # (K, n_comps)
     bal_rows: np.ndarray  # (K, nv)
-    w_rows: dict[str, np.ndarray]  # w - W @ Pi = 0
-    colloc_rows: dict[str, np.ndarray]
-    cc_rows: dict[str, int]
+    spline_rows: dict[str, np.ndarray]  # (K,) Pi_k - Dc[k] @ c = 0, border rows
+    cc_rows: dict[str, int]  # budget rows
     epsilon: dict[str, float]
     f_scale: float
     n: int
@@ -148,24 +150,33 @@ def _objective_scale(net: Network, scaling: Scaling) -> float:
     return max(cands)
 
 
-class _Entries:
-    """Sparse matrix entries collected block by block; repeated entries add up."""
+class _Pattern:
+    """CSR pattern of a sparse matrix, fixed when the problem is assembled.
 
-    def __init__(self):
-        empty = np.zeros(0, dtype=int)
-        self.rows, self.cols, self.vals = [empty], [empty], [np.zeros(0)]
+    ``varying`` lists (rows, cols) blocks whose values each :meth:`matrix`
+    call supplies, in order; ``fixed`` lists (rows, cols, vals) blocks summed
+    once here.  Repeated entries add up; a symmetric pair is two blocks.
+    """
 
-    def add(self, r, c, v, mirror=False):
-        """Entries (r, c) += v, and (c, r) += v too when ``mirror``."""
-        r, c = np.asarray(r, dtype=int).ravel(), np.asarray(c, dtype=int).ravel()
-        v = np.asarray(v, dtype=float).ravel()
-        self.rows += [r, c] if mirror else [r]
-        self.cols += [c, r] if mirror else [c]
-        self.vals += [v, v] if mirror else [v]
+    def __init__(self, shape, varying, fixed=()):
+        pairs = [np.broadcast_arrays(np.asarray(b[0], dtype=int), np.asarray(b[1], dtype=int))
+                 for b in [*varying, *fixed]]
+        keys = [np.zeros(0, dtype=int)] + [r.ravel() * shape[1] + c.ravel() for r, c in pairs]
+        keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
+        n = sum(r.size for r, _ in pairs[: len(varying)])
+        vals = [np.broadcast_to(b[2], r.shape).ravel()
+                for b, (r, _) in zip(fixed, pairs[len(varying) :])]
+        self.shape, self.slot = shape, slot[:n]
+        self.base = np.bincount(slot[n:], np.concatenate([np.zeros(0), *vals]), minlength=keys.size)
+        indptr = np.r_[0, np.cumsum(np.bincount(keys // shape[1], minlength=shape[0]))]
+        # keep the index arrays in the dtype scipy picks, so matrix() shares them
+        proto = sp.csr_matrix((self.base, keys % shape[1], indptr), shape=shape)
+        self.indices, self.indptr = proto.indices, proto.indptr
 
-    def matrix(self, shape) -> sp.coo_matrix:
-        rows, cols = np.concatenate(self.rows), np.concatenate(self.cols)
-        return sp.coo_matrix((np.concatenate(self.vals), (rows, cols)), shape=shape)
+    def matrix(self, *values) -> sp.csr_matrix:
+        weights = np.concatenate([np.zeros(0)] + [np.ravel(v) for v in values])
+        data = self.base + np.bincount(self.slot, weights=weights, minlength=self.base.size)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 def _assemble(
@@ -221,7 +232,7 @@ def _assemble(
 
     opt_d = [n for n in nodes if n.demand_optimized]
     opt_s = [n for n in nodes if n.supply_optimized]
-    chance_ids = [n.id for n in chance]
+    chance_ids = sorted(n.id for n in chance)
 
     # ---- variable layout -------------------------------------------------
     pos = 0
@@ -243,26 +254,16 @@ def _assemble(
     phi_idx = state[:, nv - 1 :]
     qs_idx = pos + stride * cell[:, 0] + kern.n_state
     pos += K * stride
-    nb = grid.n_basis if grid is not None else 0
-    w_idx, a_idx, t_idx = {}, {}, {}
-    for cid in sorted(chance_ids):
-        w_idx[cid] = np.arange(pos, pos + nb)
-        a_idx[cid] = np.arange(pos + nb, pos + 2 * nb)
-        t_idx[cid] = pos + 2 * nb
-        pos += 2 * nb + 1
-    n_var = pos
-
     # ---- constraint rows ---------------------------------------------------
     cell_rows = kern.n_rows * cell + np.arange(kern.n_rows)
     pipe_rows, comp_rows, bal_rows = np.split(cell_rows, [n_pipe, n_pipe + n_comp], axis=1)
     row = cell_rows.size
-    w_rows, colloc_rows, cc_rows = {}, {}, {}
-    for cid in sorted(chance_ids):
-        w_rows[cid] = np.arange(row, row + nb)
-        colloc_rows[cid] = np.arange(row + nb, row + 2 * nb)
-        cc_rows[cid] = row + 2 * nb
-        row += 2 * nb + 1
-    n_con = row
+    c_idx, t_idx, spline_rows, cc_rows = {}, {}, {}, {}
+    for cid in chance_ids:
+        c_idx[cid], t_idx[cid] = np.arange(pos, pos + K), pos + K
+        spline_rows[cid], cc_rows[cid] = np.arange(row, row + K), row + K
+        pos, row = pos + K + 1, row + K + 1
+    n_var, n_con = pos, row
 
     # ---- static data --------------------------------------------------------
     kern_rows, kern_cols = cell_rows[:, kern.jac_rows], state[:, kern.jac_cols]
@@ -299,9 +300,10 @@ def _assemble(
 
     # chance machinery: one grid serves every chance node
     if grid is not None:
-        W = grid.interpolation_weights(grid.greville)  # (nb, K)
-        B = grid.collocation_matrix()  # (nb, nb)
-        basis_int = grid.basis_integrals  # (nb,)
+        Dc, Dg = grid.interpolant_factors()  # (K, K) and (nb, K), equal entries per row
+        g_cols = Dg.indices.reshape(Dg.shape[0], -1)
+        g_vals = Dg.data.reshape(g_cols.shape)
+        rho = grid.greville_weights()
     pimin_nd = {cid: net.node(cid).pressure_min**2 / pi_sc for cid in chance_ids}
     epsilon = {cid: net.node(cid).epsilon for cid in chance_ids}
 
@@ -324,7 +326,7 @@ def _assemble(
         relaxed = n.id in chance_ids
         lower[cols] = 0.0 if relaxed else n.pressure_min**2 / pi_sc
         upper[cols] = n.pressure_max**2 / pi_sc
-    for cid in sorted(chance_ids):
+    for cid in chance_ids:
         lower[t_idx[cid]] = 0.0
 
     # ---- evaluation helpers ---------------------------------------------------
@@ -346,11 +348,8 @@ def _assemble(
 
     def objective(x):
         alpha, Pi, phi = gather(x)
-        val = 0.0
-        if n_comp:
-            s_phi = magnitude(phi[:, n_pipe:], delta_nd)
-            exp_flow = cell_mass @ s_phi  # (n_comp,)
-            val += float(np.sum(eta_nd * (alpha**comp_m - 1.0) * exp_flow))
+        exp_flow = cell_mass @ magnitude(phi[:, n_pipe:], delta_nd)  # (n_comp,)
+        val = float(np.sum(eta_nd * (alpha**comp_m - 1.0) * exp_flow))
         for nid, cols in d_idx.items():
             val -= price_d_nd[nid] * float(cell_mass @ x[cols])
         for nid, cols in s_idx.items():
@@ -360,84 +359,85 @@ def _assemble(
     def gradient(x):
         alpha, Pi, phi = gather(x)
         g = np.zeros(n_var)
-        if n_comp:
-            phi_c = phi[:, n_pipe:]
-            s_phi = magnitude(phi_c, delta_nd)
-            exp_flow = cell_mass @ s_phi
-            g[a_cols] = eta_nd * comp_m * alpha ** (comp_m - 1.0) * exp_flow
-            coef = eta_nd * (alpha**comp_m - 1.0)  # (n_comp,)
-            g_phi = coef[None, :] * cell_mass[:, None] * (phi_c / s_phi)
-            g[phi_idx[:, n_pipe:]] += g_phi
+        phi_c = phi[:, n_pipe:]
+        s_phi = magnitude(phi_c, delta_nd)
+        g[a_cols] = eta_nd * comp_m * alpha ** (comp_m - 1.0) * (cell_mass @ s_phi)
+        g[phi_idx[:, n_pipe:]] = eta_nd * (alpha**comp_m - 1.0) * cell_mass[:, None] * (phi_c / s_phi)
         for nid, cols in d_idx.items():
             g[cols] = -price_d_nd[nid] * cell_mass
         for nid, cols in s_idx.items():
             g[cols] = price_s_nd[nid] * cell_mass
         return g
 
+    def shortfall(x, cid):
+        """Penalty value, slope and curvature at the Greville points."""
+        return penalty.shape(pimin_nd[cid] - Dg @ x[c_idx[cid]])
+
     def constraints(x):
         alpha, Pi, phi = gather(x)
         c = np.empty(n_con)
         c[cell_rows] = kern.residual(Pi, phi, alpha, q_all(x), delta_nd)
-        for cid in sorted(chance_ids):
-            w = x[w_idx[cid]]
-            v, _, _ = penalty.shape(pimin_nd[cid] - w)
-            c[colloc_rows[cid]] = v - B @ x[a_idx[cid]]
-            c[w_rows[cid]] = w - W @ Pi[:, idx[cid]]
-            c[cc_rows[cid]] = gamma * (basis_int @ x[a_idx[cid]]) + x[t_idx[cid]] - epsilon[cid]
+        for cid in chance_ids:
+            c[spline_rows[cid]] = Pi[:, idx[cid]] - Dc @ x[c_idx[cid]]
+            v, _, _ = shortfall(x, cid)
+            c[cc_rows[cid]] = rho @ v + (x[t_idx[cid]] - epsilon[cid]) / gamma
         return c
+
+    # the Jacobian entries of the withdrawal columns and the spline rows are
+    # constant; the kernel's, the ratios' and the budget rows' vary
+    jac = _Pattern(
+        (n_con, n_var),
+        [(kern_rows, kern_cols), (comp_rows, a_cols)]
+        + [(cc_rows[cid], c_idx[cid]) for cid in chance_ids],
+        [(bal_rows[:, idx[nid]], cols, -1.0) for nid, cols in d_idx.items()]
+        + [(bal_rows[:, idx[nid]], cols, 1.0) for nid, cols in s_idx.items()]
+        + [(bal_rows[:, slack], qs_idx, -1.0)]
+        + [block for cid in chance_ids for block in (
+            (spline_rows[cid], pi_idx[:, idx[cid]], 1.0),
+            (spline_rows[cid][:, None], c_idx[cid][Dc.indices.reshape(K, -1)],
+             -Dc.data.reshape(K, -1)),
+            (cc_rows[cid], t_idx[cid], 1.0 / gamma),
+        )],
+    )
 
     def jacobian(x):
         alpha, Pi, phi = gather(x)
-        J = _Entries()
-        J.add(kern_rows, kern_cols, kern.jacobian(phi, alpha, delta_nd))
-        J.add(comp_rows, np.broadcast_to(a_cols, (K, n_comp)), kern.ratio_jacobian(Pi))
-        for nid, vcols in d_idx.items():
-            J.add(bal_rows[:, idx[nid]], vcols, -np.ones(K))
-        for nid, vcols in s_idx.items():
-            J.add(bal_rows[:, idx[nid]], vcols, np.ones(K))
-        J.add(bal_rows[:, slack], qs_idx, -np.ones(K))
-        # chance blocks; only the w rows touch the cells
-        for cid in sorted(chance_ids):
-            _, dv, _ = penalty.shape(pimin_nd[cid] - x[w_idx[cid]])
-            J.add(colloc_rows[cid], w_idx[cid], -dv)
-            J.add(np.repeat(colloc_rows[cid], nb), np.tile(a_idx[cid], nb), -B)
-            J.add(w_rows[cid], w_idx[cid], np.ones(nb))
-            J.add(np.repeat(w_rows[cid], K), np.tile(pi_idx[:, idx[cid]], nb), -W)
-            J.add(np.full(nb, cc_rows[cid]), a_idx[cid], gamma * basis_int)
-            J.add([cc_rows[cid]], [t_idx[cid]], [1.0])
-        return J.matrix((n_con, n_var)).tocsr()
+        budget = [-(Dg.T @ (rho * shortfall(x, cid)[1])) for cid in chance_ids]
+        return jac.matrix(kern.jacobian(phi, alpha, delta_nd), kern.ratio_jacobian(Pi), *budget)
+
+    # Hessian: compressor power in the flows and ratios, the pipe friction
+    # laws, the ratio laws, and the budget rows' banded Dg^T diag(.) Dg
+    comp_cols = phi_idx[:, n_pipe:]
+    fr_cols = pi_idx[:, kern.comp_from]  # (K, n_comp)
+    mask = fr_cols >= 0
+    ratio_cols = np.broadcast_to(a_cols, (K, n_comp))
+    hess = _Pattern(
+        (n_var, n_var),
+        [(comp_cols, comp_cols), (ratio_cols, comp_cols), (comp_cols, ratio_cols),
+         (a_cols, a_cols), (phi_idx[:, :n_pipe], phi_idx[:, :n_pipe]),
+         (ratio_cols[mask], fr_cols[mask]), (fr_cols[mask], ratio_cols[mask])]
+        + [(c_idx[cid][g_cols][:, :, None], c_idx[cid][g_cols][:, None, :])
+           for cid in chance_ids],
+    )
 
     def hessian(x, y, obj_factor):
         alpha, _, phi = gather(x)
-        H = _Entries()
-        if n_comp and obj_factor != 0.0:
-            phi_c = phi[:, n_pipe:]
-            s_c = magnitude(phi_c, delta_nd)
-            coef = eta_nd * (alpha**comp_m - 1.0)
-            c_cols = phi_idx[:, n_pipe:]
-            H.add(c_cols, c_cols, obj_factor * coef[None, :] * cell_mass[:, None] * (
-                delta_nd**2 / s_c**3
-            ))
-            cross = (
-                obj_factor
-                * (eta_nd * comp_m * alpha ** (comp_m - 1.0))[None, :]
-                * cell_mass[:, None]
-                * (phi_c / s_c)
-            )
-            H.add(np.broadcast_to(a_cols[None, :], (K, n_comp)), c_cols, cross, mirror=True)
-            exp_flow = cell_mass @ s_c
-            H.add(a_cols, a_cols,
-                obj_factor * eta_nd * comp_m * (comp_m - 1.0) * alpha ** (comp_m - 2.0) * exp_flow)
-        p_cols = phi_idx[:, :n_pipe]
-        H.add(p_cols, p_cols, kern.pipe_hessian(phi, y[pipe_rows], delta_nd))
-        fr_cols = pi_idx[:, kern.comp_from]  # (K, n_comp)
-        mask = fr_cols >= 0
-        H.add(np.broadcast_to(a_cols, (K, n_comp))[mask], fr_cols[mask],
-            -y[comp_rows][mask], mirror=True)
-        for cid in sorted(chance_ids):
-            _, _, ddv = penalty.shape(pimin_nd[cid] - x[w_idx[cid]])
-            H.add(w_idx[cid], w_idx[cid], ddv * y[colloc_rows[cid]])
-        return H.matrix((n_var, n_var))
+        phi_c = phi[:, n_pipe:]
+        s_c = magnitude(phi_c, delta_nd)
+        weight = obj_factor * cell_mass[:, None]
+        flow_curv = weight * eta_nd * (alpha**comp_m - 1.0) * delta_nd**2 / s_c**3
+        cross = weight * eta_nd * comp_m * alpha ** (comp_m - 1.0) * (phi_c / s_c)
+        ratio_curv = (obj_factor * eta_nd * comp_m * (comp_m - 1.0) * alpha ** (comp_m - 2.0)
+                      * (cell_mass @ s_c))
+        y_ratio = -y[comp_rows][mask]
+        budget = []
+        for cid in chance_ids:
+            _, _, ddv = shortfall(x, cid)
+            curv = y[cc_rows[cid]] * rho * ddv
+            budget.append(curv[:, None, None] * g_vals[:, :, None] * g_vals[:, None, :])
+        return hess.matrix(flow_curv, cross, cross, ratio_curv,
+                           kern.pipe_hessian(phi, y[pipe_rows], delta_nd), y_ratio, y_ratio,
+                           *budget)
 
     blocks = None
     if grids:
@@ -477,14 +477,12 @@ def _assemble(
         pi_idx=pi_idx,
         phi_idx=phi_idx,
         qs_idx=qs_idx,
-        w_idx=w_idx,
-        a_idx=a_idx,
+        c_idx=c_idx,
         t_idx=t_idx,
         pipe_rows=pipe_rows,
         comp_rows=comp_rows,
         bal_rows=bal_rows,
-        w_rows=w_rows,
-        colloc_rows=colloc_rows,
+        spline_rows=spline_rows,
         cc_rows=cc_rows,
         epsilon=epsilon,
         f_scale=f_scale,
@@ -671,22 +669,21 @@ def decode(solution: NlpSolution, layout: CcLayout) -> CcSolution:
     d = {nid: x[cols] * flow_sc for nid, cols in layout.d_idx.items()}
     s = {nid: x[cols] * flow_sc for nid, cols in layout.s_idx.items()}
 
-    lambda_q = {}
-    for j, node in enumerate(net.nodes):
-        lambda_q[node.id] = -y[layout.bal_rows[:, j]] * price_unit
+    lambda_q = {node.id: -y[layout.bal_rows[:, j]] * price_unit for j, node in enumerate(net.nodes)}
     lambda_d = {nid: solution.lambda_hi[cols] * price_unit for nid, cols in layout.d_idx.items()}
     lambda_s = {nid: solution.lambda_hi[cols] * price_unit for nid, cols in layout.s_idx.items()}
 
+    # the penalty expansion a = B^-1 v at the Greville points, scaled by the
+    # curvature, and its integral rho @ v, from the spline coefficients
     gamma = layout.penalty.gamma
-    a_coeff = {}
-    sfv = {}
-    lambda_cc = {}
-    for cid, cols in layout.a_idx.items():
-        a_coeff[cid] = gamma * x[cols]
-        grid = layout.grids[list(layout.grids)[0]] if layout.grids else None
-        I_vec = grid.basis_integrals if grid is not None else np.ones(1)
-        sfv[cid] = float(gamma * (I_vec @ x[cols]))
-        lambda_cc[cid] = float(y[layout.cc_rows[cid]] * f_sc)
+    a_coeff, sfv, lambda_cc = {}, {}, {}
+    for cid, cols in layout.c_idx.items():
+        (grid,) = layout.grids.values()
+        pimin = net.node(cid).pressure_min**2 / pi_sc
+        v, _, _ = layout.penalty.shape(pimin - grid.interpolant_factors()[1] @ x[cols])
+        a_coeff[cid] = gamma * spsolve(sp.csc_matrix(grid.collocation_matrix()), v)
+        sfv[cid] = float(gamma * (grid.greville_weights() @ v))
+        lambda_cc[cid] = float(y[layout.cc_rows[cid]] * f_sc / gamma)  # the row is divided by gamma
 
     # objective pieces in physical units
     mass = layout.cell_mass
@@ -822,17 +819,14 @@ def initial_point_chance_constrained(
         x0[layout.phi_idx[k]] = phi_k / flow_sc
         x0[layout.qs_idx[k]] = q_k.sum() / flow_sc
 
-    # consistent interpolation and penalty expansion start
-    W = grid.interpolation_weights(grid.greville)
-    B = grid.collocation_matrix()
-    for cid, cols in layout.a_idx.items():
+    # spline coefficients through the cell values, and the budget slack there
+    Dc, Dg = grid.interpolant_factors()
+    rho = grid.greville_weights()
+    for cid, cols in layout.c_idx.items():
         node = net.node(cid)
-        w = W @ x0[layout.pi_idx[:, idx[cid]]]
-        x0[layout.w_idx[cid]] = w
-        v, _, _ = layout.penalty.shape(node.pressure_min**2 / pi_sc - w)
-        a0 = np.linalg.solve(B, v)
-        x0[cols] = a0
-        slack_t = node.epsilon - layout.penalty.gamma * float(grid.basis_integrals @ a0)
+        x0[cols] = spsolve(Dc.tocsc(), x0[layout.pi_idx[:, idx[cid]]])
+        v, _, _ = layout.penalty.shape(node.pressure_min**2 / pi_sc - Dg @ x0[cols])
+        slack_t = node.epsilon - layout.penalty.gamma * float(rho @ v)
         x0[layout.t_idx[cid]] = max(slack_t, 1e-3 * max(node.epsilon, 1e-8))
     return x0
 

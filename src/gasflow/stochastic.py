@@ -4,9 +4,10 @@ A random withdrawal lives on a compact interval ``[lo, hi]`` with either a
 uniform or a truncated normal measure.  The interval is split into ``K``
 uniform cells; the physics is collocated at the cell centers, and a clamped
 cubic B-spline basis (``K + 3`` functions, partition of unity) carries the
-penalty expansion used by the chance constraint.  All measure quantities
-(cell masses, basis integrals, means, quantiles) are computed in closed form
-or by Gauss-Legendre quadrature; no sampling enters the construction.
+penalty expansion used by the chance constraint; two sparse factors carry
+cell values to its Greville points.  All measure quantities (cell masses,
+basis integrals, means, quantiles) are computed in closed form or by
+Gauss-Legendre quadrature; no sampling enters the construction.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.interpolate import BSpline, CubicSpline
+from scipy.sparse.linalg import spsolve
 from scipy.special import ndtr, ndtri
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -161,18 +164,24 @@ class StochasticGrid:
         """Square basis matrix at the Greville points (unisolvent)."""
         return self.basis_matrix(self.greville)
 
-    def interpolation_weights(self, x) -> np.ndarray:
-        """Weights mapping per-cell values to interpolated values at x.
-
-        Row i gives w such that ``f(x_i) = w @ values_at_cell_centers`` for
-        the not-a-knot cubic interpolant through the cell centers (cubic
-        extrapolation beyond the first/last center).
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def interpolant_factors(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """Factors ``(Dc, Dg)`` of the not-a-knot cubic interpolant through the
+        cell centers, whose K B-spline coefficients ``c`` have knots at the
+        centers but the second and second-to-last: ``Dc`` (K, K) evaluates it
+        at the centers and ``Dg`` (n_basis, K) at the Greville points, each
+        with four entries per row, so ``Dg @ inv(Dc)`` maps cell values to
+        values there.  A degenerate grid takes ``c`` as the cell values."""
         if self.degenerate:
-            return np.full((x.size, self.K), 1.0 / self.K)
-        cs = CubicSpline(self.collocation_points, np.eye(self.K), axis=0)
-        return cs(x)
+            return sp.identity(self.K, format="csr"), sp.csr_matrix(np.full((1, self.K), 1.0 / self.K))
+        x = self.collocation_points
+        t = np.concatenate([[x[0]] * 4, x[2:-2], [x[-1]] * 4])
+        Dg = BSpline.design_matrix(self.greville, t, 3, extrapolate=True)
+        return BSpline.design_matrix(x, t, 3), Dg
+
+    def greville_weights(self) -> np.ndarray:
+        """Weights ``rho = B^-T @ basis_integrals``: the measure integral of the
+        spline through values ``v`` at the Greville points is ``rho @ v``."""
+        return spsolve(sp.csc_matrix(self.collocation_matrix().T), self.basis_integrals)
 
     def value_interpolator(self, values: np.ndarray):
         """Callable omega -> value, cubic through the per-cell values."""

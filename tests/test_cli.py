@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+import gasflow.pricing as pricing
 from gasflow import configs
-from gasflow.cli import RunConfig, build_parser, main, sweep
+from gasflow.cli import RunConfig, _json_dump, build_parser, main, sweep
 
 
 @pytest.fixture()
@@ -20,6 +22,10 @@ def eight_node_path(tmp_path):
     p = tmp_path / "eight_node.json"
     p.write_text(configs.config_text("eight_node"))
     return p
+
+
+def reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
 
 
 def read_dir_bytes(path: Path) -> dict[str, bytes]:
@@ -127,6 +133,37 @@ class TestModes:
             rows = list(csv.reader(fh))
         assert rows[0] == ["omega", "mass", "value"]
         assert len(rows) == 9
+
+    def test_infeasible_solve_skips_the_monte_carlo_check(self, tmp_path, monkeypatch, capsys):
+        # a 900 kg/s load cannot be delivered above the pressure floors: the
+        # solve ends infeasible, so no sample is simulated, solution.json stays
+        # strict JSON, and the run still fails
+        doc = json.loads(configs.config_text("single_pipe"))
+        doc["nodes"][2]["demand"] = 900.0
+        network = tmp_path / "overloaded.json"
+        network.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(pricing, "solve_steady", lambda *a, **k: calls.append(a))
+        common = ["--network", str(network), "--cells", "20", "--mc-samples", "2000"]
+        out = tmp_path / "o"
+        assert main(["optimize", "--mode", "cc", *common, "--out", str(out)]) == 1
+        assert "status=infeasible" in capsys.readouterr().out
+        assert {f.name for f in out.iterdir()} == {"solution.json"}
+        payload = json.loads((out / "solution.json").read_text(), parse_constant=reject_constant)
+        assert payload["status"] == "infeasible"
+
+        assert main(["sweep", *common, "--epsilons", "0.05", "--out", str(tmp_path / "s")]) == 0
+        with (tmp_path / "s" / "sweep.csv").open() as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "infeasible"
+        assert row["mc_mean_penalty"] == row["mc_violation_probability"] == ""
+        assert calls == []
+
+    def test_non_finite_values_written_as_null(self, tmp_path):
+        _json_dump(tmp_path / "x.json", {"a": [1.0, math.nan], "b": {"c": -math.inf}, "d": 2})
+        text = (tmp_path / "x.json").read_text()
+        expect = {"a": [1.0, None], "b": {"c": None}, "d": 2}
+        assert json.loads(text, parse_constant=reject_constant) == expect
 
     def test_solution_json_schema(self, single_pipe_path, tmp_path):
         out = tmp_path / "schema"

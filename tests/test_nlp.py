@@ -11,6 +11,7 @@ from gasflow.nlp import (
     NlpProblem,
     SolveStatus,
     _BorderedFactor,
+    _Breakdown,
     _BorderedKkt,
     check_derivatives,
     check_hessian,
@@ -365,6 +366,32 @@ class TestBorderedKkt:
         kkt = _BorderedKkt(np.array([0, 0, 1, 1, 0, 1]), 4, 2)
         with pytest.raises(ValueError, match="constraint row 1"):
             kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+
+    def test_split_is_kept_per_pattern(self):
+        # one instance across patterns and values gives what a fresh one gives;
+        # the checks still run on every call
+        rng = np.random.default_rng(3)
+        blocks, H, J, _ = random_bordered(rng)
+        n, m = J.shape[1], J.shape[0]
+        kkt = _BorderedKkt(blocks, n, m)
+        H2, J2 = H * rng.normal(size=H.shape), J * rng.normal(size=J.shape)
+        empty = sp.coo_matrix((n, n))
+        for h, j in ((H, J), (empty, J), (H2 + H2.T, J2), (H, J)):
+            got = kkt.system(sp.coo_matrix(h), sp.coo_matrix(j))
+            want = _BorderedKkt(blocks, n, m).system(sp.coo_matrix(h), sp.coo_matrix(j))
+            np.testing.assert_array_equal(got.A, want.A)
+            np.testing.assert_array_equal(got.S, want.S)
+            np.testing.assert_array_equal(got.B.toarray(), want.B.toarray())
+        bad = sp.csr_matrix(J)
+        bad.data[0] = np.nan
+        with pytest.raises(_Breakdown, match="not finite"):
+            kkt.system(sp.csr_matrix(H), bad)
+        a, b = np.flatnonzero(blocks[:n] == 0)[0], np.flatnonzero(blocks[:n] == 1)[0]
+        cross = H.copy()
+        cross[a, b] = cross[b, a] = 1.0
+        with pytest.raises(ValueError, match="cells may meet only through the border"):
+            kkt.system(sp.coo_matrix(cross), sp.coo_matrix(J))
+        np.testing.assert_array_equal(kkt.system(sp.coo_matrix(H), sp.coo_matrix(J)).A, want.A)
 
     def test_cells_must_have_equal_sizes(self):
         with pytest.raises(ValueError, match="equal sizes"):

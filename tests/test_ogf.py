@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from gasflow import configs, parse_network, solve_steady
-from gasflow.nlp import NlpOptions, check_derivatives, check_hessian, solve
+from gasflow.nlp import NlpOptions, _BorderedKkt, check_derivatives, check_hessian, solve
 from gasflow.ogf import (
     OgfError,
     PenaltyConfig,
@@ -127,10 +128,10 @@ class TestChanceConstrainedStructure:
         K, nv, ne = 8, 3, 2
         assert layout.K == K
         # alpha + per-cell (Pi without slack, flows, slack injection) + spline
-        # + interpolated squared pressures + budget slack
-        assert problem.n == 1 + K * ((nv - 1) + ne + 1) + 2 * (K + 3) + 1
-        # per-cell rows + collocation + interpolation + budget
-        assert problem.m == K * (1 + 1 + nv) + 2 * (K + 3) + 1
+        # coefficients + budget slack
+        assert problem.n == 1 + K * ((nv - 1) + ne + 1) + K + 1
+        # per-cell rows (pipe, compressor, balances, spline) + budget
+        assert problem.m == K * (1 + 1 + nv + 1) + 1
         assert layout.chance_nodes == ["N3"]
 
     def test_shared_alpha_single_variable(self, cc_single_pipe):
@@ -281,11 +282,12 @@ class TestDerivatives:
         j = net.node_index[cid]
         pimin = net.node(cid).pressure_min ** 2 / layout.scaling.squared_pressure
         x[layout.pi_idx[:, j]] = pimin * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, layout.K))
-        w = grid.interpolation_weights(grid.greville) @ x[layout.pi_idx[:, j]]
-        x[layout.w_idx[cid]] = w
-        z = pimin - w
+        Dc, Dg = grid.interpolant_factors()
+        x[layout.c_idx[cid]] = np.linalg.solve(Dc.toarray(), x[layout.pi_idx[:, j]])
+        z = pimin - Dg @ x[layout.c_idx[cid]]
         assert np.any(z > 1e-3) and np.any(z < -1e-3)
         y = rng.normal(size=problem.m)
+        y[layout.cc_rows[cid]] = 1.0  # the budget row's curvature enters the Hessian
         assert check_hessian(problem, x, y) <= 1e-5
 
 
@@ -298,10 +300,10 @@ class TestStructuredKkt:
         assert np.all(var[layout.phi_idx] == np.arange(8)[:, None])
         assert np.all(row[layout.bal_rows] == np.arange(8)[:, None])
         assert var[layout.alpha_idx["C1"]] == -1
-        assert np.all(var[layout.a_idx["N3"]] == -1)
-        assert np.all(var[layout.w_idx["N3"]] == -1)
-        assert np.all(row[layout.colloc_rows["N3"]] == -1)
-        assert np.all(row[layout.w_rows["N3"]] == -1)
+        assert np.all(row[layout.spline_rows["N3"]] == -1)
+        assert np.all(var[layout.c_idx["N3"]] == -1)
+        assert var[layout.t_idx["N3"]] == -1
+        assert row[layout.cc_rows["N3"]] == -1
         assert assemble_deterministic(single_pipe)[0].blocks is None
 
     @pytest.mark.parametrize("config", ["eight_node", "single_pipe"])
@@ -319,25 +321,59 @@ class TestStructuredKkt:
         J = problem.jacobian(x).tocoo()
         for a, b in ((var[H.row], var[H.col]), (row[J.row], var[J.col])):
             assert not np.any((a >= 0) & (b >= 0) & (a != b))
-        # the penalty curvature sits on the diagonal of w: nb entries, not K^2
-        in_w = np.isin(H.row, layout.w_idx[cid]) | np.isin(H.col, layout.w_idx[cid])
-        assert np.array_equal(H.row[in_w], layout.w_idx[cid])
-        assert np.array_equal(H.col[in_w], layout.w_idx[cid])
+        # the penalty curvature is banded in the spline coefficients and
+        # touches nothing else: at most 7 entries per row, not K
+        cols = layout.c_idx[cid]
+        in_c = np.isin(H.row, cols) | np.isin(H.col, cols)
+        assert np.all(np.isin(H.row[in_c], cols) & np.isin(H.col[in_c], cols))
+        assert np.abs(H.row[in_c] - H.col[in_c]).max() <= 3
+        # each spline row touches its own cell's pressure and four coefficients
+        spline = np.isin(J.row, layout.spline_rows[cid])
+        assert np.bincount(J.row[spline] - layout.spline_rows[cid][0]).tolist() == [5] * layout.K
 
-        # at the warm start w interpolates the cell values exactly, and the
-        # collocation rows carry the penalty at the interpolated pressures
-        # (also with the expansion moved off its consistent start)
+        # at the warm start the coefficients interpolate the cell values (the
+        # spline rows vanish), and the budget row carries the penalty integral
+        # at the not-a-knot interpolant of the cell pressures, here built by
+        # CubicSpline and the spline basis instead of the assembly's factors
         x0 = initial_point_chance_constrained(net, layout)
         pi_cells = x0[layout.pi_idx[:, net.node_index[cid]]]
         pimin = net.node(cid).pressure_min ** 2 / layout.scaling.squared_pressure
-        z = pimin - grid.interpolation_weights(grid.greville) @ pi_cells
-        for shift in (0.0, rng.normal(size=grid.n_basis)):
+        W = CubicSpline(grid.collocation_points, np.eye(grid.K))(grid.greville)
+        v = np.maximum(pimin - W @ pi_cells, 0.0) ** 2
+        a = np.linalg.solve(grid.collocation_matrix(), v)
+        for shift in (0.0, rng.uniform(0.0, 0.1)):
             x = x0.copy()
-            x[layout.a_idx[cid]] += shift
+            x[layout.t_idx[cid]] += shift
             c = problem.constraints(x)
-            expect = np.maximum(z, 0.0) ** 2 - grid.collocation_matrix() @ x[layout.a_idx[cid]]
-            assert np.all(c[layout.w_rows[cid]] == 0.0)
-            np.testing.assert_allclose(c[layout.colloc_rows[cid]], expect, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(c[layout.spline_rows[cid]], 0.0, atol=1e-13)
+            # the row is the budget divided by the curvature
+            expect = grid.basis_integrals @ a + (x[layout.t_idx[cid]] - layout.epsilon[cid]) / PEN.gamma
+            assert c[layout.cc_rows[cid]] == pytest.approx(expect, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("config", ["eight_node", "single_pipe"])
+    @pytest.mark.parametrize("K", [8, 50, 100])
+    def test_border_grows_by_two_per_cell(self, config, K):
+        # per chance node the border holds the K spline coefficients, their K
+        # spline rows, the budget slack and the budget row; the compressor
+        # ratios come on top.  Each cell couples to its own spline row and
+        # the ratios, never to another cell, and its block stays regular
+        # once the barrier adds to the variables' diagonal.
+        net = configs.load(config)
+        unc = net.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, K, node_id=unc.id)
+        problem, layout = assemble_chance_constrained(net, {unc.id: grid}, PEN)
+        border = np.flatnonzero(problem.blocks < 0)
+        assert border.size == len(net.compressors) + len(layout.chance_nodes) * (2 * K + 2)
+        x = random_interior(problem, np.random.default_rng(K))
+        y = np.random.default_rng(K + 1).normal(size=problem.m)
+        kkt = _BorderedKkt(problem.blocks, problem.n, problem.m)
+        # the split rejects any entry that links two cells
+        system = kkt.system(problem.hessian(x, y, 1.0), problem.jacobian(x))
+        touched = np.diff(system.B.indptr)
+        assert touched.max() == len(net.compressors) + len(layout.chance_nodes) <= 8
+        size = kkt.cells.shape[1]
+        cells = system.A + 1e2 * (kkt.cells < problem.n)[:, :, None] * np.eye(size)
+        assert np.linalg.cond(cells).max() < 1e10
 
     def test_bordered_solve_matches_dense(self, eight_node):
         net = eight_node.with_node(replace(eight_node.node("J3"), demand_max=300.0))

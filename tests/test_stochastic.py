@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from gasflow import UncertaintySpec, build_grid, measure_basis_integrals
 
@@ -52,8 +53,10 @@ class TestGridConstruction:
         np.testing.assert_allclose(grid.cell_mass, 0.25)
         assert grid.n_basis == 1
         np.testing.assert_allclose(grid.basis_integrals, [1.0])
-        W = grid.interpolation_weights([5.0])
-        np.testing.assert_allclose(W, 0.25)
+        # the interpolant's single value is the cell mean
+        Dc, Dg = grid.interpolant_factors()
+        np.testing.assert_allclose(Dg.toarray() @ np.linalg.inv(Dc.toarray()), 0.25)
+        np.testing.assert_allclose(grid.greville_weights(), [1.0])
 
 
 class TestSplineBasis:
@@ -90,6 +93,21 @@ class TestSplineBasis:
         oracle = measure_basis_integrals(grid, points_per_interval=80)
         assert oracle[0] < oracle[len(oracle) // 2]
         assert grid.basis_integrals[0] < grid.basis_integrals[len(oracle) // 2]
+
+    @pytest.mark.parametrize("spec", [UNIFORM, TNORM], ids=["uniform", "truncnormal"])
+    @pytest.mark.parametrize("K", [8, 50, 400])
+    def test_interpolant_factors(self, spec, K):
+        # the not-a-knot interpolant at the Greville points factors into two
+        # sparse matrices, and its measure integral has positive weights
+        grid = build_grid(spec, K)
+        W = CubicSpline(grid.collocation_points, np.eye(K))(grid.greville)
+        Dc, Dg = grid.interpolant_factors()
+        assert Dc.shape == (K, K) and Dg.shape == (K + 3, K)
+        assert np.diff(Dc.indptr).max() <= 4 and np.diff(Dg.indptr).max() <= 4
+        assert np.abs(W - Dg.toarray() @ np.linalg.inv(Dc.toarray())).max() <= 1e-13
+        rho = grid.greville_weights()
+        assert np.all(rho > 0)
+        assert rho.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_cubic_reproduction(self):
         grid = build_grid(UNIFORM, 12)
