@@ -3,8 +3,8 @@
 Reproduces the case-study structure: for each uncertainty measure, the
 compressor ratio decreases as more expected violation is tolerated, the
 uniform measure always needs more compression than the truncated normal, and
-the resimulated violation probability grows with the budget.  Pressure
-density estimates at the delivery node are written as CSVs.
+the resimulated violation probability grows with the budget.  The exact
+pressure densities at the delivery node are written as CSVs.
 """
 
 import csv
@@ -33,7 +33,7 @@ for label, cfg in (("uniform", "single_pipe"), ("truncnormal", "single_pipe_trun
         est = violation_probability(sol, net, grid, mc_samples=5000, seed=11)[0]
         print(f"{label:14s} {eps:5.2f} {sol.alpha['C1']:8.5f} "
               f"{est.mc_mean_penalty:10.5f} {est.mc_violation_probability:9.4f}")
-        dist = distribution_of(sol, "pressure@N3", grid, seed=0)
+        dist = distribution_of(sol, "pressure@N3", grid)
         xs, ys = dist.density
         path = OUT / f"pressure_pdf_{label}_eps{eps}.csv"
         with path.open("w", newline="") as fh:

@@ -1,9 +1,9 @@
 """Command-line harness: simulate, optimize, validate and price in one run.
 
 Artifacts are written to the output directory as deterministic JSON/CSV files
-(fixed key order, seeded sampling), so identical invocations produce
-byte-identical outputs.  Verbosity is controlled by the ``GASFLOW_LOG``
-environment variable (DEBUG, INFO, WARNING, ...).
+(fixed key order; the seed drives only the Monte-Carlo check), so identical
+invocations produce byte-identical outputs.  Verbosity is controlled by the
+``GASFLOW_LOG`` environment variable (DEBUG, INFO, WARNING, ...).
 """
 
 from __future__ import annotations
@@ -85,19 +85,20 @@ def _json_dump(path: Path, payload: dict):
     path.write_text(text + "\n")
 
 
-def _write_distribution_csvs(out: Path, tag: str, dist):
-    with (out / f"{tag}_discrete.csv").open("w", newline="") as fh:
+def _write_csv(path: Path, header: list[str], rows):
+    with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["omega", "mass", "value"])
-        for k, (v, m) in enumerate(zip(dist.support, dist.mass)):
-            w.writerow([k, repr(float(m)), repr(float(v))])
-    if dist.density is not None:
-        xs, ys = dist.density
-        with (out / f"{tag}_density.csv").open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["grid", "density"])
-            for xv, yv in zip(xs, ys):
-                w.writerow([repr(float(xv)), repr(float(yv))])
+        w.writerow(header)
+        w.writerows([repr(float(x)) for x in row] for row in rows)
+
+
+def _write_distribution_csvs(out: Path, tag: str, dist):
+    _write_csv(out / f"{tag}_discrete.csv", ["omega", "mass", "value"],
+               zip(dist.omega, dist.mass, dist.support))
+    # both files are always written, so the artifact set does not depend on the data
+    _write_csv(out / f"{tag}_density.csv", ["grid", "density"],
+               zip(*dist.density) if dist.density else [])
+    _write_csv(out / f"{tag}_atoms.csv", ["value", "mass"], [dist.atom] if dist.atom else [])
 
 
 def _apply_qmax(net: Network, qmax: dict[str, float]) -> Network:
@@ -148,7 +149,7 @@ def _cc_artifacts(net: Network, config: RunConfig, solution: CcSolution, out: Pa
     for nid in sorted(solution.d):
         quantities += [f"d@{nid}", f"lambda_q@{nid}", f"lambda_d@{nid}"]
     for qty in quantities:
-        dist = distribution_of(solution, qty, grid, seed=config.seed)
+        dist = distribution_of(solution, qty, grid)
         _write_distribution_csvs(out, qty.replace("@", "_"), dist)
 
 

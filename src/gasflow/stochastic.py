@@ -6,8 +6,9 @@ uniform cells; the physics is collocated at the cell centers, and a clamped
 cubic B-spline basis (``K + 3`` functions, partition of unity) carries the
 penalty expansion used by the chance constraint; two sparse factors carry
 cell values to its Greville points.  All measure quantities (cell masses,
-basis integrals, means, quantiles) are computed in closed form or by
-Gauss-Legendre quadrature; no sampling enters the construction.
+basis integrals, means, quantiles, the law of an interpolated quantity) are
+computed in closed form, by Gauss-Legendre quadrature or by bisection on the
+monotone pieces of a cubic; no sampling enters the construction.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from scipy.sparse.linalg import spsolve
 from scipy.special import ndtr, ndtri
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+# equal bins of ``value_density``, of which ``_PAD_BINS`` at each end lie
+# outside the range of the interpolant and hold no mass
+_DENSITY_BINS = 513
+_PAD_BINS = 4
 
 
 @dataclass(frozen=True)
@@ -190,6 +195,67 @@ class StochasticGrid:
             v = float(values.mean())
             return lambda x: np.full_like(np.asarray(x, dtype=float), v)
         return CubicSpline(self.collocation_points, values)
+
+    def value_density(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact density of ``f(omega)``, with ``f = value_interpolator(values)``
+        and ``omega`` drawn from the measure; no sampling.
+
+        Each cubic piece of ``f`` (the end pieces extended to the support) is
+        split at the roots of its derivative into monotone sub-pieces; on each,
+        ``mu{f <= v}`` is a CDF difference at the preimage of ``v``, found by
+        bisection.  Returns the centers of equal bins over the range of ``f``,
+        with empty bins either side, and ``F`` differenced over each bin
+        divided by its width, so the bin masses sum to one and the density is
+        finite at stationary points.  Needs a non-degenerate grid and values
+        that are not all equal.
+        """
+        spline = self.value_interpolator(values)
+        coef, origin = spline.c, spline.x[:-1]  # piece i: sum_m coef[m, i] (w - x_i)^(3 - m)
+        ends = np.concatenate([[self.spec.lo], spline.x[1:-1], [self.spec.hi]])
+        # stationary points: roots of 3a t^2 + 2b t + c in the cancellation-free
+        # form, which also yields the single root when a = 0
+        a3, b2, c1 = 3.0 * coef[0], 2.0 * coef[1], coef[2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -0.5 * (b2 + np.copysign(np.sqrt(b2 * b2 - 4.0 * a3 * c1), b2))
+            roots = origin[:, None] + np.column_stack([q / a3, c1 / q])
+        roots[~((roots > ends[:-1, None]) & (roots < ends[1:, None]))] = np.nan
+        cuts = np.sort(np.column_stack([ends[:-1], roots, ends[1:]]), axis=1)  # NaN last
+        keep = ~np.isnan(cuts[:, 1:])
+        piece = np.nonzero(keep)[0]
+        xa, xb = cuts[:, :-1][keep], cuts[:, 1:][keep]
+
+        def f(p, x):
+            t, c = x - origin[p], coef[:, p]
+            return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+
+        fa, fb = f(piece, xa), f(piece, xb)
+        up = fb >= fa
+        v_lo, v_hi = np.minimum(fa, fb), np.maximum(fa, fb)
+        v_min = v_lo.min()
+        h = (v_hi.max() - v_min) / (_DENSITY_BINS - 2 * _PAD_BINS)
+        edges = v_min + h * np.arange(-_PAD_BINS, _DENSITY_BINS - _PAD_BINS + 1)
+        cdf_a, cdf_b = self.spec.cdf(xa), self.spec.cdf(xb)
+
+        # a sub-piece wholly at or below an edge adds its whole mass there
+        full = np.searchsorted(edges, v_hi, side="left")
+        F = np.cumsum(np.bincount(full, weights=cdf_b - cdf_a, minlength=edges.size))
+        # a sub-piece straddling an edge adds the mass up to its preimage
+        first = np.searchsorted(edges, v_lo, side="right")
+        count = np.maximum(full - first, 0)
+        s = np.repeat(np.arange(piece.size), count)
+        j = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - first, count)
+        v, p, rising = edges[j], piece[s], up[s]
+        lo, hi = xa[s], xb[s]
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not np.any((lo < mid) & (mid < hi)):
+                break
+            right = (f(p, mid) < v) == rising
+            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+        at = self.spec.cdf(mid)
+        F += np.bincount(j, weights=np.where(rising, at - cdf_a[s], cdf_b[s] - at),
+                         minlength=edges.size)
+        return 0.5 * (edges[:-1] + edges[1:]), np.diff(F) / h
 
 
 def build_grid(spec: UncertaintySpec, K: int, node_id: str = "") -> StochasticGrid:

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gasflow
 import gasflow.pricing as pricing
 from gasflow import configs
 from gasflow.cli import RunConfig, _json_dump, build_parser, main, sweep
@@ -35,7 +39,7 @@ def read_dir_bytes(path: Path) -> dict[str, bytes]:
 CC_FILES = {"solution.json", "violation.json"} | {
     f"{qty}_N3_{kind}.csv"
     for qty in ("pressure", "lambda_q", "lambda_q_per_mass")
-    for kind in ("discrete", "density")
+    for kind in ("discrete", "density", "atoms")
 }
 
 
@@ -79,6 +83,16 @@ class TestCliSurface:
             "-h", "--help", "--network", "--mode", "--cells", "--epsilon", "--epsilons",
             "--gamma", "--delta", "--mc-samples", "--seed", "--out", "--qmax",
         }
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about 0.4 s and 20 MiB at start-up, and nothing needs it
+    src = str(Path(gasflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gasflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestModes:
@@ -133,6 +147,9 @@ class TestModes:
             rows = list(csv.reader(fh))
         assert rows[0] == ["omega", "mass", "value"]
         assert len(rows) == 9
+        # the omega column holds the centers of 8 equal cells on [-50, 50]
+        omega = [float(r[0]) for r in rows[1:]]
+        assert omega == pytest.approx([-50.0 + 12.5 * (k + 0.5) for k in range(8)], rel=1e-12)
 
     def test_infeasible_solve_skips_the_monte_carlo_check(self, tmp_path, monkeypatch, capsys):
         # a 900 kg/s load cannot be delivered above the pressure floors: the
@@ -208,6 +225,15 @@ class TestModes:
         assert report["reports"][0]["passed"] is True
         assert (out / "d_J3_discrete.csv").exists()
         assert (out / "lambda_d_J3_discrete.csv").exists()
+        # d3 sits at its 200 kg/s cap in every cell: one atom, no density rows
+        with (out / "d_J3_atoms.csv").open() as fh:
+            header, (value, mass) = list(csv.reader(fh))
+        assert header == ["value", "mass"]
+        assert float(value) == pytest.approx(200.0, abs=1e-3)
+        assert float(mass) == 1.0
+        assert (out / "d_J3_density.csv").read_text().splitlines() == ["grid,density"]
+        with (out / "pressure_J5_atoms.csv").open() as fh:
+            assert list(csv.reader(fh)) == [["value", "mass"]]
 
     def test_validate_seeded_runs_are_identical(self, single_pipe_path, tmp_path):
         args = [
@@ -222,6 +248,18 @@ class TestModes:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert read_dir_bytes(out_a) == read_dir_bytes(out_b)
+
+    def test_distributions_do_not_depend_on_the_seed(self, single_pipe_path, tmp_path):
+        args = ["validate", "--network", str(single_pipe_path), "--cells", "8",
+                "--gamma", "2500", "--mc-samples", "50"]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--seed", "1", "--out", str(out_a)]) == 0
+        assert main(args + ["--seed", "2", "--out", str(out_b)]) == 0
+        a, b = read_dir_bytes(out_a), read_dir_bytes(out_b)
+        csvs = {name for name in a if name.endswith(".csv")}
+        assert len(csvs) == 9
+        assert {n: a[n] for n in csvs} == {n: b[n] for n in csvs}
+        assert a["violation.json"] != b["violation.json"]
 
 
 class TestSweep:

@@ -12,7 +12,7 @@ from gasflow.pricing import (
     kkt_report,
     violation_probability,
 )
-from gasflow.stochastic import build_grid
+from gasflow.stochastic import UncertaintySpec, build_grid
 
 PEN = PenaltyConfig(gamma=2500.0, delta=1e-3)
 
@@ -55,7 +55,7 @@ class TestDistributions:
         assert dist.mean == pytest.approx(float(dist.mass @ dist.support), rel=1e-14)
 
     def test_density_integrates_to_one(self, sp_solution, sp_grid):
-        dist = distribution_of(sp_solution, "pressure@N3", sp_grid, seed=4)
+        dist = distribution_of(sp_solution, "pressure@N3", sp_grid)
         xs, ys = dist.density
         integral = np.trapezoid(ys, xs)
         assert integral == pytest.approx(1.0, abs=1e-3)
@@ -63,27 +63,24 @@ class TestDistributions:
     def test_constant_quantity_density_peaks_at_value(self, en_problem):
         net, sol, grid = en_problem
         # d3 is pinned at its 300 bound in every cell (up to barrier slack)
-        dist = distribution_of(sol, "d@J3", grid, seed=1)
+        dist = distribution_of(sol, "d@J3", grid)
         assert np.ptp(dist.support) <= 1e-4
-        xs, ys = dist.density
-        mode = xs[np.argmax(ys)]
-        assert mode == pytest.approx(300.0, abs=1.0)
-        assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=1e-3)
+        assert dist.kind == "atom" and dist.density is None
+        value, mass = dist.atom
+        assert value == pytest.approx(300.0, abs=1.0)
+        assert mass == 1.0
 
-    def test_exactly_constant_quantity_gets_narrow_bump(self, en_problem):
-        from dataclasses import replace as dc_replace
-
+    def test_exactly_constant_quantity_is_one_atom(self, en_problem):
         net, sol, grid = en_problem
-        pinned = dc_replace(sol, d={"J3": np.full(16, 123.0)})
-        dist = distribution_of(pinned, "d@J3", grid, seed=1)
-        xs, ys = dist.density
-        assert xs[np.argmax(ys)] == pytest.approx(123.0, abs=1e-3)
-        assert np.trapezoid(ys, xs) == pytest.approx(1.0, abs=1e-3)
+        pinned = replace(sol, d={"J3": np.full(16, 123.0)})
+        dist = distribution_of(pinned, "d@J3", grid)
+        assert dist.kind == "atom"
+        assert dist.atom == (123.0, 1.0)
 
     def test_monotone_quantity_density_shape(self, sp_solution, sp_grid):
         # pressure falls with withdrawal, so the density support must span
         # the per-cell extremes
-        dist = distribution_of(sp_solution, "pressure@N3", sp_grid, seed=2)
+        dist = distribution_of(sp_solution, "pressure@N3", sp_grid)
         xs, _ = dist.density
         assert xs.min() < dist.support.min()
         assert xs.max() > dist.support.max()
@@ -110,10 +107,39 @@ class TestDistributions:
         with pytest.raises(PricingError, match="optimized demand"):
             distribution_of(sp_solution, "lambda_d@N3", sp_grid)
 
-    def test_deterministic_given_seed(self, sp_solution, sp_grid):
-        a = distribution_of(sp_solution, "pressure@N3", sp_grid, seed=7)
-        b = distribution_of(sp_solution, "pressure@N3", sp_grid, seed=7)
+    def test_repeat_calls_are_identical(self, sp_solution, sp_grid):
+        a = distribution_of(sp_solution, "pressure@N3", sp_grid)
+        b = distribution_of(sp_solution, "pressure@N3", sp_grid)
+        np.testing.assert_array_equal(a.density[0], b.density[0])
         np.testing.assert_array_equal(a.density[1], b.density[1])
+
+    def test_discrete_omega_is_cell_center(self, sp_solution, sp_grid):
+        dist = distribution_of(sp_solution, "pressure@N3", sp_grid)
+        np.testing.assert_array_equal(dist.omega, sp_grid.collocation_points)
+
+    def test_degenerate_grid_is_one_atom(self, en_problem):
+        net, sol, _ = en_problem
+        point = build_grid(UncertaintySpec(dist="uniform", lo=80.0, hi=80.0), 16, node_id="J5")
+        dist = distribution_of(sol, "pressure@J5", point)
+        assert np.ptp(dist.support) > 1e3  # the values differ; the law is one point
+        assert dist.kind == "atom" and dist.density is None
+        value, mass = dist.atom
+        assert mass == 1.0
+        assert value == pytest.approx(float(np.mean(sol.pressure("J5"))), rel=1e-12)
+
+    def test_density_matches_sampled_cdf(self, en_problem):
+        # KS distance between the exact law and the empirical CDF of 10^6
+        # inverse-CDF draws through the same interpolant, at the bin edges
+        net, sol, grid = en_problem
+        dist = distribution_of(sol, "pressure@J5", grid)
+        xs, ys = dist.density
+        h = xs[1] - xs[0]
+        edges = np.append(xs - 0.5 * h, xs[-1] + 0.5 * h)
+        exact = np.append(0.0, np.cumsum(ys * h))
+        u = np.random.default_rng(5).random(10**6)
+        draws = np.sort(grid.value_interpolator(dist.support)(grid.spec.ppf(u)))
+        empirical = np.searchsorted(draws, edges, side="right") / draws.size
+        assert np.abs(exact - empirical).max() <= 2e-3
 
 
 class TestKktReport:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.special import erf
 
-from gasflow import UncertaintySpec, build_grid, measure_basis_integrals
+from gasflow import UncertaintySpec, build_grid, configs, measure_basis_integrals
 
 UNIFORM = UncertaintySpec(dist="uniform", lo=200.0, hi=300.0)
 TNORM = UncertaintySpec(dist="truncated_normal", lo=200.0, hi=300.0, mean=250.0, std=50.0 / 3.0)
@@ -176,3 +177,64 @@ class TestSampling:
     def test_cdf_ppf_round_trip(self):
         u = np.linspace(0.01, 0.99, 23)
         np.testing.assert_allclose(TNORM.cdf(TNORM.ppf(u)), u, atol=1e-10)
+
+
+SHIPPED = {
+    name: configs.load(name).uncertain_nodes[0].uncertainty
+    for name in ("single_pipe", "single_pipe_truncnormal")
+}
+
+
+def closed_form_cdf(spec, x):
+    """mu([lo, x]), written from the definition of each measure."""
+    x = np.clip(x, spec.lo, spec.hi)
+    if spec.dist == "uniform":
+        return (x - spec.lo) / (spec.hi - spec.lo)
+    phi = lambda y: 0.5 * (1.0 + erf((y - spec.mean) / (spec.std * math.sqrt(2.0))))  # noqa: E731
+    return (phi(x) - phi(spec.lo)) / (phi(spec.hi) - phi(spec.lo))
+
+
+def edges_and_cdf(xs, ys):
+    """Bin edges around equally spaced centers, and the CDF the bin masses give there."""
+    h = xs[1] - xs[0]
+    return np.append(xs - 0.5 * h, xs[-1] + 0.5 * h), np.append(0.0, np.cumsum(ys * h))
+
+
+class TestValueDensity:
+    @pytest.mark.parametrize("name", SHIPPED)
+    @pytest.mark.parametrize("slope", [3.0, -0.5])
+    def test_linear_values(self, name, slope):
+        spec = SHIPPED[name]
+        grid = build_grid(spec, 20)
+        xs, ys = grid.value_density(slope * grid.collocation_points + 7.0)
+        edges, F = edges_and_cdf(xs, ys)
+        assert xs.size == 513 and np.all(np.diff(xs) > 0)
+        assert abs(F[-1] - 1.0) <= 1e-12
+        # f(omega) = slope * omega + 7 is increasing or decreasing in omega
+        below = closed_form_cdf(spec, (edges - 7.0) / slope)
+        np.testing.assert_allclose(F, below if slope > 0 else 1.0 - below, atol=1e-10)
+        ends = np.sort(slope * np.array([spec.lo, spec.hi]) + 7.0)
+        outside = (edges[1:] <= ends[0]) | (edges[:-1] >= ends[1])
+        assert outside.sum() >= 8 and np.all(ys[outside] == 0.0)
+        if spec.dist == "uniform":
+            inner = (edges[:-1] >= ends[0]) & (edges[1:] <= ends[1])
+            assert inner.sum() >= 500
+            np.testing.assert_allclose(ys[inner], 1.0 / (ends[1] - ends[0]), rtol=1e-9)
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_quadratic_with_interior_minimum(self, name):
+        spec, c = SHIPPED[name], 13.0  # not a cell center
+        grid = build_grid(spec, 20)
+        xs, ys = grid.value_density((grid.collocation_points - c) ** 2)
+        edges, F = edges_and_cdf(xs, ys)
+        # F(v) = mu{|omega - c| <= sqrt(v)}, zero for v < 0
+        r = np.sqrt(np.maximum(edges, 0.0))
+        expect = closed_form_cdf(spec, c + r) - closed_form_cdf(spec, c - r)
+        np.testing.assert_allclose(F, expect, atol=1e-9)
+        # the density is finite at the minimum, in the bin of largest mass
+        assert np.all(np.isfinite(ys))
+        at_min = int(np.argmax(np.diff(expect)))
+        assert edges[at_min] <= 1e-9 < edges[at_min + 1]
+        assert np.argmax(ys) == at_min
+        h = xs[1] - xs[0]
+        assert ys[at_min] == pytest.approx((expect[at_min + 1] - expect[at_min]) / h, rel=1e-6)
