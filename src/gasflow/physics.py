@@ -5,10 +5,11 @@ same square system: a friction law per pipe, ``Pi_to - Pi_from + kappa *
 phi * s(phi) = 0``; a ratio law per compressor, ``Pi_to - alpha * Pi_from =
 0``; and a balance per node, ``A @ phi - q = 0`` with the signed incidence
 ``A``.  :class:`Kernel` evaluates these residuals and their derivatives over a
-leading batch axis (the K cells of the NLP, or one state of the steady
-solve).  The friction law is the only parameter: ``delta = 0`` is the exact
-``s = |phi|`` of the simulation oracle, and ``delta > 0`` the smoothed ``s =
-sqrt(phi^2 + delta^2)`` that keeps the NLP twice differentiable.
+leading batch axis (the K cells of the NLP), and the same rows without the
+slack balance as one square system (the steady solve).  The friction law is
+the only parameter: ``delta = 0`` is the exact ``s = |phi|`` of the
+simulation oracle, and ``delta > 0`` the smoothed ``s = sqrt(phi^2 +
+delta^2)`` that keeps the NLP twice differentiable.
 
 Rows of one cell are the pipes, then the compressors, then the balances of
 all nodes.  Its state columns are the squared pressures of the non-slack
@@ -97,6 +98,23 @@ class Kernel:
     """Scaled constants and the constant Jacobian pattern of one network.
 
     Build it with :func:`kernel`, which caches it on the network.
+
+    The steady solve's square system drops the slack balance row
+    (``square_rows``) and, in the state ``x`` of one cell, reads ``M @ x + b``
+    plus ``kappa * phi * |phi|`` on the pipe rows.  Its constant pieces:
+
+    - ``square_template`` (n_state, n_state + 1): the square rows of the
+      Jacobian template with the pipe slopes zeroed, the slack's pressure
+      column appended, and -1 at each compressor's suction entry;
+    - ``square_ratio_at`` (n_comp,): flat positions of those suction entries
+      in ``square_template``, in the slack column where the slack node feeds
+      the compressor;
+    - ``square_slope_at`` (n_pipe,): flat positions of the pipe slopes in the
+      (n_state, n_state) square Jacobian.
+
+    :meth:`square_system` writes the ratios in once per solve, and
+    :meth:`square_residual` and :meth:`square_jacobian` evaluate the exact
+    law (``delta = 0``) at each Newton iterate.
     """
 
     def __init__(self, net: Network):
@@ -132,6 +150,17 @@ class Kernel:
         # a compressor's suction entry is -alpha
         self._ratio_at = np.flatnonzero(~pipe_row & (self.jac_rows < npc) & (self._jac_const < 0))
         self._ratio_of = self.jac_rows[self._ratio_at] - self.n_pipe
+        n = self.n_state
+        slack_col = np.zeros((self.n_rows, 1))
+        slack_col[:npc, 0] = self.incidence[self.slack]
+        self.square_template = np.hstack([T, slack_col])[self.square_rows]
+        pipes = np.arange(self.n_pipe)
+        self.square_slope_at = pipes * n + self.nv - 1 + pipes
+        self.square_template[pipes, self.nv - 1 + pipes] = 0.0
+        column = np.empty(self.nv, dtype=int)  # a node's pressure column
+        column[self.free], column[self.slack] = np.arange(self.nv - 1), n
+        comp_rows = self.n_pipe + np.arange(self.n_comp)
+        self.square_ratio_at = comp_rows * (n + 1) + column[self.comp_from]
 
     def residual(self, Pi, phi, alpha, q, delta: float) -> np.ndarray:
         """Cell residuals (B, n_rows) at squared pressures ``Pi`` (B, nv, the
@@ -159,6 +188,29 @@ class Kernel:
         vals[:, self._slope_at] = self.kappa * slope
         vals[:, self._ratio_at] = -alpha[self._ratio_of]
         return vals
+
+    def square_system(self, alpha, q) -> tuple[np.ndarray, np.ndarray]:
+        """The affine part ``(M, b)`` of the square system at ratios ``alpha``
+        (n_comp,) and withdrawals ``q`` (nv,); ``M`` is (n_state, n_state)."""
+        A = self.square_template.copy()
+        A.flat[self.square_ratio_at] = -alpha
+        b = self.pi_slack * A[:, -1]
+        b[self.n_pipe + self.n_comp :] -= q[self.free]
+        return A[:, :-1], b
+
+    def square_residual(self, M, b, x) -> np.ndarray:
+        """Square residual (n_state,) of the exact law at the state ``x``."""
+        r = M @ x + b
+        phi_p = x[self.nv - 1 : self.nv - 1 + self.n_pipe]
+        r[: self.n_pipe] += self.kappa * phi_p * magnitude(phi_p, 0.0)
+        return r
+
+    def square_jacobian(self, M, x) -> np.ndarray:
+        """Square Jacobian (n_state, n_state) of the exact law at ``x``."""
+        J = M.copy()
+        phi_p = x[self.nv - 1 : self.nv - 1 + self.n_pipe]
+        J.flat[self.square_slope_at] = self.kappa * (2.0 * magnitude(phi_p, 0.0))
+        return J
 
     def ratio_jacobian(self, Pi) -> np.ndarray:
         """Derivative (B, n_comp) of each compressor row in its own ratio."""

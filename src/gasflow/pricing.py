@@ -34,8 +34,9 @@ class PricingError(ValueError):
 
 
 # cell values whose spread is at most this times max(1, max |value|) are one
-# atom: on eight_node at K=50, quantities held at a bound spread by at most
-# 6.1e-7 by this measure (interior-point offsets), all others by at least 0.05
+# atom: on eight_node at K=50 and 100, quantities held at a bound spread by at
+# most 2.4e-7 by this measure (interior-point offsets), all others by at least
+# 0.05
 CONSTANT_RTOL = 1e-6
 
 
@@ -114,8 +115,9 @@ def distribution_of(
     The continuous part is the exact density of the cubic interpolant of the
     per-cell values at a random withdrawal, on equal bins over its range; on
     a degenerate grid, or when the values spread by at most ``CONSTANT_RTOL``,
-    it is one atom of mass one at the mass-weighted mean.  Nothing is sampled,
-    so the result does not depend on any seed.
+    it is one atom of mass one at the mass-weighted mean.  A per-mass price
+    is one atom when its dual ``lambda_q`` spreads that little.  Nothing is
+    sampled, so the result does not depend on any seed.
     """
     values = _per_cell_values(solution, quantity)
     if values.shape != (grid.K,):
@@ -130,7 +132,11 @@ def distribution_of(
     )
     if not with_density:
         return dist
-    if grid.degenerate or np.ptp(values) <= CONSTANT_RTOL * max(1.0, np.abs(values).max()):
+    # a per-mass price is its dual divided by the cell mass (K times it on
+    # uniform cells), so its barrier offsets grow with K: judge the dual
+    kind, _, name = quantity.partition("@")
+    spread = solution.lambda_q[name] if kind == "lambda_q_per_mass" else values
+    if grid.degenerate or np.ptp(spread) <= CONSTANT_RTOL * max(1.0, np.abs(spread).max()):
         dist.kind, dist.atom = "atom", (dist.mean, 1.0)
     else:
         dist.kind, dist.density = "density", grid.value_density(values)

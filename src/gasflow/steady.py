@@ -2,12 +2,14 @@
 
 Solves the square system of pipe friction laws, compressor ratio relations
 and nodal balances for given compressor ratios and withdrawals using a damped
-Newton method on the nondimensionalized residual, evaluated by the shared
-:mod:`gasflow.physics` kernel with a batch of one.  The slack node holds its
-pressure; its injection floats and is recovered from the solved flows.  The
-solver is the physics oracle behind Monte-Carlo validation, so it keeps the
-exact ``phi*|phi|`` friction term (its derivative ``2|phi|`` is continuous and
-needs no smoothing).
+Newton method on the nondimensionalized residual.  The system comes from the
+shared :mod:`gasflow.physics` kernel: its affine part ``M x + b`` is set once
+per call, and each iteration adds the pipes' friction terms, writes their
+slopes into a copy of ``M`` and solves with LAPACK ``dgesv``.  The slack node
+holds its pressure; its injection floats and is recovered from the solved
+flows.  The solver is the physics oracle behind Monte-Carlo validation, called
+once per sample, so it keeps the exact ``phi*|phi|`` friction term (its
+derivative ``2|phi|`` is continuous and needs no smoothing).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from gasflow.network import Network
 from gasflow.physics import _spanning_tree_flows, kernel
@@ -95,9 +98,10 @@ def solve_steady(
         alpha_vec = np.array([alpha[c.id] for c in net.compressors], dtype=float)
     else:
         alpha_vec = np.asarray(alpha, dtype=float)
-    bad = np.flatnonzero(~((1.0 - 1e-9 <= alpha_vec) & (alpha_vec <= kern.alpha_max + 1e-9)))
-    if bad.size:
-        c, a = net.compressors[bad[0]], alpha_vec[bad[0]]
+    inside = (1.0 - 1e-9 <= alpha_vec) & (alpha_vec <= kern.alpha_max + 1e-9)
+    if not inside.all():
+        bad = int(np.flatnonzero(~inside)[0])
+        c, a = net.compressors[bad], alpha_vec[bad]
         raise SteadySolveError(
             f"compressor {c.id!r}: ratio {a} outside [1, {c.alpha_max}]", node=c.id
         )
@@ -116,45 +120,33 @@ def solve_steady(
 
     flow_sc = kern.scaling.flow
     pi_scale = kern.scaling.squared_pressure
-    q_nd = q_vec[None, :] / flow_sc  # the slack's entry meets only the dropped row
-
-    if x0 is not None:
-        pi_full = np.asarray(x0[0], dtype=float) / pi_scale
-        phi = np.asarray(x0[1], dtype=float) / flow_sc
-    else:
-        pi_full = np.full(kern.nv, kern.pi_slack)
-        phi = _spanning_tree_flows(net, q_nd[0])
-    pi_full[kern.slack] = kern.pi_slack
+    q_nd = q_vec / flow_sc  # the slack's entry meets only the dropped row
+    nf = kern.nv - 1
 
     # unknowns: Pi at the non-slack nodes, then the edge flows; the slack
     # balance row is dropped and its injection recovered after the solve
-    rows = kern.square_rows
+    if x0 is not None:
+        pi0 = np.asarray(x0[0], dtype=float)[kern.free] / pi_scale
+        x = np.concatenate([pi0, np.asarray(x0[1], dtype=float) / flow_sc])
+    else:
+        x = np.concatenate([np.full(nf, kern.pi_slack), _spanning_tree_flows(net, q_nd)])
+    M, b = kern.square_system(alpha_vec, q_nd)
 
-    def square_residual(pi_full: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        return kern.residual(pi_full[None], phi[None], alpha_vec, q_nd, 0.0)[0, rows]
-
-    r = square_residual(pi_full, phi)
+    r = kern.square_residual(M, b, x)
     rnorm = np.abs(r).max()
     history = [float(rnorm)]
     iterations = 0
     while rnorm > tol and iterations < max_iter:
-        J = np.zeros((kern.n_rows, kern.n_state))
-        J[kern.jac_rows, kern.jac_cols] = kern.jacobian(phi[None], alpha_vec, 0.0)[0]
-        try:
-            step = np.linalg.solve(J[rows], -r)
-        except np.linalg.LinAlgError:
+        _, _, step, info = dgesv(kern.square_jacobian(M, x), -r)
+        if info > 0:
             raise SteadySolveError(
                 f"singular Jacobian at iteration {iterations}", residual=float(rnorm)
-            ) from None
-        d_pi = np.zeros(kern.nv)
-        d_pi[kern.free] = step[: kern.nv - 1]
-        d_phi = step[kern.nv - 1 :]
+            )
         t = 1.0
         merit0 = float(r @ r)
         while True:
-            pi_try = pi_full + t * d_pi
-            phi_try = phi + t * d_phi
-            r_try = square_residual(pi_try, phi_try)
+            x_try = x + t * step
+            r_try = kern.square_residual(M, b, x_try)
             if float(r_try @ r_try) <= (1.0 - 1e-4 * t) * merit0:
                 break
             t *= 0.5
@@ -162,7 +154,7 @@ def solve_steady(
                 raise SteadySolveError(
                     "Newton line search stalled (step below 1e-6)", residual=float(rnorm)
                 )
-        pi_full, phi, r = pi_try, phi_try, r_try
+        x, r = x_try, r_try
         rnorm = np.abs(r).max()
         history.append(float(rnorm))
         iterations += 1
@@ -171,7 +163,10 @@ def solve_steady(
         raise SteadySolveError(
             f"Newton did not converge in {max_iter} iterations", residual=float(rnorm)
         )
-    if np.any(pi_full <= 0):
+    pi_full = np.empty(kern.nv)
+    pi_full[kern.free], pi_full[kern.slack] = x[:nf], kern.pi_slack
+    phi = x[nf:]
+    if (pi_full <= 0).any():
         bad = int(np.argmin(pi_full))
         raise SteadySolveError(
             f"negative squared pressure at node {net.nodes[bad].id!r}: "

@@ -179,6 +179,26 @@ def test_exact_slope_finite_at_zero_flow(name):
     np.testing.assert_array_equal(dense(kern, vals[0]), loop_jacobian(net, phi[0], alpha, 0.0))
 
 
+@pytest.mark.parametrize("name", NETWORKS)
+def test_square_system_is_the_kernels_square_rows(name):
+    # the steady solve's square form is the exact law's kernel rows without
+    # the slack balance, for ratios at one, at random and at their caps
+    net = configs.load(name)
+    kern = kernel(net)
+    rng = np.random.default_rng(6)
+    alphas = [np.ones(kern.n_comp), kern.alpha_max] + [
+        rng.uniform(1.0, kern.alpha_max) for _ in range(3)
+    ]
+    for alpha in alphas:
+        Pi, phi, _, q = random_state(net, rng, 1)
+        x = np.concatenate([Pi[0, kern.free], phi[0]])
+        M, b = kern.square_system(alpha, q[0])
+        want = kern.residual(Pi, phi, alpha, q, 0.0)[0, kern.square_rows]
+        np.testing.assert_allclose(kern.square_residual(M, b, x), want, rtol=1e-15, atol=1e-15)
+        want = dense(kern, kern.jacobian(phi, alpha, 0.0)[0])[kern.square_rows]
+        np.testing.assert_allclose(kern.square_jacobian(M, x), want, rtol=1e-15, atol=0.0)
+
+
 def test_kernel_is_cached_per_network():
     net = configs.load("eight_node")
     assert kernel(net) is kernel(net)

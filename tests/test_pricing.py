@@ -97,6 +97,19 @@ class TestDistributions:
         per = distribution_of(sol, "lambda_q_per_mass@J5", grid, with_density=False)
         np.testing.assert_allclose(per.support, raw.support / grid.cell_mass)
 
+    def test_zero_per_mass_price_stays_one_atom_as_k_grows(self):
+        # the per-mass dual is K times lambda_q here, so its barrier offsets
+        # spread by 1.1e-6 at K=100 while the dual itself spreads by 1.1e-8
+        net = configs.load("eight_node")
+        net = net.with_node(replace(net.node("J3"), demand_max=200.0))
+        sol = solve_chance_constrained(net, K=100, penalty=PEN)
+        unc = net.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, 100, node_id=unc.id)
+        dist = distribution_of(sol, "lambda_q_per_mass@J5", grid)
+        assert dist.kind == "atom"
+        value, mass = dist.atom
+        assert mass == 1.0 and abs(value) <= 1e-6
+
     def test_unknown_selectors(self, sp_solution, sp_grid):
         with pytest.raises(PricingError, match="unknown node"):
             distribution_of(sp_solution, "pressure@NOPE", sp_grid)
@@ -212,6 +225,29 @@ class TestViolationProbability:
         b = violation_probability(sp_solution, single_pipe, sp_grid, mc_samples=500, seed=3)
         assert a[0].mc_mean_penalty == b[0].mc_mean_penalty
         assert a[0].mc_violation_probability == b[0].mc_violation_probability
+
+    def test_newton_iterations_of_a_fixed_check(self, monkeypatch):
+        # the oracle's total Newton work on a fixed check: a change of it is a
+        # change of the algorithm, not of its cost per iteration
+        import gasflow.pricing as pricing
+
+        net = configs.load("eight_node")
+        sol = solve_chance_constrained(net, K=8, penalty=PEN)
+        unc = net.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
+        real_solve = pricing.solve_steady
+        iterations = []
+
+        def counted(*args, **kwargs):
+            state = real_solve(*args, **kwargs)
+            iterations.append(state.iterations)
+            return state
+
+        monkeypatch.setattr(pricing, "solve_steady", counted)
+        est = violation_probability(sol, net, grid, mc_samples=500, seed=7)[0]
+        assert est.n_failed == 0
+        assert len(iterations) == 500
+        assert sum(iterations) == 984
 
     def test_requires_chance_solution(self, single_pipe, sp_grid):
         from gasflow.ogf import solve_deterministic

@@ -137,6 +137,15 @@ class TestNewtonBehavior:
             solve_steady(net, None, {"L": 120.0}, x0=(pi0, phi0), max_iter=1)
         assert err.value.residual is not None
 
+    def test_singular_jacobian_reports_iteration(self):
+        # at zero flow every pipe slope vanishes, and the loop's pressure rows
+        # outnumber the free pressures
+        net = configs.load("eight_node")
+        pi0 = np.full(8, net.slack_node.slack_pressure**2)
+        with pytest.raises(SteadySolveError, match="singular Jacobian at iteration 0") as err:
+            solve_steady(net, x0=(pi0, np.zeros(8)))
+        assert err.value.residual > 0
+
     def test_negative_pressure_reports_node(self):
         net = two_node_net()
         with pytest.raises(SteadySolveError) as err:
