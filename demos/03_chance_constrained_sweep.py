@@ -13,7 +13,6 @@ from pathlib import Path
 from gasflow import configs
 from gasflow.ogf import PenaltyConfig, solve_chance_constrained
 from gasflow.pricing import distribution_of, violation_probability
-from gasflow.stochastic import build_grid
 
 K = 100
 PEN = PenaltyConfig(gamma=2500.0, delta=1e-3)
@@ -24,12 +23,11 @@ OUT.mkdir(exist_ok=True)
 print(f"{'measure':14s} {'eps':>5s} {'alpha':>8s} {'E[penalty]':>10s} {'P(p<pmin)':>9s}")
 for label, cfg in (("uniform", "single_pipe"), ("truncnormal", "single_pipe_truncnormal")):
     net = configs.load(cfg)
-    unc = net.uncertain_nodes[0]
-    grid = build_grid(unc.uncertainty, K, node_id=unc.id)
     prev = None
     for eps in EPSILONS:
         sol = solve_chance_constrained(net, K=K, penalty=PEN, epsilon=eps, x0=prev)
         prev = sol
+        grid = sol.layout.grids["N3"]
         est = violation_probability(sol, net, grid, mc_samples=5000, seed=11)[0]
         print(f"{label:14s} {eps:5.2f} {sol.alpha['C1']:8.5f} "
               f"{est.mc_mean_penalty:10.5f} {est.mc_violation_probability:9.4f}")

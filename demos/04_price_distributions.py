@@ -16,18 +16,15 @@ import numpy as np
 from gasflow import configs
 from gasflow.ogf import PenaltyConfig, solve_chance_constrained
 from gasflow.pricing import kkt_report
-from gasflow.stochastic import build_grid
 
 K = 50
 PEN = PenaltyConfig(gamma=2500.0, delta=1e-3)
 base = configs.load("eight_node")
-unc = base.uncertain_nodes[0]
-grid = build_grid(unc.uncertainty, K, node_id=unc.id)
 
 for qmax in (200.0, 300.0, math.inf):
     net = base.with_node(replace(base.node("J3"), demand_max=qmax))
     sol = solve_chance_constrained(net, K=K, penalty=PEN)
-    rep = kkt_report(sol, net, grid)[0]
+    rep = kkt_report(sol, net)[0]
     lq3, ld3, lq5 = sol.lambda_q["J3"], sol.lambda_d["J3"], sol.lambda_q["J5"]
     cap = "inf" if math.isinf(qmax) else f"{qmax:.0f}"
     print(f"\nnomination cap q3max = {cap} kg/s  ({sol.status.value}):")

@@ -10,17 +10,14 @@ against the in-solver expansion value.
 from gasflow import configs
 from gasflow.ogf import PenaltyConfig, solve_chance_constrained
 from gasflow.pricing import violation_probability
-from gasflow.stochastic import build_grid
 
 K = 100
 EPS = 0.05
 PEN = PenaltyConfig(gamma=2500.0, delta=1e-3)
 
 net = configs.load("single_pipe")
-unc = net.uncertain_nodes[0]
-grid = build_grid(unc.uncertainty, K, node_id=unc.id)
-
 sol = solve_chance_constrained(net, K=K, penalty=PEN, epsilon=EPS)
+grid = sol.layout.grids["N3"]
 print(f"solved: alpha = {sol.alpha['C1']:.5f}, E[penalty] = "
       f"{sol.sfv_expectation['N3']:.5f} (budget {EPS})")
 

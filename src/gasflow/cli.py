@@ -141,7 +141,7 @@ def _cc_artifacts(net: Network, config: RunConfig, solution: CcSolution, out: Pa
     _json_dump(out / "solution.json", solution.to_json_dict(mc_estimates=mc_payload))
     _json_dump(out / "violation.json", {"estimates": [e.to_json_dict() for e in estimates]})
     if solution.d:
-        reports = kkt_report(solution, net, grid)
+        reports = kkt_report(solution, net)
         _json_dump(out / "kkt_report.json", {"reports": [r.to_json_dict() for r in reports]})
     quantities = []
     for cid in solution.layout.chance_nodes:

@@ -374,9 +374,10 @@ def _assemble(
         return penalty.shape(pimin_nd[cid] - Dg @ x[c_idx[cid]])
 
     def constraints(x):
-        alpha, Pi, phi = gather(x)
+        alpha, Pi, _ = gather(x)
+        A = kern.affine(alpha)
         c = np.empty(n_con)
-        c[cell_rows] = kern.residual(Pi, phi, alpha, q_all(x), delta_nd)
+        c[cell_rows] = kern.residual(A, kern.offset(A, q_all(x)), x[state], delta_nd)
         for cid in chance_ids:
             c[spline_rows[cid]] = Pi[:, idx[cid]] - Dc @ x[c_idx[cid]]
             v, _, _ = shortfall(x, cid)
@@ -401,9 +402,10 @@ def _assemble(
     )
 
     def jacobian(x):
-        alpha, Pi, phi = gather(x)
+        alpha, Pi, _ = gather(x)
+        cells = kern.jacobian(kern.affine(alpha), x[state], delta_nd)
         budget = [-(Dg.T @ (rho * shortfall(x, cid)[1])) for cid in chance_ids]
-        return jac.matrix(kern.jacobian(phi, alpha, delta_nd), kern.ratio_jacobian(Pi), *budget)
+        return jac.matrix(cells[:, kern.jac_rows, kern.jac_cols], kern.ratio_jacobian(Pi), *budget)
 
     # Hessian: compressor power in the flows and ratios, the pipe friction
     # laws, the ratio laws, and the budget rows' banded Dg^T diag(.) Dg
@@ -546,7 +548,6 @@ class CcSolution:
     lambda_d: dict[str, np.ndarray]
     lambda_s: dict[str, np.ndarray]
     lambda_cc: dict[str, float]
-    a_coeff: dict[str, np.ndarray]
     sfv_expectation: dict[str, float]
     epsilon: dict[str, float]
     cell_mass: np.ndarray
@@ -673,15 +674,14 @@ def decode(solution: NlpSolution, layout: CcLayout) -> CcSolution:
     lambda_d = {nid: solution.lambda_hi[cols] * price_unit for nid, cols in layout.d_idx.items()}
     lambda_s = {nid: solution.lambda_hi[cols] * price_unit for nid, cols in layout.s_idx.items()}
 
-    # the penalty expansion a = B^-1 v at the Greville points, scaled by the
-    # curvature, and its integral rho @ v, from the spline coefficients
+    # the penalty's integral rho @ v at the Greville points, scaled by the
+    # curvature, from the spline coefficients
     gamma = layout.penalty.gamma
-    a_coeff, sfv, lambda_cc = {}, {}, {}
+    sfv, lambda_cc = {}, {}
     for cid, cols in layout.c_idx.items():
         (grid,) = layout.grids.values()
         pimin = net.node(cid).pressure_min**2 / pi_sc
         v, _, _ = layout.penalty.shape(pimin - grid.interpolant_factors()[1] @ x[cols])
-        a_coeff[cid] = gamma * spsolve(sp.csc_matrix(grid.collocation_matrix()), v)
         sfv[cid] = float(gamma * (grid.greville_weights() @ v))
         lambda_cc[cid] = float(y[layout.cc_rows[cid]] * f_sc / gamma)  # the row is divided by gamma
 
@@ -719,7 +719,6 @@ def decode(solution: NlpSolution, layout: CcLayout) -> CcSolution:
         lambda_d=lambda_d,
         lambda_s=lambda_s,
         lambda_cc=lambda_cc,
-        a_coeff=a_coeff,
         sfv_expectation=sfv,
         epsilon=dict(layout.epsilon),
         cell_mass=mass.copy(),

@@ -1,15 +1,16 @@
 """Steady network physics in scaled units: one kernel for optimizer and oracle.
 
 Every cell of the stochastic problem and every Monte-Carlo sample obeys the
-same square system: a friction law per pipe, ``Pi_to - Pi_from + kappa *
-phi * s(phi) = 0``; a ratio law per compressor, ``Pi_to - alpha * Pi_from =
-0``; and a balance per node, ``A @ phi - q = 0`` with the signed incidence
-``A``.  :class:`Kernel` evaluates these residuals and their derivatives over a
-leading batch axis (the K cells of the NLP), and the same rows without the
-slack balance as one square system (the steady solve).  The friction law is
-the only parameter: ``delta = 0`` is the exact ``s = |phi|`` of the
-simulation oracle, and ``delta > 0`` the smoothed ``s = sqrt(phi^2 +
-delta^2)`` that keeps the NLP twice differentiable.
+same rows: a friction law per pipe, ``Pi_to - Pi_from + kappa * phi *
+s(phi) = 0``; a ratio law per compressor, ``Pi_to - alpha * Pi_from = 0``;
+and a balance per node, ``E @ phi - q = 0`` with the signed incidence ``E``.
+:class:`Kernel` writes them once, as an affine template plus the friction
+term on the pipe rows, and evaluates them over any leading batch axis of
+states: the K cells of the NLP, or the one state of a steady solve, which
+drops the slack balance to make the system square.  The friction law is the
+only parameter: ``delta = 0`` is the exact ``s = |phi|`` of the simulation
+oracle, and ``delta > 0`` the smoothed ``s = sqrt(phi^2 + delta^2)`` that
+keeps the NLP twice differentiable.
 
 Rows of one cell are the pipes, then the compressors, then the balances of
 all nodes.  Its state columns are the squared pressures of the non-slack
@@ -95,26 +96,21 @@ def magnitude(phi: np.ndarray, delta: float) -> np.ndarray:
 
 
 class Kernel:
-    """Scaled constants and the constant Jacobian pattern of one network.
+    """Scaled constants and the affine template of one network's cell rows.
 
     Build it with :func:`kernel`, which caches it on the network.
 
-    The steady solve's square system drops the slack balance row
-    (``square_rows``) and, in the state ``x`` of one cell, reads ``M @ x + b``
-    plus ``kappa * phi * |phi|`` on the pipe rows.  Its constant pieces:
-
-    - ``square_template`` (n_state, n_state + 1): the square rows of the
-      Jacobian template with the pipe slopes zeroed, the slack's pressure
-      column appended, and -1 at each compressor's suction entry;
-    - ``square_ratio_at`` (n_comp,): flat positions of those suction entries
-      in ``square_template``, in the slack column where the slack node feeds
-      the compressor;
-    - ``square_slope_at`` (n_pipe,): flat positions of the pipe slopes in the
-      (n_state, n_state) square Jacobian.
-
-    :meth:`square_system` writes the ratios in once per solve, and
-    :meth:`square_residual` and :meth:`square_jacobian` evaluate the exact
-    law (``delta = 0``) at each Newton iterate.
+    In the state ``x`` of a cell the rows read ``A[:, :-1] @ x + b`` plus
+    ``kappa * phi * s(phi)`` on the pipe rows.  ``template`` is the dense
+    (n_rows, n_state + 1) matrix ``A`` with the slack's squared pressure as
+    its last column, the pipe slopes left out and the compressor suction
+    entries at ratio one.  :meth:`affine` writes ``-alpha`` there,
+    :meth:`offset` folds the slack column and the withdrawals into ``b``,
+    and :meth:`residual` and :meth:`jacobian` evaluate the rows over any
+    leading batch axis of ``x``.  The NLP evaluates all rows on its K cells
+    and reads the Jacobian at ``(jac_rows, jac_cols)``; the steady solve
+    restricts ``A`` and ``b`` to ``square_rows`` (the slack balance dropped)
+    for one state.
     """
 
     def __init__(self, net: Network):
@@ -126,90 +122,69 @@ class Kernel:
         flow, pi_sc = self.scaling.flow, self.scaling.squared_pressure
         self.kappa = net.kappa()[: self.n_pipe] * flow**2 / pi_sc
         self.pi_slack = net.slack_node.slack_pressure**2 / pi_sc
-        self.edge_from = np.array([idx[e.from_node] for e in net.edges], dtype=int)
-        self.edge_to = np.array([idx[e.to_node] for e in net.edges], dtype=int)
-        self.comp_from = self.edge_from[self.n_pipe :]
+        self.comp_from = np.array([idx[c.from_node] for c in net.compressors], dtype=int)
         self.alpha_max = np.array([c.alpha_max for c in net.compressors], dtype=float)
         self.incidence = incidence(net).toarray()  # (nv, ne)
         self.n_rows = self.n_pipe + self.n_comp + self.nv
         self.n_state = self.nv - 1 + self.ne
         self.free = np.flatnonzero(np.arange(self.nv) != self.slack)  # state pressure order
         npc = self.n_pipe + self.n_comp
-        # rows of the steady solve's square system: the slack balance is dropped
         self.square_rows = np.delete(np.arange(self.n_rows), npc + self.slack)
-        # dense template of one cell's Jacobian; an edge row's pressure entries
-        # are its incidence column, the pipe slopes are placeholders
-        T = np.zeros((self.n_rows, self.n_state))
-        T[:npc, : self.nv - 1] = self.incidence.T[:, self.free]
-        T[:npc, self.nv - 1 :][np.diag_indices(self.n_pipe)] = 1.0
-        T[npc:, self.nv - 1 :] = self.incidence
-        self.jac_rows, self.jac_cols = np.nonzero(T)
-        self._jac_const = T[self.jac_rows, self.jac_cols]
-        pipe_row = self.jac_rows < self.n_pipe
-        self._slope_at = np.flatnonzero(pipe_row & (self.jac_cols == self.nv - 1 + self.jac_rows))
-        # a compressor's suction entry is -alpha
-        self._ratio_at = np.flatnonzero(~pipe_row & (self.jac_rows < npc) & (self._jac_const < 0))
-        self._ratio_of = self.jac_rows[self._ratio_at] - self.n_pipe
-        n = self.n_state
-        slack_col = np.zeros((self.n_rows, 1))
-        slack_col[:npc, 0] = self.incidence[self.slack]
-        self.square_template = np.hstack([T, slack_col])[self.square_rows]
-        pipes = np.arange(self.n_pipe)
-        self.square_slope_at = pipes * n + self.nv - 1 + pipes
-        self.square_template[pipes, self.nv - 1 + pipes] = 0.0
         column = np.empty(self.nv, dtype=int)  # a node's pressure column
-        column[self.free], column[self.slack] = np.arange(self.nv - 1), n
+        column[self.free], column[self.slack] = np.arange(self.nv - 1), self.n_state
+        # an edge row's pressure entries are its incidence column; a balance
+        # row's flow entries are its incidence row
+        self.template = np.zeros((self.n_rows, self.n_state + 1))
+        self.template[:npc, column] = self.incidence.T
+        self.template[npc:, self.nv - 1 : -1] = self.incidence
+        self._pipe_flows = slice(self.nv - 1, self.nv - 1 + self.n_pipe)
+        # pipe k's slope is entry (k, nv - 1 + k): a stride of n_state + 1
+        # through a flattened (rows, n_state) Jacobian; the square rows keep
+        # the pipe rows first
+        self._slope = slice(self.nv - 1, self.nv - 1 + self.n_pipe * (self.n_state + 1),
+                            self.n_state + 1)
         comp_rows = self.n_pipe + np.arange(self.n_comp)
-        self.square_ratio_at = comp_rows * (n + 1) + column[self.comp_from]
+        self._ratio = np.ravel_multi_index((comp_rows, column[self.comp_from]),
+                                              self.template.shape)
+        pattern = self.template[:, :-1] != 0.0
+        pattern.reshape(-1)[self._slope] = True
+        self.jac_rows, self.jac_cols = np.nonzero(pattern)
 
-    def residual(self, Pi, phi, alpha, q, delta: float) -> np.ndarray:
-        """Cell residuals (B, n_rows) at squared pressures ``Pi`` (B, nv, the
-        slack column included), flows ``phi`` (B, ne), ratios ``alpha``
-        (n_comp,) and withdrawals ``q`` (B, nv)."""
-        npi = self.n_pipe
-        to, fr = self.edge_to, self.edge_from
-        r = np.empty((Pi.shape[0], self.n_rows))
-        phi_p = phi[:, :npi]
-        s = magnitude(phi_p, delta)
-        r[:, :npi] = Pi[:, to[:npi]] - Pi[:, fr[:npi]] + self.kappa * phi_p * s
-        r[:, npi : npi + self.n_comp] = Pi[:, to[npi:]] - alpha * Pi[:, self.comp_from]
-        r[:, npi + self.n_comp :] = phi @ self.incidence.T - q
+    def affine(self, alpha) -> np.ndarray:
+        """The template with the ratios ``alpha`` (n_comp,) at the suction entries."""
+        A = self.template.copy()
+        A.flat[self._ratio] = -alpha
+        return A
+
+    def offset(self, A, q) -> np.ndarray:
+        """Constant part (..., n_rows) of the rows of ``A`` at withdrawals ``q``
+        (..., nv): the slack's pressure terms, and ``-q`` on the balances."""
+        b = np.empty(q.shape[:-1] + (self.n_rows,))
+        npc = self.n_pipe + self.n_comp
+        b[..., :npc] = self.pi_slack * A[:npc, -1]
+        b[..., npc:] = -q
+        return b
+
+    def residual(self, A, b, x, delta: float) -> np.ndarray:
+        """Rows of ``(A, b)`` at states ``x`` (..., n_state), with the friction
+        law ``s`` smoothed by ``delta``."""
+        r = x @ A[:, :-1].T
+        r += b
+        phi_p = x[..., self._pipe_flows]
+        r[..., : self.n_pipe] += self.kappa * phi_p * magnitude(phi_p, delta)
         return r
 
-    def jacobian(self, phi, alpha, delta: float) -> np.ndarray:
-        """Jacobian values (B, nnz) of the cell residuals in the state columns,
-        at the entries ``(jac_rows, jac_cols)``.  The squared pressures enter
-        linearly, so only the flows and the ratios are needed."""
-        vals = np.tile(self._jac_const, (phi.shape[0], 1))
-        phi_p = phi[:, : self.n_pipe]
+    def jacobian(self, A, x, delta: float) -> np.ndarray:
+        """Dense Jacobian (..., rows of ``A``, n_state) of :meth:`residual` at
+        the states ``x``.  The squared pressures enter linearly, so only the
+        pipe slopes vary with ``x``."""
+        J = np.empty(x.shape[:-1] + (A.shape[0], self.n_state))
+        J[...] = A[:, :-1]
+        phi_p = x[..., self._pipe_flows]
         s = magnitude(phi_p, delta)
         # d(phi * s)/dphi; the exact law's 2|phi| is finite at zero flow
-        slope = 2.0 * s if delta == 0.0 else s + phi_p**2 / s
-        vals[:, self._slope_at] = self.kappa * slope
-        vals[:, self._ratio_at] = -alpha[self._ratio_of]
-        return vals
-
-    def square_system(self, alpha, q) -> tuple[np.ndarray, np.ndarray]:
-        """The affine part ``(M, b)`` of the square system at ratios ``alpha``
-        (n_comp,) and withdrawals ``q`` (nv,); ``M`` is (n_state, n_state)."""
-        A = self.square_template.copy()
-        A.flat[self.square_ratio_at] = -alpha
-        b = self.pi_slack * A[:, -1]
-        b[self.n_pipe + self.n_comp :] -= q[self.free]
-        return A[:, :-1], b
-
-    def square_residual(self, M, b, x) -> np.ndarray:
-        """Square residual (n_state,) of the exact law at the state ``x``."""
-        r = M @ x + b
-        phi_p = x[self.nv - 1 : self.nv - 1 + self.n_pipe]
-        r[: self.n_pipe] += self.kappa * phi_p * magnitude(phi_p, 0.0)
-        return r
-
-    def square_jacobian(self, M, x) -> np.ndarray:
-        """Square Jacobian (n_state, n_state) of the exact law at ``x``."""
-        J = M.copy()
-        phi_p = x[self.nv - 1 : self.nv - 1 + self.n_pipe]
-        J.flat[self.square_slope_at] = self.kappa * (2.0 * magnitude(phi_p, 0.0))
+        slope = self.kappa * (2.0 * s if delta == 0.0 else s + phi_p**2 / s)
+        J.reshape(x.shape[:-1] + (-1,))[..., self._slope] = slope
         return J
 
     def ratio_jacobian(self, Pi) -> np.ndarray:

@@ -36,7 +36,10 @@ class PricingError(ValueError):
 # cell values whose spread is at most this times max(1, max |value|) are one
 # atom: on eight_node at K=50 and 100, quantities held at a bound spread by at
 # most 2.4e-7 by this measure (interior-point offsets), all others by at least
-# 0.05
+# 0.05.  A nomination at its cap sits below it by the barrier parameter over
+# the cap's per-mass price, divided by the cell mass: that gap grows with K
+# (to 5e-4 kg/s at K=400), its product with the cell mass does not (at most
+# 1.3e-6 kg/s for K = 50 to 400), so that product is held to this tolerance
 CONSTANT_RTOL = 1e-6
 
 
@@ -45,16 +48,16 @@ class ValueDistribution:
     """Distribution of a scalar quantity over the stochastic cells.
 
     ``omega``/``support``/``mass`` give the discrete (cell center, per-cell
-    value, cell mass) triples.  With a continuous part requested, ``kind`` is
-    ``"density"`` and ``density`` holds bin centers and the exact density of
-    the interpolated quantity on those bins, or ``kind`` is ``"atom"`` and
-    ``atom`` holds the (value, mass) of a quantity constant across the cells.
+    value, cell mass) triples.  ``kind`` is ``"density"``, with bin centers
+    and the exact density of the interpolated quantity on those bins in
+    ``density``, or ``"atom"``, with the (value, mass) of a quantity constant
+    across the cells in ``atom``.
     """
 
     omega: np.ndarray
     support: np.ndarray
     mass: np.ndarray
-    kind: str  # "discrete", "density" or "atom"
+    kind: str  # "density" or "atom"
     density: tuple[np.ndarray, np.ndarray] | None = None
     atom: tuple[float, float] | None = None
 
@@ -105,7 +108,6 @@ def distribution_of(
     solution: CcSolution,
     quantity: str,
     grid: StochasticGrid,
-    with_density: bool = True,
 ) -> ValueDistribution:
     """Distribution of a solved quantity over the uncertainty space.
 
@@ -116,8 +118,10 @@ def distribution_of(
     per-cell values at a random withdrawal, on equal bins over its range; on
     a degenerate grid, or when the values spread by at most ``CONSTANT_RTOL``,
     it is one atom of mass one at the mass-weighted mean.  A per-mass price
-    is one atom when its dual ``lambda_q`` spreads that little.  Nothing is
-    sampled, so the result does not depend on any seed.
+    is one atom when its dual ``lambda_q`` spreads that little, and an
+    optimized nomination when every cell's gap to its cap, times the cell
+    mass, is that small.  Nothing is sampled, so the result does not depend
+    on any seed.
     """
     values = _per_cell_values(solution, quantity)
     if values.shape != (grid.K,):
@@ -128,18 +132,22 @@ def distribution_of(
         omega=grid.collocation_points.copy(),
         support=values.copy(),
         mass=grid.cell_mass.copy(),
-        kind="discrete",
+        kind="density",
     )
-    if not with_density:
-        return dist
     # a per-mass price is its dual divided by the cell mass (K times it on
     # uniform cells), so its barrier offsets grow with K: judge the dual
     kind, _, name = quantity.partition("@")
     spread = solution.lambda_q[name] if kind == "lambda_q_per_mass" else values
-    if grid.degenerate or np.ptp(spread) <= CONSTANT_RTOL * max(1.0, np.abs(spread).max()):
+    tol = CONSTANT_RTOL * max(1.0, np.abs(spread).max())
+    # a nomination's gap to its cap grows with K; its gap times the cell mass
+    # does not
+    at_cap = kind == "d" and name in solution.d and np.all(
+        dist.mass * (solution.layout.net.node(name).demand_max - values) <= tol
+    )
+    if grid.degenerate or np.ptp(spread) <= tol or at_cap:
         dist.kind, dist.atom = "atom", (dist.mean, 1.0)
     else:
-        dist.kind, dist.density = "density", grid.value_density(values)
+        dist.density = grid.value_density(values)
     return dist
 
 
@@ -170,9 +178,7 @@ class KktReport:
         }
 
 
-def kkt_report(
-    solution: CcSolution, net: Network, grid: StochasticGrid, tolerance: float = 1e-5
-) -> list[KktReport]:
+def kkt_report(solution: CcSolution, net: Network, tolerance: float = 1e-5) -> list[KktReport]:
     """Verify lambda_q + lambda_d = price * cell_mass per cell, per optimized node.
 
     For uniform cell masses the reference is price / K.  Solutions that did

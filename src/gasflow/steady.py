@@ -2,14 +2,15 @@
 
 Solves the square system of pipe friction laws, compressor ratio relations
 and nodal balances for given compressor ratios and withdrawals using a damped
-Newton method on the nondimensionalized residual.  The system comes from the
-shared :mod:`gasflow.physics` kernel: its affine part ``M x + b`` is set once
-per call, and each iteration adds the pipes' friction terms, writes their
-slopes into a copy of ``M`` and solves with LAPACK ``dgesv``.  The slack node
-holds its pressure; its injection floats and is recovered from the solved
-flows.  The solver is the physics oracle behind Monte-Carlo validation, called
-once per sample, so it keeps the exact ``phi*|phi|`` friction term (its
-derivative ``2|phi|`` is continuous and needs no smoothing).
+Newton method on the nondimensionalized residual.  The rows are the shared
+:mod:`gasflow.physics` kernel's, the same the NLP imposes on each cell, less
+the slack balance (``square_rows``).  Their affine part ``(A, b)`` is set once
+per call; each iteration evaluates the kernel's residual and Jacobian at the
+exact law and solves with LAPACK ``dgesv``.  The slack node holds its
+pressure; its injection floats and is recovered from the solved flows.  The
+solver is the physics oracle behind Monte-Carlo validation, called once per
+sample, so it keeps the exact ``phi*|phi|`` friction term (its derivative
+``2|phi|`` is continuous and needs no smoothing).
 """
 
 from __future__ import annotations
@@ -130,14 +131,16 @@ def solve_steady(
         x = np.concatenate([pi0, np.asarray(x0[1], dtype=float) / flow_sc])
     else:
         x = np.concatenate([np.full(nf, kern.pi_slack), _spanning_tree_flows(net, q_nd)])
-    M, b = kern.square_system(alpha_vec, q_nd)
+    A = kern.affine(alpha_vec)
+    b = kern.offset(A, q_nd).take(kern.square_rows)
+    A = A.take(kern.square_rows, axis=0)
 
-    r = kern.square_residual(M, b, x)
+    r = kern.residual(A, b, x, 0.0)
     rnorm = np.abs(r).max()
     history = [float(rnorm)]
     iterations = 0
     while rnorm > tol and iterations < max_iter:
-        _, _, step, info = dgesv(kern.square_jacobian(M, x), -r)
+        _, _, step, info = dgesv(kern.jacobian(A, x, 0.0), -r)
         if info > 0:
             raise SteadySolveError(
                 f"singular Jacobian at iteration {iterations}", residual=float(rnorm)
@@ -146,7 +149,7 @@ def solve_steady(
         merit0 = float(r @ r)
         while True:
             x_try = x + t * step
-            r_try = kern.square_residual(M, b, x_try)
+            r_try = kern.residual(A, b, x_try, 0.0)
             if float(r_try @ r_try) <= (1.0 - 1e-4 * t) * merit0:
                 break
             t *= 0.5

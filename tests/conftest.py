@@ -14,7 +14,6 @@ import pytest
 from gasflow import configs
 from gasflow.ogf import CcSolution, PenaltyConfig, solve_chance_constrained
 from gasflow.pricing import ViolationEstimate, violation_probability
-from gasflow.stochastic import build_grid
 
 # Penalty curvature used throughout the acceptance runs.  The acceptable
 # violation level is measured against the one-sided quadratic penalty in
@@ -38,8 +37,7 @@ def _run_case(net, K, epsilon=None) -> CcCase:
     t0 = time.perf_counter()
     sol = solve_chance_constrained(net, K=K, penalty=ACCEPT_PEN, epsilon=epsilon)
     dt = time.perf_counter() - t0
-    unc = net.uncertain_nodes[0]
-    grid = build_grid(unc.uncertainty, K, node_id=unc.id)
+    grid = sol.layout.grids[net.uncertain_nodes[0].id]
     est = violation_probability(sol, net, grid, mc_samples=MC_SAMPLES, seed=MC_SEED)[0]
     return CcCase(net=net, solution=sol, grid=grid, estimate=est, solve_seconds=dt)
 

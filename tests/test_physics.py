@@ -88,10 +88,15 @@ def random_state(net, rng, batch):
     return Pi, phi, alpha, q
 
 
-def dense(kern, vals):
-    J = np.zeros((kern.n_rows, kern.n_state))
-    J[kern.jac_rows, kern.jac_cols] = vals
-    return J
+def states(kern, Pi, phi):
+    """The kernel's states: free squared pressures, then the edge flows."""
+    return np.concatenate([Pi[..., kern.free], phi], axis=-1)
+
+
+def rows(kern, Pi, phi, alpha, q, delta):
+    """The kernel's residual at the states of ``Pi`` and ``phi``."""
+    A = kern.affine(alpha)
+    return kern.residual(A, kern.offset(A, q), states(kern, Pi, phi), delta)
 
 
 @pytest.mark.parametrize("name", NETWORKS)
@@ -101,18 +106,22 @@ class TestAgainstLoops:
     def test_residual(self, name, delta, batch):
         net = configs.load(name)
         Pi, phi, alpha, q = random_state(net, np.random.default_rng(1), batch)
-        got = kernel(net).residual(Pi, phi, alpha, q, delta)
+        got = rows(kernel(net), Pi, phi, alpha, q, delta)
         want = [loop_residual(net, Pi[b], phi[b], alpha, q[b], delta) for b in range(batch)]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
     def test_jacobian(self, name, delta, batch):
         net = configs.load(name)
         kern = kernel(net)
-        _, phi, alpha, _ = random_state(net, np.random.default_rng(2), batch)
-        vals = kern.jacobian(phi, alpha, delta)
+        Pi, phi, alpha, _ = random_state(net, np.random.default_rng(2), batch)
+        J = kern.jacobian(kern.affine(alpha), states(kern, Pi, phi), delta)
         for b in range(batch):
             want = loop_jacobian(net, phi[b], alpha, delta)
-            np.testing.assert_allclose(dense(kern, vals[b]), want, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(J[b], want, rtol=1e-13, atol=1e-13)
+        # the NLP reads the Jacobian at (jac_rows, jac_cols) only
+        outside = np.ones(J.shape[1:], dtype=bool)
+        outside[kern.jac_rows, kern.jac_cols] = False
+        assert not J[:, outside].any()
 
 
 @pytest.mark.parametrize("name", NETWORKS)
@@ -124,19 +133,14 @@ class TestCentralDifferences:
         net = configs.load(name)
         kern = kernel(net)
         Pi, phi, alpha, q = random_state(net, np.random.default_rng(3), 1)
-        free = np.flatnonzero(np.arange(kern.nv) != kern.slack)
-
-        def res(z):
-            P = Pi.copy()
-            P[0, free] = z[: kern.nv - 1]
-            return kern.residual(P, z[None, kern.nv - 1 :], alpha, q, delta)[0]
-
-        z = np.concatenate([Pi[0, free], phi[0]])
+        A = kern.affine(alpha)
+        b = kern.offset(A, q)[0]
+        z = states(kern, Pi, phi)[0]
         fd = np.column_stack([
-            (res(z + self.h * e) - res(z - self.h * e)) / (2 * self.h) for e in np.eye(z.size)
+            (kern.residual(A, b, z + self.h * e, delta) - kern.residual(A, b, z - self.h * e, delta))
+            / (2 * self.h) for e in np.eye(z.size)
         ])
-        J = dense(kern, kern.jacobian(phi, alpha, delta)[0])
-        np.testing.assert_allclose(J, fd, rtol=1e-7, atol=1e-7)
+        np.testing.assert_allclose(kern.jacobian(A, z, delta), fd, rtol=1e-7, atol=1e-7)
 
     def test_ratio_jacobian(self, name, delta):
         net = configs.load(name)
@@ -146,8 +150,8 @@ class TestCentralDifferences:
         for c in range(kern.n_comp):
             e = np.zeros(kern.n_comp)
             e[c] = self.h
-            fd = (kern.residual(Pi, phi, alpha + e, q, delta)
-                  - kern.residual(Pi, phi, alpha - e, q, delta))[:, comp] / (2 * self.h)
+            fd = (rows(kern, Pi, phi, alpha + e, q, delta)
+                  - rows(kern, Pi, phi, alpha - e, q, delta))[:, comp] / (2 * self.h)
             np.testing.assert_allclose(fd[:, c], kern.ratio_jacobian(Pi)[:, c], rtol=1e-8)
             np.testing.assert_allclose(np.delete(fd, c, axis=1), 0.0, atol=1e-12)
 
@@ -155,15 +159,16 @@ class TestCentralDifferences:
         net = configs.load(name)
         kern = kernel(net)
         rng = np.random.default_rng(5)
-        _, phi, alpha, _ = random_state(net, rng, 3)
+        Pi, phi, alpha, _ = random_state(net, rng, 3)
+        A = kern.affine(alpha)
         y = rng.normal(size=(3, kern.n_pipe))
         fd = np.empty_like(y)
         for k in range(kern.n_pipe):
             e = np.zeros(kern.ne)
             e[k] = self.h
-            diff = kern.jacobian(phi + e, alpha, delta) - kern.jacobian(phi - e, alpha, delta)
-            slope_entry = (kern.jac_rows == k) & (kern.jac_cols == kern.nv - 1 + k)
-            fd[:, k] = y[:, k] * diff[:, slope_entry][:, 0] / (2 * self.h)
+            diff = (kern.jacobian(A, states(kern, Pi, phi + e), delta)
+                    - kern.jacobian(A, states(kern, Pi, phi - e), delta))
+            fd[:, k] = y[:, k] * diff[:, k, kern.nv - 1 + k] / (2 * self.h)
         np.testing.assert_allclose(kern.pipe_hessian(phi, y, delta), fd, rtol=1e-6, atol=1e-8)
 
 
@@ -172,17 +177,18 @@ def test_exact_slope_finite_at_zero_flow(name):
     # loop chords of the steady solve's spanning-tree start carry zero flow
     net = configs.load(name)
     kern = kernel(net)
+    Pi, _, _, _ = random_state(net, np.random.default_rng(0), 1)
     phi, alpha = np.zeros((1, kern.ne)), np.ones(kern.n_comp)
-    vals = kern.jacobian(phi, alpha, 0.0)
-    assert np.all(np.isfinite(vals))
+    J = kern.jacobian(kern.affine(alpha), states(kern, Pi, phi), 0.0)
+    assert np.all(np.isfinite(J))
     assert np.all(np.isfinite(kern.pipe_hessian(phi, np.ones((1, kern.n_pipe)), 0.0)))
-    np.testing.assert_array_equal(dense(kern, vals[0]), loop_jacobian(net, phi[0], alpha, 0.0))
+    np.testing.assert_array_equal(J[0], loop_jacobian(net, phi[0], alpha, 0.0))
 
 
 @pytest.mark.parametrize("name", NETWORKS)
-def test_square_system_is_the_kernels_square_rows(name):
-    # the steady solve's square form is the exact law's kernel rows without
-    # the slack balance, for ratios at one, at random and at their caps
+def test_square_rows_of_one_state(name):
+    # the steady solve's system is the exact law's rows without the slack
+    # balance, at one state, for ratios at one, at their caps and at random
     net = configs.load(name)
     kern = kernel(net)
     rng = np.random.default_rng(6)
@@ -191,12 +197,14 @@ def test_square_system_is_the_kernels_square_rows(name):
     ]
     for alpha in alphas:
         Pi, phi, _, q = random_state(net, rng, 1)
-        x = np.concatenate([Pi[0, kern.free], phi[0]])
-        M, b = kern.square_system(alpha, q[0])
-        want = kern.residual(Pi, phi, alpha, q, 0.0)[0, kern.square_rows]
-        np.testing.assert_allclose(kern.square_residual(M, b, x), want, rtol=1e-15, atol=1e-15)
-        want = dense(kern, kern.jacobian(phi, alpha, 0.0)[0])[kern.square_rows]
-        np.testing.assert_allclose(kern.square_jacobian(M, x), want, rtol=1e-15, atol=0.0)
+        A = kern.affine(alpha)
+        b = kern.offset(A, q[0])[kern.square_rows]
+        A = A[kern.square_rows]
+        x = states(kern, Pi, phi)[0]
+        want = loop_residual(net, Pi[0], phi[0], alpha, q[0], 0.0)[kern.square_rows]
+        np.testing.assert_allclose(kern.residual(A, b, x, 0.0), want, rtol=1e-13, atol=1e-13)
+        want = loop_jacobian(net, phi[0], alpha, 0.0)[kern.square_rows]
+        np.testing.assert_allclose(kern.jacobian(A, x, 0.0), want, rtol=1e-13, atol=1e-13)
 
 
 def test_kernel_is_cached_per_network():

@@ -7,6 +7,7 @@ from gasflow import configs
 from gasflow.nlp import NlpOptions, SolveStatus
 from gasflow.ogf import PenaltyConfig, solve_chance_constrained
 from gasflow.pricing import (
+    CONSTANT_RTOL,
     PricingError,
     distribution_of,
     kkt_report,
@@ -45,13 +46,12 @@ def en_problem():
 
 class TestDistributions:
     def test_discrete_mass_is_cell_mass(self, sp_solution, sp_grid):
-        dist = distribution_of(sp_solution, "pressure@N3", sp_grid, with_density=False)
+        dist = distribution_of(sp_solution, "pressure@N3", sp_grid)
         np.testing.assert_allclose(dist.mass, sp_grid.cell_mass)
         assert dist.support.shape == (16,)
-        assert dist.kind == "discrete"
 
     def test_mean_is_mass_weighted_sum(self, sp_solution, sp_grid):
-        dist = distribution_of(sp_solution, "flow@P1", sp_grid, with_density=False)
+        dist = distribution_of(sp_solution, "flow@P1", sp_grid)
         assert dist.mean == pytest.approx(float(dist.mass @ dist.support), rel=1e-14)
 
     def test_density_integrates_to_one(self, sp_solution, sp_grid):
@@ -77,6 +77,13 @@ class TestDistributions:
         assert dist.kind == "atom"
         assert dist.atom == (123.0, 1.0)
 
+    def test_nomination_near_its_cap_has_a_density(self, en_problem):
+        # cells 1/15 kg/s apart below the cap are a distribution, not an atom
+        net, sol, grid = en_problem
+        spread = replace(sol, d={"J3": np.linspace(299.0, 300.0, 16)})
+        dist = distribution_of(spread, "d@J3", grid)
+        assert dist.kind == "density" and dist.atom is None
+
     def test_monotone_quantity_density_shape(self, sp_solution, sp_grid):
         # pressure falls with withdrawal, so the density support must span
         # the per-cell extremes
@@ -87,14 +94,14 @@ class TestDistributions:
 
     def test_lambda_q_selector(self, en_problem):
         net, sol, grid = en_problem
-        dist = distribution_of(sol, "lambda_q@J5", grid, with_density=False)
+        dist = distribution_of(sol, "lambda_q@J5", grid)
         assert dist.support.shape == (16,)
 
     def test_lambda_q_per_mass_selector(self, en_problem):
         # both the raw per-cell dual and the mass-normalized price are emitted
         net, sol, grid = en_problem
-        raw = distribution_of(sol, "lambda_q@J5", grid, with_density=False)
-        per = distribution_of(sol, "lambda_q_per_mass@J5", grid, with_density=False)
+        raw = distribution_of(sol, "lambda_q@J5", grid)
+        per = distribution_of(sol, "lambda_q_per_mass@J5", grid)
         np.testing.assert_allclose(per.support, raw.support / grid.cell_mass)
 
     def test_zero_per_mass_price_stays_one_atom_as_k_grows(self):
@@ -109,6 +116,22 @@ class TestDistributions:
         assert dist.kind == "atom"
         value, mass = dist.atom
         assert mass == 1.0 and abs(value) <= 1e-6
+
+    def test_nomination_at_its_cap_stays_one_atom_as_k_grows(self):
+        # the barrier holds d3 below its 300 cap by a gap that grows with K:
+        # at K=400 its cells spread by 1.4e-6 (relative), above CONSTANT_RTOL
+        net = configs.load("eight_node")
+        net = net.with_node(replace(net.node("J3"), demand_max=300.0))
+        sol = solve_chance_constrained(net, K=400, penalty=PEN)
+        grid = sol.layout.grids["J5"]
+        d3 = sol.d["J3"]
+        assert np.ptp(d3) > CONSTANT_RTOL * 300.0
+        dist = distribution_of(sol, "d@J3", grid)
+        assert dist.kind == "atom" and dist.density is None
+        value, mass = dist.atom
+        assert mass == 1.0
+        assert value == pytest.approx(float(grid.cell_mass @ d3), rel=1e-15)
+        assert 300.0 - 1e-3 < value <= 300.0
 
     def test_unknown_selectors(self, sp_solution, sp_grid):
         with pytest.raises(PricingError, match="unknown node"):
@@ -157,8 +180,8 @@ class TestDistributions:
 
 class TestKktReport:
     def test_identity_holds_per_cell(self, en_problem):
-        net, sol, grid = en_problem
-        reports = kkt_report(sol, net, grid)
+        net, sol, _ = en_problem
+        reports = kkt_report(sol, net)
         assert len(reports) == 1
         rep = reports[0]
         assert rep.node == "J3"
@@ -167,29 +190,27 @@ class TestKktReport:
         assert rep.max_abs_residual <= 1e-5
         assert rep.passed
 
-    def test_requires_optimized_demand(self, sp_solution, single_pipe, sp_grid):
+    def test_requires_optimized_demand(self, sp_solution, single_pipe):
         with pytest.raises(PricingError, match="optimized demand"):
-            kkt_report(sp_solution, single_pipe, sp_grid)
+            kkt_report(sp_solution, single_pipe)
 
     def test_status_gate(self, en_problem):
-        net, _, grid = en_problem
+        net, _, _ = en_problem
         rough = solve_chance_constrained(
             net, K=16, penalty=PEN, options=NlpOptions(max_iter=2)
         )
         assert rough.status is not SolveStatus.OPTIMAL
-        reports = kkt_report(rough, net, grid)
+        reports = kkt_report(rough, net)
         assert not reports[0].at_kkt_point
         assert not reports[0].passed
 
     def test_deterministic_single_cell_identity(self, en_problem):
         # K = 1: the identity collapses to lambda_q + lambda_d = price
         from gasflow.ogf import solve_deterministic
-        from gasflow.stochastic import UncertaintySpec, build_grid as bg
 
         net, _, _ = en_problem
         det = solve_deterministic(net, loads={"J5": 80.0}, penalty=PEN)
-        point = bg(UncertaintySpec(dist="uniform", lo=0.0, hi=0.0), 4, node_id="J5")
-        rep = kkt_report(det, net, point)[0]
+        rep = kkt_report(det, net)[0]
         np.testing.assert_allclose(rep.reference, [20.0])
         assert rep.passed
 
