@@ -227,8 +227,9 @@ def sweep(config: RunConfig, epsilons: list[float]) -> int:
     """Chance-constrained solves over a list of violation levels.
 
     Writes ``sweep.csv`` ordered by epsilon; failed rows are recorded and the
-    sweep continues.  Each row revalidates by Monte Carlo with the same seed
-    so estimates are comparable across rows.
+    sweep continues.  Each solve warm-starts from the last one that did not
+    fail.  Each row revalidates by Monte Carlo with the same seed so
+    estimates are comparable across rows.
     """
     return run(replace(config, mode="opt-cc", epsilons=list(epsilons)))
 
@@ -249,9 +250,9 @@ def _sweep(net: Network, penalty: PenaltyConfig, config: RunConfig, out: Path) -
             solution = solve_chance_constrained(
                 net, K=config.cells, penalty=penalty, epsilon=eps, x0=x_prev
             )
-            x_prev = solution
             chance = None
             if not _failed(solution):
+                x_prev = solution  # a failed point never seeds the next one
                 grid = solution.layout.grids[net.uncertain_nodes[0].id]
                 est = violation_probability(
                     solution, net, grid, mc_samples=config.mc_samples, seed=config.seed

@@ -9,7 +9,10 @@ nomination at its cap, a dual that stays zero) is one atom instead.  The
 module also verifies the first-order pricing identity tying the balance dual
 and the nomination-bound dual to the bid price, and estimates
 constraint-violation probabilities by Monte Carlo resimulation at the solved
-controls, the only sampling here.
+controls, the only sampling here.  The samples are sorted, so their steady
+states lie on one smooth curve in the withdrawal: each sample starts from the
+quadratic extrapolation of the last three solved states (natural-parameter
+continuation) and is corrected by the exact steady solve.
 """
 
 from __future__ import annotations
@@ -245,12 +248,19 @@ def violation_probability(
 ) -> list[ViolationEstimate]:
     """Monte-Carlo revalidation of the chance constraint at fixed controls.
 
-    Samples the uncertain withdrawal by inverse CDF, re-solves the exact
-    steady physics per sample (optimized nominations follow the cubic
-    interpolant of their per-cell values, clipped to their bounds), and
-    reports the mean quadratic penalty and the violation frequency per
+    Samples the uncertain withdrawal by inverse CDF, in increasing order, and
+    simulates the exact steady physics per sample (optimized nominations
+    follow the cubic interpolant of their per-cell values, clipped to their
+    bounds).  Each sample's state is predicted, then corrected: the predictor
+    is the quadratic through the last three solved states, at the sample's
+    withdrawal, when their withdrawals increase strictly up to it, and else
+    the last solved state (none for the first sample); the corrector is
+    ``solve_steady``'s damped Newton, which certifies every state to its
+    tolerance and returns a prediction that already meets it unchanged.
+    Reports the mean quadratic penalty and the violation frequency per
     chance-relaxed node with standard errors.  Samples whose steady solve
-    fails are counted separately, never silently dropped.
+    fails are counted separately, never silently dropped, and never seed a
+    prediction.
     """
     layout = solution.layout
     if layout.deterministic:
@@ -276,17 +286,38 @@ def violation_probability(
         cap = net.node(nid).supply_max
         q[:, idx[nid]] -= np.clip(grid.value_interpolator(values)(omega), 0.0, cap)
 
-    chance_idx = [idx[cid] for cid in chance_ids]
+    chance_idx = np.array([idx[cid] for cid in chance_ids], dtype=int)
     pi_chance = np.full((mc_samples, len(chance_ids)), np.nan)
     ok = np.ones(mc_samples, dtype=bool)
-    warm = None
-    for i in range(mc_samples):
+    # (Pi, phi) of the last three solved samples and their omega, oldest first;
+    # failed samples never enter.  Order two: on eight_node at K=50 a cubic
+    # predictor left fewer of 7,000 samples within tolerance (4,891, against
+    # 5,988), as higher orders amplify the stored states' tolerance-level errors
+    nv = len(net.nodes)
+    states = np.empty((3, nv + len(net.edges)))
+    w_solved = [math.nan] * 3
+    for i, w in enumerate(omega.tolist()):
+        w0, w1, w2 = w_solved
+        if w0 < w1 < w2 < w:
+            # predictor: the quadratic through the last three solved states,
+            # by its Lagrange weights at w (distinct nodes: no zero denominator)
+            x = np.array([(w - w1) * (w - w2) / ((w0 - w1) * (w0 - w2)),
+                          (w - w0) * (w - w2) / ((w1 - w0) * (w1 - w2)),
+                          (w - w0) * (w - w1) / ((w2 - w0) * (w2 - w1))]) @ states
+            x0 = (x[:nv], x[nv:])
+        elif not math.isnan(w2):
+            x0 = (states[2, :nv], states[2, nv:])
+        else:
+            x0 = None
         try:
-            st = solve_steady(net, alpha_vec, q[i], x0=warm)
+            # corrector: damped Newton from the prediction
+            st = solve_steady(net, alpha_vec, q[i], x0=x0)
         except SteadySolveError:
             ok[i] = False
             continue
-        warm = (st.Pi, st.phi)
+        states[:2] = states[1:]
+        states[2, :nv], states[2, nv:] = st.Pi, st.phi
+        w_solved = [w1, w2, w]
         pi_chance[i] = st.Pi[chance_idx]
     pi_min2 = np.array([net.node(cid).pressure_min ** 2 for cid in chance_ids])
     shortfall = np.maximum((pi_min2 - pi_chance) / pi_sc, 0.0)

@@ -9,8 +9,9 @@ per call; each iteration evaluates the kernel's residual and Jacobian at the
 exact law and solves with LAPACK ``dgesv``.  The slack node holds its
 pressure; its injection floats and is recovered from the solved flows.  The
 solver is the physics oracle behind Monte-Carlo validation, called once per
-sample, so it keeps the exact ``phi*|phi|`` friction term (its derivative
-``2|phi|`` is continuous and needs no smoothing).
+sample as the corrector of a predicted start (``x0``; a start already within
+``tol`` returns after no step), so it keeps the exact ``phi*|phi|`` friction
+term (its derivative ``2|phi|`` is continuous and needs no smoothing).
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import gasflow
+import gasflow.cli as cli
 import gasflow.pricing as pricing
 from gasflow import configs
 from gasflow.cli import RunConfig, _json_dump, build_parser, main, sweep
+from gasflow.nlp import SolveStatus
 
 
 @pytest.fixture()
@@ -311,6 +314,31 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         assert rows[0]["status"].startswith("error")
+
+    def test_failed_point_does_not_seed_the_next(self, single_pipe_path, tmp_path,
+                                                  monkeypatch):
+        # the first epsilon ends NUMERICAL: the next solve starts cold, and the
+        # one after that from the first solution that did not fail
+        real_solve = cli.solve_chance_constrained
+        starts = []
+
+        def first_fails(*args, **kwargs):
+            starts.append(kwargs["x0"])
+            sol = real_solve(*args, **kwargs)
+            if len(starts) == 1:
+                return dataclasses.replace(sol, status=SolveStatus.NUMERICAL)
+            return sol
+
+        monkeypatch.setattr(cli, "solve_chance_constrained", first_fails)
+        out = tmp_path / "f"
+        assert main(["sweep", "--network", str(single_pipe_path), "--cells", "8",
+                     "--gamma", "2500", "--epsilons", "0.02,0.05,0.08",
+                     "--mc-samples", "50", "--out", str(out)]) == 0
+        with (out / "sweep.csv").open() as fh:
+            statuses = [row["status"] for row in csv.DictReader(fh)]
+        assert statuses == ["numerical", "optimal", "optimal"]
+        assert starts[0] is None and starts[1] is None
+        assert starts[2] is not None and starts[2].status is SolveStatus.OPTIMAL
 
     def test_non_finite_epsilon_row_recorded(self, single_pipe_path, tmp_path):
         out = tmp_path / "nan"

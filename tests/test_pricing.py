@@ -13,9 +13,19 @@ from gasflow.pricing import (
     kkt_report,
     violation_probability,
 )
+from gasflow.physics import kernel
 from gasflow.stochastic import UncertaintySpec, build_grid
+from test_physics import loop_residual
 
 PEN = PenaltyConfig(gamma=2500.0, delta=1e-3)
+
+
+class RoundedSpec(UncertaintySpec):
+    """A measure whose inverse CDF is rounded to whole units: sorted samples
+    repeat each value many times."""
+
+    def ppf(self, u):
+        return np.round(super().ppf(u))
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +278,70 @@ class TestViolationProbability:
         est = violation_probability(sol, net, grid, mc_samples=500, seed=7)[0]
         assert est.n_failed == 0
         assert len(iterations) == 500
-        assert sum(iterations) == 984
+        # 984 when each sample started from the previous one; the quadratic
+        # predictor leaves most samples within tolerance before any step
+        assert sum(iterations) == 202
+
+    def test_predicted_states_against_the_loop_equations(self, en_problem, monkeypatch):
+        # at J3=300 the nomination is clipped, so q(omega) has a kink the
+        # predictor cannot follow: every state the oracle accepts is checked
+        # on the loop equations, and the estimates against cold starts
+        import gasflow.pricing as pricing
+        from gasflow.steady import solve_steady as real_solve
+
+        net, sol, grid = en_problem
+        kern = kernel(net)
+        captured = []
+
+        def capture(net, alpha, q, x0=None):
+            state = real_solve(net, alpha, q, x0=x0)
+            captured.append((alpha, q, state))
+            return state
+
+        def cold(net, alpha, q, x0=None):
+            return capture(net, alpha, q, x0=None)
+
+        monkeypatch.setattr(pricing, "solve_steady", capture)
+        warm = violation_probability(sol, net, grid, mc_samples=300, seed=5)[0]
+        predicted, captured = captured, []
+        monkeypatch.setattr(pricing, "solve_steady", cold)
+        ref = violation_probability(sol, net, grid, mc_samples=300, seed=5)[0]
+
+        assert warm.n_failed == ref.n_failed == 0
+        assert len(predicted) == 300
+        assert [s.iterations for _, _, s in captured] == [4] * 300
+        assert sum(s.iterations == 0 for _, _, s in predicted) > 100
+        assert 0.0 < ref.mc_violation_probability < 1.0
+        for field in ("mc_mean_penalty", "mc_penalty_se", "mc_violation_se"):
+            assert getattr(warm, field) == pytest.approx(getattr(ref, field), rel=1e-8)
+        assert warm.mc_violation_probability == ref.mc_violation_probability
+        pi_sc, flow_sc = kern.scaling.squared_pressure, kern.scaling.flow
+        for alpha, q, state in predicted:
+            r = loop_residual(net, state.Pi / pi_sc, state.phi / flow_sc, alpha,
+                              q / flow_sc, 0.0)
+            assert np.abs(r[kern.square_rows]).max() <= 1e-10
+            assert (state.Pi > 0).all()
+
+    @pytest.mark.parametrize("grid_kind", ["point_mass", "duplicate_omega"])
+    def test_repeated_omega_never_extrapolates(self, en_problem, grid_kind):
+        # the predictor needs three strictly increasing withdrawals below the
+        # sample's: equal ones must fall back to the last state, not divide
+        # by zero
+        net, sol, grid = en_problem
+        if grid_kind == "point_mass":
+            net = net.with_node(
+                replace(net.node("J5"),
+                        uncertainty=UncertaintySpec(dist="uniform", lo=16.0, hi=16.0))
+            )
+            sol = solve_chance_constrained(net, K=4, penalty=PEN)
+            grid = sol.layout.grids["J5"]
+            assert grid.degenerate
+        else:
+            grid = replace(grid, spec=RoundedSpec(**vars(grid.spec)))
+        with np.errstate(all="raise"):
+            est = violation_probability(sol, net, grid, mc_samples=200, seed=2)[0]
+        assert est.n_failed == 0
+        assert np.isfinite(est.mc_mean_penalty)
 
     def test_requires_chance_solution(self, single_pipe, sp_grid):
         from gasflow.ogf import solve_deterministic
