@@ -109,8 +109,7 @@ class Kernel:
     and :meth:`residual` and :meth:`jacobian` evaluate the rows over any
     leading batch axis of ``x``.  The NLP evaluates all rows on its K cells
     and reads the Jacobian at ``(jac_rows, jac_cols)``; the steady solve
-    restricts ``A`` and ``b`` to ``square_rows`` (the slack balance dropped)
-    for one state.
+    solves one state of the rows :meth:`square` keeps per ratio vector.
     """
 
     def __init__(self, net: Network):
@@ -149,6 +148,7 @@ class Kernel:
         pattern = self.template[:, :-1] != 0.0
         pattern.reshape(-1)[self._slope] = True
         self.jac_rows, self.jac_cols = np.nonzero(pattern)
+        self.squares: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def affine(self, alpha) -> np.ndarray:
         """The template with the ratios ``alpha`` (n_comp,) at the suction entries."""
@@ -164,6 +164,21 @@ class Kernel:
         b[..., :npc] = self.pi_slack * A[:npc, -1]
         b[..., npc:] = -q
         return b
+
+    def square(self, alpha) -> tuple[np.ndarray, np.ndarray]:
+        """The steady solve's square system at the ratios ``alpha`` (n_comp,):
+        :meth:`affine` on ``square_rows`` (the slack balance dropped), and the
+        slack's pressure terms, the part of :meth:`offset` on its pipe and
+        compressor rows; the balance rows' ``-q`` is the caller's.  ``A`` is
+        stored by columns, so the transpose of its state block in
+        :meth:`residual` is contiguous.  The system is kept in ``squares``
+        under ``alpha.tobytes()``, the oldest of eight dropped first."""
+        A = np.asfortranarray(self.affine(alpha).take(self.square_rows, axis=0))
+        if len(self.squares) >= 8:
+            del self.squares[next(iter(self.squares))]
+        npc = self.n_pipe + self.n_comp
+        system = self.squares[alpha.tobytes()] = (A, self.pi_slack * A[:npc, -1])
+        return system
 
     def residual(self, A, b, x, delta: float) -> np.ndarray:
         """Rows of ``(A, b)`` at states ``x`` (..., n_state), with the friction

@@ -9,10 +9,10 @@ nomination at its cap, a dual that stays zero) is one atom instead.  The
 module also verifies the first-order pricing identity tying the balance dual
 and the nomination-bound dual to the bid price, and estimates
 constraint-violation probabilities by Monte Carlo resimulation at the solved
-controls, the only sampling here.  The samples are sorted, so their steady
-states lie on one smooth curve in the withdrawal: each sample starts from the
-quadratic extrapolation of the last three solved states (natural-parameter
-continuation) and is corrected by the exact steady solve.
+controls, the only sampling here.  The solved cell states are the SFV
+representation of the state as a function of the withdrawal, so each sample
+starts from their cubic interpolant at its withdrawal and is corrected by the
+exact steady solve.
 """
 
 from __future__ import annotations
@@ -251,16 +251,14 @@ def violation_probability(
     Samples the uncertain withdrawal by inverse CDF, in increasing order, and
     simulates the exact steady physics per sample (optimized nominations
     follow the cubic interpolant of their per-cell values, clipped to their
-    bounds).  Each sample's state is predicted, then corrected: the predictor
-    is the quadratic through the last three solved states, at the sample's
-    withdrawal, when their withdrawals increase strictly up to it, and else
-    the last solved state (none for the first sample); the corrector is
-    ``solve_steady``'s damped Newton, which certifies every state to its
-    tolerance and returns a prediction that already meets it unchanged.
-    Reports the mean quadratic penalty and the violation frequency per
-    chance-relaxed node with standard errors.  Samples whose steady solve
-    fails are counted separately, never silently dropped, and never seed a
-    prediction.
+    bounds).  Each sample starts from the cubic interpolant of the solved
+    cell states (squared pressures and flows) at its withdrawal, all samples
+    at once, and is corrected by ``solve_steady``'s damped Newton, which
+    certifies every state to its tolerance and returns a start that already
+    meets it unchanged.  Samples do not depend on each other.  Reports the
+    mean quadratic penalty and the violation frequency per chance-relaxed
+    node with standard errors.  Samples whose steady solve fails are counted
+    separately, never silently dropped.
     """
     layout = solution.layout
     if layout.deterministic:
@@ -289,35 +287,15 @@ def violation_probability(
     chance_idx = np.array([idx[cid] for cid in chance_ids], dtype=int)
     pi_chance = np.full((mc_samples, len(chance_ids)), np.nan)
     ok = np.ones(mc_samples, dtype=bool)
-    # (Pi, phi) of the last three solved samples and their omega, oldest first;
-    # failed samples never enter.  Order two: on eight_node at K=50 a cubic
-    # predictor left fewer of 7,000 samples within tolerance (4,891, against
-    # 5,988), as higher orders amplify the stored states' tolerance-level errors
+    # every sample's start: the cubic interpolant of the solved cell states
     nv = len(net.nodes)
-    states = np.empty((3, nv + len(net.edges)))
-    w_solved = [math.nan] * 3
-    for i, w in enumerate(omega.tolist()):
-        w0, w1, w2 = w_solved
-        if w0 < w1 < w2 < w:
-            # predictor: the quadratic through the last three solved states,
-            # by its Lagrange weights at w (distinct nodes: no zero denominator)
-            x = np.array([(w - w1) * (w - w2) / ((w0 - w1) * (w0 - w2)),
-                          (w - w0) * (w - w2) / ((w1 - w0) * (w1 - w2)),
-                          (w - w0) * (w - w1) / ((w2 - w0) * (w2 - w1))]) @ states
-            x0 = (x[:nv], x[nv:])
-        elif not math.isnan(w2):
-            x0 = (states[2, :nv], states[2, nv:])
-        else:
-            x0 = None
+    start = grid.value_interpolator(np.hstack([solution.Pi, solution.phi]))(omega)
+    for i in range(mc_samples):
         try:
-            # corrector: damped Newton from the prediction
-            st = solve_steady(net, alpha_vec, q[i], x0=x0)
+            st = solve_steady(net, alpha_vec, q[i], x0=(start[i, :nv], start[i, nv:]))
         except SteadySolveError:
             ok[i] = False
             continue
-        states[:2] = states[1:]
-        states[2, :nv], states[2, nv:] = st.Pi, st.phi
-        w_solved = [w1, w2, w]
         pi_chance[i] = st.Pi[chance_idx]
     pi_min2 = np.array([net.node(cid).pressure_min ** 2 for cid in chance_ids])
     shortfall = np.maximum((pi_min2 - pi_chance) / pi_sc, 0.0)

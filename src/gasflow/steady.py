@@ -4,14 +4,16 @@ Solves the square system of pipe friction laws, compressor ratio relations
 and nodal balances for given compressor ratios and withdrawals using a damped
 Newton method on the nondimensionalized residual.  The rows are the shared
 :mod:`gasflow.physics` kernel's, the same the NLP imposes on each cell, less
-the slack balance (``square_rows``).  Their affine part ``(A, b)`` is set once
-per call; each iteration evaluates the kernel's residual and Jacobian at the
-exact law and solves with LAPACK ``dgesv``.  The slack node holds its
-pressure; its injection floats and is recovered from the solved flows.  The
-solver is the physics oracle behind Monte-Carlo validation, called once per
-sample as the corrector of a predicted start (``x0``; a start already within
-``tol`` returns after no step), so it keeps the exact ``phi*|phi|`` friction
-term (its derivative ``2|phi|`` is continuous and needs no smoothing).
+the slack balance (``square_rows``).  The kernel keeps that square system
+per ratio vector (:meth:`~gasflow.physics.Kernel.square`), so a call at
+ratios seen before sets up only the balance rows' withdrawals; each iteration
+evaluates the kernel's residual and Jacobian at the exact law and solves with
+LAPACK ``dgesv``.  The slack node holds its pressure; its injection floats and
+is recovered from the solved flows.  The solver is the physics oracle behind
+Monte-Carlo validation, called once per sample as the corrector of the SFV
+interpolant's start (``x0``; a start already within ``tol`` returns after no
+step), so it keeps the exact ``phi*|phi|`` friction term (its derivative
+``2|phi|`` is continuous and needs no smoothing).
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def solve_steady(
     ----------
     alpha : mapping or array
         Compressor ratios in compressor order (default all one).  Must lie in
-        [1, alpha_max].
+        [1, alpha_max]; checked when the kernel first sets up their system.
     q : mapping or array
         Nodal withdrawals in kg/s (positive = consumption).  The slack node's
         entry is ignored; its injection absorbs the imbalance.
@@ -100,13 +102,17 @@ def solve_steady(
         alpha_vec = np.array([alpha[c.id] for c in net.compressors], dtype=float)
     else:
         alpha_vec = np.asarray(alpha, dtype=float)
-    inside = (1.0 - 1e-9 <= alpha_vec) & (alpha_vec <= kern.alpha_max + 1e-9)
-    if not inside.all():
-        bad = int(np.flatnonzero(~inside)[0])
-        c, a = net.compressors[bad], alpha_vec[bad]
-        raise SteadySolveError(
-            f"compressor {c.id!r}: ratio {a} outside [1, {c.alpha_max}]", node=c.id
-        )
+    system = kern.squares.get(alpha_vec.tobytes())
+    if system is None:
+        inside = (1.0 - 1e-9 <= alpha_vec) & (alpha_vec <= kern.alpha_max + 1e-9)
+        if not inside.all():
+            bad = int(np.flatnonzero(~inside)[0])
+            c, a = net.compressors[bad], alpha_vec[bad]
+            raise SteadySolveError(
+                f"compressor {c.id!r}: ratio {a} outside [1, {c.alpha_max}]", node=c.id
+            )
+        system = kern.square(alpha_vec)
+    A, b_slack = system
 
     if q is None:
         q_vec = np.array([n.base_withdrawal for n in net.nodes])
@@ -132,9 +138,7 @@ def solve_steady(
         x = np.concatenate([pi0, np.asarray(x0[1], dtype=float) / flow_sc])
     else:
         x = np.concatenate([np.full(nf, kern.pi_slack), _spanning_tree_flows(net, q_nd)])
-    A = kern.affine(alpha_vec)
-    b = kern.offset(A, q_nd).take(kern.square_rows)
-    A = A.take(kern.square_rows, axis=0)
+    b = np.concatenate([b_slack, -q_nd[kern.free]])
 
     r = kern.residual(A, b, x, 0.0)
     rnorm = np.abs(r).max()
@@ -170,7 +174,7 @@ def solve_steady(
     pi_full = np.empty(kern.nv)
     pi_full[kern.free], pi_full[kern.slack] = x[:nf], kern.pi_slack
     phi = x[nf:]
-    if (pi_full <= 0).any():
+    if pi_full.min() <= 0:
         bad = int(np.argmin(pi_full))
         raise SteadySolveError(
             f"negative squared pressure at node {net.nodes[bad].id!r}: "

@@ -189,11 +189,12 @@ class StochasticGrid:
         return spsolve(sp.csc_matrix(self.collocation_matrix().T), self.basis_integrals)
 
     def value_interpolator(self, values: np.ndarray):
-        """Callable omega -> value, cubic through the per-cell values."""
+        """Callable omega -> value, cubic through the per-cell values (K, ...)
+        along their first axis; a degenerate grid gives their mean there."""
         values = np.asarray(values, dtype=float)
         if self.degenerate:
-            v = float(values.mean())
-            return lambda x: np.full_like(np.asarray(x, dtype=float), v)
+            mean = values.mean(axis=0)
+            return lambda x: np.full(np.shape(x) + mean.shape, mean)
         return CubicSpline(self.collocation_points, values)
 
     def value_density(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

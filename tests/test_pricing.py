@@ -278,14 +278,16 @@ class TestViolationProbability:
         est = violation_probability(sol, net, grid, mc_samples=500, seed=7)[0]
         assert est.n_failed == 0
         assert len(iterations) == 500
-        # 984 when each sample started from the previous one; the quadratic
-        # predictor leaves most samples within tolerance before any step
-        assert sum(iterations) == 202
+        # 984 when each sample started from the previous one, 202 from a
+        # quadratic extrapolation of the last three solved samples.  The
+        # interpolant of eight cells is a coarser start; from K=12 on it is
+        # the finer one (80 steps here, 14 at K=16, 0 at K=32)
+        assert sum(iterations) == 286
 
     def test_predicted_states_against_the_loop_equations(self, en_problem, monkeypatch):
-        # at J3=300 the nomination is clipped, so q(omega) has a kink the
-        # predictor cannot follow: every state the oracle accepts is checked
-        # on the loop equations, and the estimates against cold starts
+        # at J3=300 the nomination is clipped, so q(omega) has a kink that the
+        # cell interpolant smooths over: every state the oracle accepts is
+        # checked on the loop equations, and the estimates against cold starts
         import gasflow.pricing as pricing
         from gasflow.steady import solve_steady as real_solve
 
@@ -322,11 +324,35 @@ class TestViolationProbability:
             assert np.abs(r[kern.square_rows]).max() <= 1e-10
             assert (state.Pi > 0).all()
 
+    def test_most_samples_start_within_tolerance(self, monkeypatch):
+        # the regime the oracle is built for: at K=50 the interpolant of the
+        # solved cells already meets the exact law at almost every sample
+        import gasflow.pricing as pricing
+
+        net = configs.load("eight_node")
+        net = net.with_node(replace(net.node("J3"), demand_max=300.0))
+        sol = solve_chance_constrained(net, K=50, penalty=PEN)
+        unc = net.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, 50, node_id=unc.id)
+        real_solve = pricing.solve_steady
+        iterations = []
+
+        def counted(*args, **kwargs):
+            state = real_solve(*args, **kwargs)
+            iterations.append(state.iterations)
+            return state
+
+        monkeypatch.setattr(pricing, "solve_steady", counted)
+        est = violation_probability(sol, net, grid, mc_samples=7000, seed=1)[0]
+        assert est.n_failed == 0
+        assert len(iterations) == 7000
+        assert iterations.count(0) >= 0.99 * 7000
+
     @pytest.mark.parametrize("grid_kind", ["point_mass", "duplicate_omega"])
-    def test_repeated_omega_never_extrapolates(self, en_problem, grid_kind):
-        # the predictor needs three strictly increasing withdrawals below the
-        # sample's: equal ones must fall back to the last state, not divide
-        # by zero
+    def test_repeated_omega_starts_from_the_interpolant(self, en_problem, grid_kind):
+        # a point-mass grid interpolates the cell states by their mean, and
+        # repeated withdrawals get the same start: neither may divide by zero
+        # or index past a scalar
         net, sol, grid = en_problem
         if grid_kind == "point_mass":
             net = net.with_node(

@@ -8,6 +8,7 @@ from gasflow import (
     solve_steady,
 )
 from gasflow import configs
+from gasflow.physics import kernel
 
 
 def two_node_net(p_slack=5.0e6, length=2.0e4):
@@ -167,6 +168,48 @@ class TestNewtonBehavior:
         net = configs.load("single_pipe")
         with pytest.raises(SteadySolveError, match="N9"):
             solve_steady(net, None, {"N9": 1.0})
+
+
+class TestRatioCache:
+    """The network's kernel keeps the square system of each ratio vector."""
+
+    ALPHAS = (np.array([1.1, 1.2, 1.05]), np.array([1.3, 1.0, 1.15]))
+    LOADS = ({"J3": 200.0, "J5": 64.0}, {"J3": 180.0, "J5": 96.0})
+
+    def test_alternating_ratios_match_a_fresh_kernel(self):
+        net = configs.load("eight_node")
+        for _ in range(2):
+            for alpha, q in zip(self.ALPHAS, self.LOADS):
+                state = solve_steady(net, alpha, q)
+                fresh = solve_steady(configs.load("eight_node"), alpha, q)
+                np.testing.assert_array_equal(state.Pi, fresh.Pi)
+                np.testing.assert_array_equal(state.phi, fresh.phi)
+                assert state.iterations == fresh.iterations
+        assert list(kernel(net).squares) == [a.tobytes() for a in self.ALPHAS]
+
+    def test_out_of_range_ratio_after_a_cached_one(self):
+        net = configs.load("eight_node")
+        solve_steady(net, self.ALPHAS[0], self.LOADS[0])
+        with pytest.raises(SteadySolveError, match="C2.*ratio") as err:
+            solve_steady(net, np.array([1.1, 2.0, 1.05]), self.LOADS[0])
+        assert err.value.node == "C2"
+        assert len(kernel(net).squares) == 1
+
+    def test_dict_and_array_ratios_agree(self):
+        net = configs.load("eight_node")
+        alpha = self.ALPHAS[1]
+        by_id = solve_steady(net, dict(zip(["C1", "C2", "C3"], alpha)), self.LOADS[1])
+        by_order = solve_steady(net, alpha, self.LOADS[1])
+        np.testing.assert_array_equal(by_id.Pi, by_order.Pi)
+        np.testing.assert_array_equal(by_id.phi, by_order.phi)
+        assert len(kernel(net).squares) == 1
+
+    def test_cache_holds_at_most_eight_systems(self):
+        net = configs.load("eight_node")
+        ratios = [np.array([1.0 + 0.01 * i, 1.1, 1.1]) for i in range(10)]
+        for alpha in ratios:
+            solve_steady(net, alpha, self.LOADS[0])
+        assert list(kernel(net).squares) == [a.tobytes() for a in ratios[2:]]
 
 
 class TestMonotonicity:

@@ -59,6 +59,14 @@ class TestGridConstruction:
         np.testing.assert_allclose(Dg.toarray() @ np.linalg.inv(Dc.toarray()), 0.25)
         np.testing.assert_allclose(grid.greville_weights(), [1.0])
 
+    @pytest.mark.parametrize("shape", [(4,), (4, 3)], ids=["1d", "2d"])
+    def test_degenerate_interpolator_gives_the_mean_per_column(self, shape):
+        grid = build_grid(UncertaintySpec(dist="uniform", lo=5.0, hi=5.0), 4)
+        values = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        at = grid.value_interpolator(values)(np.full(6, 5.0))
+        assert at.shape == (6,) + shape[1:]
+        np.testing.assert_array_equal(at, np.broadcast_to(values.mean(axis=0), at.shape))
+
 
 class TestSplineBasis:
     @pytest.mark.parametrize("spec", [UNIFORM, TNORM], ids=["uniform", "truncnormal"])
