@@ -304,6 +304,13 @@ def _assemble(
         g_cols = Dg.indices.reshape(Dg.shape[0], -1)
         g_vals = Dg.data.reshape(g_cols.shape)
         rho = grid.greville_weights()
+        # a negative weight would let the SFV expectation of a nonnegative
+        # penalty fall below zero
+        if rho.min() < 0.0:
+            raise OgfError(
+                f"node {unc_node.id!r}: K={K} cells give the {grid.spec.dist} measure a "
+                f"negative Greville weight (smallest {rho.min():.3g}); use more cells"
+            )
     pimin_nd = {cid: net.node(cid).pressure_min**2 / pi_sc for cid in chance_ids}
     epsilon = {cid: net.node(cid).epsilon for cid in chance_ids}
 

@@ -9,6 +9,14 @@ cell values to its Greville points.  All measure quantities (cell masses,
 basis integrals, means, quantiles, the law of an interpolated quantity) are
 computed in closed form, by Gauss-Legendre quadrature or by bisection on the
 monotone pieces of a cubic; no sampling enters the construction.
+
+The splines are evaluated here in numpy: a vectorized Cox-de Boor recurrence
+for the B-spline bases, and the not-a-knot cell interpolant as power-form
+pieces whose slopes come from one banded solve.  Both follow the arithmetic
+of scipy's ``BSpline.design_matrix`` and ``CubicSpline`` operation for
+operation and give the same bits; the tests hold them to scipy as an oracle.
+Importing ``scipy.interpolate`` would also load ``scipy.optimize``,
+``scipy.fft`` and ``scipy.spatial``, none of which gasflow uses.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.interpolate import BSpline, CubicSpline
 from scipy.sparse.linalg import spsolve
 from scipy.special import ndtr, ndtri
 
@@ -125,6 +133,84 @@ def _gauss_legendre_panels(breaks: np.ndarray, n_points: int):
     return nodes.ravel(), weights.ravel()
 
 
+def _design_matrix(t: np.ndarray, x: np.ndarray) -> sp.csr_array:
+    """Cubic B-spline basis on knots ``t`` at the points ``x``, in the layout
+    of ``BSpline.design_matrix``: four stored entries per row, zeros included.
+
+    The interval ``t[l] <= x < t[l + 1]`` is clipped to the base interval, so
+    points outside it take the end polynomials.  The Cox-de Boor recurrence
+    runs in the order of scipy's ``_deBoor_D``, which makes the values bit for
+    bit scipy's.  Every knot span it divides by contains ``[t[l], t[l + 1]]``,
+    which is never empty, so it needs no branch for a zero span.
+    """
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, 3, t.size - 5)
+    h = np.zeros((x.size, 4))
+    h[:, 0] = 1.0
+    for j in range(1, 4):
+        prev = h[:, :j].copy()
+        h[:, 0] = 0.0
+        for m in range(1, j + 1):
+            right, left = t[ell + m], t[ell + m - j]
+            w = prev[:, m - 1] / (right - left)
+            h[:, m - 1] += w * (right - x)
+            h[:, m] = w * (x - left)
+    indices = ((ell - 3).astype(np.int32)[:, None] + np.arange(4, dtype=np.int32)).ravel()
+    indptr = np.arange(0, 4 * x.size + 1, 4, dtype=np.int32)
+    return sp.csr_array((h.ravel(), indices, indptr), shape=(x.size, t.size - 4))
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, n - 1, ...) of the not-a-knot cubic through ``(x, y)``
+    along the first axis of ``y``, for n >= 4 strictly increasing ``x``; piece
+    ``i`` is ``sum_m c[m, i] (w - x[i])^(3 - m)``.
+
+    The slopes at ``x`` solve the tridiagonal system of scipy's
+    ``CubicSpline``, with its end rows and the same arithmetic, so the
+    coefficients are bit for bit the same.
+    """
+    dx = np.diff(x)
+    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    A = np.zeros((3, x.size))  # upper, main and lower diagonals
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    A[1, 0], A[0, 1] = dx[1], x[2] - x[0]
+    A[1, -1], A[-1, -2] = dx[-2], x[-1] - x[-3]
+    b = np.empty(y.shape)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d = x[2] - x[0]
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    s = sla.solve_banded((1, 1), A, b.reshape(x.size, -1), overwrite_ab=True,
+                         overwrite_b=True, check_finite=False).reshape(b.shape)
+    # the cubic Hermite piece through the values and slopes at both ends
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+@dataclass(frozen=True)
+class PiecewiseCubic:
+    """Cubic with breakpoints ``x`` (n,) and power-form coefficients ``c``
+    (4, n - 1, ...) as :func:`_not_a_knot` returns them; the end pieces extend
+    beyond ``[x[0], x[-1]]``.  Calling it at points ``w`` gives an array of
+    shape ``w.shape + c.shape[2:]``.
+    """
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, w) -> np.ndarray:
+        w = np.asarray(w, dtype=float)
+        i = np.clip(np.searchsorted(self.x, w, side="right") - 1, 0, self.x.size - 2)
+        s = (w - self.x[i]).reshape(w.shape + (1,) * (self.c.ndim - 2))
+        c = self.c[:, i]
+        # scipy's PPoly order: a sum from 0.0 over ascending powers of s
+        z = s * s
+        return 0.0 + c[3] + c[2] * s + c[1] * z + c[0] * (z * s)
+
+
 @dataclass(frozen=True)
 class StochasticGrid:
     """Uniform SFV partition of an uncertainty interval with a spline basis.
@@ -162,8 +248,7 @@ class StochasticGrid:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.degenerate:
             return np.ones((x.size, 1))
-        out = BSpline.design_matrix(x, self.spline_knots, 3).toarray()
-        return out
+        return _design_matrix(self.spline_knots, x).toarray()
 
     def collocation_matrix(self) -> np.ndarray:
         """Square basis matrix at the Greville points (unisolvent)."""
@@ -174,14 +259,15 @@ class StochasticGrid:
         cell centers, whose K B-spline coefficients ``c`` have knots at the
         centers but the second and second-to-last: ``Dc`` (K, K) evaluates it
         at the centers and ``Dg`` (n_basis, K) at the Greville points, each
-        with four entries per row, so ``Dg @ inv(Dc)`` maps cell values to
-        values there.  A degenerate grid takes ``c`` as the cell values."""
+        with four stored entries per row (zeros included), so ``Dg @ inv(Dc)``
+        maps cell values to values there.  ``Dg`` extends the end pieces to the
+        outer Greville points.  A degenerate grid takes ``c`` as the cell
+        values."""
         if self.degenerate:
             return sp.identity(self.K, format="csr"), sp.csr_matrix(np.full((1, self.K), 1.0 / self.K))
         x = self.collocation_points
         t = np.concatenate([[x[0]] * 4, x[2:-2], [x[-1]] * 4])
-        Dg = BSpline.design_matrix(self.greville, t, 3, extrapolate=True)
-        return BSpline.design_matrix(x, t, 3), Dg
+        return _design_matrix(t, x), _design_matrix(t, self.greville)
 
     def greville_weights(self) -> np.ndarray:
         """Weights ``rho = B^-T @ basis_integrals``: the measure integral of the
@@ -189,29 +275,31 @@ class StochasticGrid:
         return spsolve(sp.csc_matrix(self.collocation_matrix().T), self.basis_integrals)
 
     def value_interpolator(self, values: np.ndarray):
-        """Callable omega -> value, cubic through the per-cell values (K, ...)
-        along their first axis; a degenerate grid gives their mean there."""
+        """Callable omega -> value: the not-a-knot cubic through the per-cell
+        values (K, ...) along their first axis, a :class:`PiecewiseCubic` with
+        the cell centers as breakpoints and the end pieces extended to the
+        support; a degenerate grid gives their mean there."""
         values = np.asarray(values, dtype=float)
         if self.degenerate:
             mean = values.mean(axis=0)
             return lambda x: np.full(np.shape(x) + mean.shape, mean)
-        return CubicSpline(self.collocation_points, values)
+        return PiecewiseCubic(self.collocation_points, _not_a_knot(self.collocation_points, values))
 
     def value_density(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact density of ``f(omega)``, with ``f = value_interpolator(values)``
         and ``omega`` drawn from the measure; no sampling.
 
-        Each cubic piece of ``f`` (the end pieces extended to the support) is
-        split at the roots of its derivative into monotone sub-pieces; on each,
-        ``mu{f <= v}`` is a CDF difference at the preimage of ``v``, found by
-        bisection.  Returns the centers of equal bins over the range of ``f``,
-        with empty bins either side, and ``F`` differenced over each bin
-        divided by its width, so the bin masses sum to one and the density is
-        finite at stationary points.  Needs a non-degenerate grid and values
-        that are not all equal.
+        Each power-form piece of ``f`` (read from ``f.x`` and ``f.c``, the end
+        pieces extended to the support) is split at the roots of its
+        derivative into monotone sub-pieces; on each, ``mu{f <= v}`` is a CDF
+        difference at the preimage of ``v``, found by bisection.  Returns the
+        centers of equal bins over the range of ``f``, with empty bins either
+        side, and ``F`` differenced over each bin divided by its width, so the
+        bin masses sum to one and the density is finite at stationary points.
+        Needs a non-degenerate grid and values that are not all equal.
         """
         spline = self.value_interpolator(values)
-        coef, origin = spline.c, spline.x[:-1]  # piece i: sum_m coef[m, i] (w - x_i)^(3 - m)
+        coef, origin = spline.c, spline.x[:-1]
         ends = np.concatenate([[self.spec.lo], spline.x[1:-1], [self.spec.hi]])
         # stationary points: roots of 3a t^2 + 2b t + c in the cancellation-free
         # form, which also yields the single root when a = 0

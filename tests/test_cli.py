@@ -98,6 +98,24 @@ def test_import_does_not_load_scipy_stats():
     assert done.stdout.strip() == "[]"
 
 
+def test_validate_loads_neither_scipy_interpolate_nor_optimize(single_pipe_path, tmp_path):
+    # gasflow evaluates its own splines; scipy.interpolate would pull in
+    # scipy.optimize, scipy.fft and scipy.spatial, about 0.3 s at start-up
+    src = str(Path(gasflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["validate", "--network", str(single_pipe_path), "--cells", "8", "--mc-samples", "50",
+            "--out", str(tmp_path / "o")]
+    code = (
+        "import sys, gasflow.cli\n"
+        f"assert gasflow.cli.main({argv!r}) == 0\n"
+        "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "o" / "violation.json").is_file()
+
+
 class TestModes:
     def test_simulate(self, single_pipe_path, tmp_path, capsys):
         code = main(
@@ -405,6 +423,14 @@ class TestArgumentHandling:
             ["optimize", "--mode", "cc", "--network", str(single_pipe_path), "--cells", "2"]
         )
         assert code == 1
+
+    def test_negative_greville_weight(self, tmp_path, capsys):
+        path = tmp_path / "single_pipe_truncnormal.json"
+        path.write_text(configs.config_text("single_pipe_truncnormal"))
+        code = main(["validate", "--network", str(path), "--cells", "4",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error: node 'N3': K=4 cells" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", ["0", "1", "-5"])
     def test_too_few_mc_samples(self, single_pipe_path, tmp_path, capsys, samples):

@@ -519,6 +519,20 @@ class TestAssemblyErrors:
             with pytest.raises(OgfError, match="delta"):
                 PenaltyConfig(delta=delta)
 
+    @pytest.mark.parametrize("K, smallest", [(4, "-0.0194"), (5, "-0.00199")])
+    def test_negative_greville_weight_rejected(self, K, smallest):
+        # the truncated normal's spline quadrature has a negative weight at
+        # K = 4 and 5, so the SFV expectation of a penalty could fall below 0
+        net = configs.load("single_pipe_truncnormal")
+        with pytest.raises(OgfError, match=rf"'N3': K={K} .*smallest {smallest}"):
+            solve_chance_constrained(net, K=K, penalty=PEN)
+
+    def test_six_truncated_normal_cells_solve(self):
+        net = configs.load("single_pipe_truncnormal")
+        grid = build_grid(net.uncertain_nodes[0].uncertainty, 6)
+        assert grid.greville_weights().min() > 0.0
+        assert solve_chance_constrained(net, K=6, penalty=PEN).optimal
+
     def test_unknown_load_override(self, single_pipe):
         with pytest.raises(OgfError, match="N9"):
             assemble_deterministic(single_pipe, loads={"N9": 1.0})

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BSpline, CubicSpline
 from scipy.special import erf
 
 from gasflow import UncertaintySpec, build_grid, configs, measure_basis_integrals
@@ -148,6 +148,69 @@ class TestSplineBasis:
         )
         np.testing.assert_allclose(moved.cell_mass, base.cell_mass, atol=1e-12)
         np.testing.assert_allclose(moved.basis_integrals, base.basis_integrals, atol=1e-12)
+
+
+def assert_bitwise(actual, expected):
+    """Equal values, shapes and signs of zero."""
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def oracle_points(grid, rng):
+    spec = grid.spec
+    draws = np.sort(spec.ppf(rng.random(500)))
+    return np.concatenate([[spec.lo, spec.hi], grid.collocation_points, grid.greville, draws])
+
+
+class TestScipyOracle:
+    """The spline arithmetic reproduces scipy's bit for bit; scipy's spline
+    classes serve here as an independent oracle."""
+
+    @pytest.mark.parametrize("spec", [UNIFORM, TNORM], ids=["uniform", "truncnormal"])
+    @pytest.mark.parametrize("K", [4, 5, 8, 50, 400])
+    def test_basis_and_factors(self, spec, K):
+        grid = build_grid(spec, K)
+        x = oracle_points(grid, np.random.default_rng(K))
+        oracle = BSpline.design_matrix(x, grid.spline_knots, 3)
+        assert_bitwise(grid.basis_matrix(x), oracle.toarray())
+        c = grid.collocation_points
+        t = np.concatenate([[c[0]] * 4, c[2:-2], [c[-1]] * 4])
+        expected = (BSpline.design_matrix(c, t, 3),
+                    BSpline.design_matrix(grid.greville, t, 3, extrapolate=True))
+        for got, want in zip(grid.interpolant_factors(), expected):
+            assert got.shape == want.shape
+            assert_bitwise(got.data, want.data)
+            assert_bitwise(got.toarray(), want.toarray())
+            for attr in ("indptr", "indices"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+                assert getattr(got, attr).dtype == getattr(want, attr).dtype
+
+    @pytest.mark.parametrize("spec", [UNIFORM, TNORM], ids=["uniform", "truncnormal"])
+    @pytest.mark.parametrize("K", [4, 5, 8, 50, 400])
+    @pytest.mark.parametrize("width", [None, 16], ids=["1d", "2d"])
+    def test_value_interpolator(self, spec, K, width):
+        grid = build_grid(spec, K)
+        rng = np.random.default_rng(K)
+        x = oracle_points(grid, rng)
+        values = rng.normal(size=(K,) if width is None else (K, width))
+        if width:  # zero, negative zero and constant columns
+            values[:, :3] = 0.0, -0.0, 3.5
+        f, oracle = grid.value_interpolator(values), CubicSpline(grid.collocation_points, values)
+        assert_bitwise(f.x, oracle.x)
+        assert_bitwise(f.c, oracle.c)
+        assert_bitwise(f(x), oracle(x))
+
+    def test_negative_zero_value_evaluates_to_positive_zero(self):
+        # a cubic with value -0.0 and negative derivatives at a center: there
+        # every term of the sum is -0.0, and the sum starts from +0.0
+        grid = build_grid(UNIFORM, 8)
+        u = (grid.collocation_points - grid.collocation_points[3]) / UNIFORM.width
+        values = -(u + u**2 + u**3)
+        assert np.signbit(values[3])
+        at = grid.value_interpolator(values)(grid.collocation_points)
+        assert_bitwise(at, CubicSpline(grid.collocation_points, values)(grid.collocation_points))
+        assert at[3] == 0.0 and not np.signbit(at[3])
 
 
 class TestSampling:
