@@ -9,8 +9,10 @@ The KKT system is factored in bordered-block form (Zavala, Laird & Biegler
 2008; Chiang, Petra & Zavala 2014).  ``NlpProblem.blocks`` labels every
 variable and constraint row either with its diagonal block, called a cell
 (label >= 0), or with the border (-1).  Each cell is factored by LAPACK's
-Bunch-Kaufman ``dsytrf`` and eliminated into the Schur complement of the
-border, which is factored densely by ``scipy.linalg.ldl``.  The inertia is
+Bunch-Kaufman ``dsytrf`` in place and eliminated into the Schur complement
+of the border, which is factored densely by ``scipy.linalg.ldl``.  A cell's
+couplings are a dense panel over the few border columns it touches, so the
+elimination is one batched product over all cells.  The inertia is
 the sum of the cell inertias and the Schur inertia (Haynsworth additivity),
 so inertia correction stays exact.  Cells meet only through the border: a
 Hessian or Jacobian entry that links two cells is rejected, so a problem
@@ -45,7 +47,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dsytrf, dsytrs
+from scipy.linalg.lapack import dsytrf, dsytrs, dtrtrs
 
 log = logging.getLogger("gasflow.nlp")
 
@@ -150,9 +152,10 @@ class NlpSolution:
 
 
 def _as_sparse(mat, shape) -> sp.csr_matrix:
-    if sp.issparse(mat):
-        return sp.csr_matrix(mat)
-    return sp.csr_matrix(np.asarray(mat, dtype=float).reshape(shape))
+    """``mat`` as CSR; a ``csr_matrix`` is returned as it is, not copied."""
+    if isinstance(mat, sp.csr_matrix):
+        return mat
+    return sp.csr_matrix(mat if sp.issparse(mat) else np.asarray(mat, dtype=float).reshape(shape))
 
 
 class _Breakdown(ArithmeticError):
@@ -166,7 +169,10 @@ class _BorderedKkt:
     rows) with its cell (>= 0) or the border (-1); ``None`` puts everything
     in the border.  All cells must have the same size.  One rule fixes the
     structure: an entry may link a cell only to itself or to the border.  A
-    Jacobian or Hessian entry between two cells raises ``ValueError``.
+    Jacobian or Hessian entry between two cells raises ``ValueError``.  Cell
+    k's couplings form a dense (t, size) panel whose row j is border column
+    ``cols[k, j]``; t is the most border columns any cell touches, and a cell
+    touching fewer has zero rows.
     """
 
     def __init__(self, blocks, n: int, m: int):
@@ -191,7 +197,7 @@ class _BorderedKkt:
 
         The split of the sparsity pattern is kept, and a call whose ``H`` and
         ``J`` have the pattern of the previous one only scatters values."""
-        H, J = sp.csr_matrix(H), sp.csr_matrix(J)
+        H, J = _as_sparse(H, (self.n, self.n)), _as_sparse(J, (self.m, self.n))
         pattern = (H.indptr, H.indices, J.indptr, J.indices)
         if self._pattern is None or not all(map(np.array_equal, pattern, self._pattern)):
             self._pattern = None
@@ -207,9 +213,8 @@ class _BorderedKkt:
         A.flat[self._a_at] = v[self._a_of]
         S = np.zeros((self.border.size, self.border.size))
         S.flat[self._s_at] = v[self._s_of]
-        data = np.zeros(self._B.data.size)
-        data[self._b_at] = v[self._edge]
-        B = sp.csr_matrix((data, self._B.indices, self._B.indptr), shape=self._B.shape)
+        B = np.zeros(self.cols.shape + (size,))
+        B.flat[self._b_at] = v[self._edge]
         return _KktSystem(self, A, B, S)
 
     def _split(self, H, J):
@@ -241,28 +246,25 @@ class _BorderedKkt:
         self._a_of, self._a_at = same, (bi[same] * size + li[same]) * size + lj[same]
         both = np.flatnonzero((bi < 0) & (bj < 0))
         self._s_of, self._s_at = both, li[both] * width + lj[both]
-        # couplings (cell, local row, border column)
+        # couplings (cell, local row, border column) go to the panels
         self._edge = np.flatnonzero((bi >= 0) & (bj < 0))
         cell, row, col = bi[self._edge], li[self._edge], lj[self._edge]
-        # B (cells * size, border) in CSR form; every row of a cell stores all
-        # the border columns that cell touches, so each cell's rows form a
-        # dense block for LAPACK
         touched = np.zeros((n_cells, width), dtype=bool)
         touched[cell, col] = True
-        indices = np.concatenate(
-            [np.zeros(0, dtype=np.intp)] + [np.tile(np.flatnonzero(t), size) for t in touched]
-        )
-        indptr = np.r_[0, np.cumsum(np.repeat(touched.sum(axis=1), size))]
-        self._B = sp.csr_matrix((np.zeros(indices.size), indices, indptr),
-                                shape=(n_cells * size, width))
-        self._b_at = indptr[cell * size + row] + (np.cumsum(touched, axis=1) - 1)[cell, col]
+        rank = np.cumsum(touched, axis=1) - 1
+        t = int(touched.sum(axis=1).max(initial=0))
+        self.cols = np.zeros((n_cells, t), dtype=np.intp)
+        k, j = np.nonzero(touched)
+        self.cols[k, rank[k, j]] = j
+        self._b_at = (cell * t + rank[cell, col]) * size + row
+        self.schur_at = (self.cols[:, :, None] * width + self.cols[:, None, :]).ravel()
 
 
 @dataclass
 class _KktSystem:
     kkt: _BorderedKkt
-    A: np.ndarray  # (cells, size, size) diagonal blocks
-    B: sp.csr_matrix  # (cells * size, border) couplings
+    A: np.ndarray  # (cells, size, size) diagonal blocks, exactly symmetric
+    B: np.ndarray  # (cells, t, size) panels; row j of cell k is border column kkt.cols[k, j]
     S: np.ndarray  # (border, border)
 
 
@@ -279,19 +281,22 @@ class _BorderedFactor:
     border's Schur complement (``scipy.linalg.ldl``).  The inertia is the sum
     of theirs (Haynsworth).  When a cell has a zero pivot the border is left
     unfactored and the zero is reported.  ``shift`` (length n + m) is added to
-    the diagonal."""
+    the diagonal.
+
+    A cell block is symmetric, so its transpose is a Fortran-ordered view
+    that ``dsytrf`` factors in place; ``dsytrs`` solves in place on the
+    Fortran views of the panels ``X = B A^-1`` and of the right-hand sides."""
 
     def __init__(self, system: _KktSystem, shift: np.ndarray):
         kkt = system.kkt
         n_cells, size = kkt.cells.shape
         self.system = system
         diag = np.arange(size)
-        A = system.A.copy()
-        A[:, diag, diag] += shift[kkt.cells]
-        self.lu = np.empty_like(A)
+        self.lu = system.A.copy()
+        self.lu[:, diag, diag] += shift[kkt.cells]
         self.piv = np.empty((n_cells, size), dtype=np.int32)
         for k in range(n_cells):
-            self.lu[k], self.piv[k], _ = dsytrf(A[k], lower=1)
+            self.piv[k] = dsytrf(self.lu[k].T, lower=1, overwrite_a=1)[1]
         one = self.piv > 0  # LAPACK marks both rows of a 2x2 pivot negative
         cells = _pivot_inertia(self.lu[:, diag, diag][one], int(np.count_nonzero(~one)) // 2)
         if cells[2]:
@@ -301,16 +306,14 @@ class _BorderedFactor:
         nb = kkt.border.size
         S = system.S.copy()
         S[np.arange(nb), np.arange(nb)] += shift[kkt.border]
-        # X = blockdiag(cells)^-1 B has the sparsity of B
-        B = system.B
-        x = np.empty_like(B.data)
+        self.X = system.B.copy()
         for k in range(n_cells):
-            block = slice(B.indptr[k * size], B.indptr[(k + 1) * size])
-            x[block] = dsytrs(self.lu[k], self.piv[k], B.data[block].reshape(size, -1), lower=1)[0].ravel()
-        self.X = sp.csr_matrix((x, B.indices, B.indptr), shape=B.shape)
-        S -= (B.T @ self.X).toarray()
-        lu, D, self.perm = sla.ldl(S, lower=True)
-        self.L = lu[self.perm]
+            dsytrs(self.lu[k].T, self.piv[k], self.X[k].T, lower=1, overwrite_b=1)
+        # each cell's (t, t) block B X^T goes to its border columns
+        S -= np.bincount(kkt.schur_at, (system.B @ self.X.transpose(0, 2, 1)).ravel(),
+                         minlength=nb * nb).reshape(nb, nb)
+        lu, D, self.perm = sla.ldl(S, lower=True, overwrite_a=True, check_finite=False)
+        self.L = np.asfortranarray(lu[self.perm])
         self.first = np.flatnonzero(np.diag(D, -1))  # 2x2 pivots at (i, i + 1)
         self.single = np.ones(S.shape[0], dtype=bool)
         self.single[self.first] = self.single[self.first + 1] = False
@@ -321,8 +324,9 @@ class _BorderedFactor:
         self.inertia = (cells[0] + border[0], cells[1] + border[1], border[2])
 
     def _border_solve(self, b: np.ndarray) -> np.ndarray:
-        w = sla.solve_triangular(self.L, b[self.perm], lower=True, unit_diagonal=True,
-                                 check_finite=False)
+        if not b.size:
+            return b
+        w = dtrtrs(self.L, b[self.perm], lower=1, unitdiag=1)[0]
         v = np.empty_like(w)
         v[self.single] = w[self.single] / self.d1
         i, j = self.first, self.first + 1
@@ -330,8 +334,7 @@ class _BorderedFactor:
         det = a * c - off * off
         v[i] = (c * w[i] - off * w[j]) / det
         v[j] = (a * w[j] - off * w[i]) / det
-        u = sla.solve_triangular(self.L.T, v, lower=False, unit_diagonal=True,
-                                 check_finite=False)
+        u = dtrtrs(self.L, v, lower=1, trans=1, unitdiag=1)[0]
         out = np.empty_like(u)
         out[self.perm] = u
         return out
@@ -340,11 +343,13 @@ class _BorderedFactor:
         kkt = self.system.kkt
         y = rhs[kkt.cells]
         for k in range(y.shape[0]):
-            y[k] = dsytrs(self.lu[k], self.piv[k], y[k][:, None], lower=1)[0][:, 0]
-        z = self._border_solve(rhs[kkt.border] - self.system.B.T @ y.ravel())
+            dsytrs(self.lu[k].T, self.piv[k], y[k][:, None], lower=1, overwrite_b=1)
+        coupled = np.bincount(kkt.cols.ravel(), (self.system.B @ y[:, :, None]).ravel(),
+                              minlength=kkt.border.size)
+        z = self._border_solve(rhs[kkt.border] - coupled)
         out = np.empty(rhs.size)
         out[kkt.border] = z
-        out[kkt.cells] = y - (self.X @ z).reshape(y.shape)
+        out[kkt.cells] = y - (z[kkt.cols][:, None, :] @ self.X)[:, 0]
         return out
 
 
@@ -410,15 +415,15 @@ class _Iterate:
         return f - mu * (np.log(sl_lo).sum() + np.log(sl_hi).sum())
 
 
-def _kkt_error(problem, x, y, z_lo, z_hi, g, c, JT, mu, has_lo, has_hi):
-    """Scaled KKT error in the style of Ipopt's E_mu."""
+def _kkt_error(problem, x, y, z_lo, z_hi, g, c, jty, mu, has_lo, has_hi):
+    """Scaled KKT error in the style of Ipopt's E_mu; ``jty`` is ``J^T y``."""
     n_b = int(has_lo.sum() + has_hi.sum())
     s_max = 100.0
     mult_sum = np.abs(y).sum() + z_lo[has_lo].sum() + z_hi[has_hi].sum()
     denom = max(1, problem.m + n_b)
     s_d = max(s_max, mult_sum / denom) / s_max
     s_c = max(s_max, (z_lo[has_lo].sum() + z_hi[has_hi].sum()) / max(1, n_b)) / s_max
-    r_stat = g + JT @ y - z_lo + z_hi
+    r_stat = g + jty - z_lo + z_hi
     stat = np.abs(r_stat).max() / s_d if problem.n else 0.0
     feas = np.abs(c).max() if problem.m else 0.0
     comp = 0.0
@@ -475,7 +480,7 @@ def solve(
     if m and duals0 is None:
         it.y = _least_squares_multipliers(kkt, J, -(g - it.z_lo + it.z_hi))
 
-    e0, *_ = _kkt_error(problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T, 0.0, has_lo, has_hi)
+    e0, *_ = _kkt_error(problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T @ it.y, 0.0, has_lo, has_hi)
     mu = min(MU0, max(opts.tol / 11.0, e0 / 10.0))
     tau = max(TAU_MIN, 1.0 - mu)
 
@@ -494,8 +499,9 @@ def solve(
     debug = log.isEnabledFor(logging.DEBUG)
 
     for iteration in range(1, opts.max_iter + 1):
+        jty = J.T @ it.y
         e_scaled, stat, feas, comp = _kkt_error(
-            problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T, 0.0, has_lo, has_hi
+            problem, it.x, it.y, it.z_lo, it.z_hi, g, c, jty, 0.0, has_lo, has_hi
         )
         if best is None or e_scaled < best[0]:
             best = (e_scaled, it.x.copy(), it.y.copy(), it.z_lo.copy(), it.z_hi.copy(), f)
@@ -510,14 +516,14 @@ def solve(
             break
 
         e_mu, *_ = _kkt_error(
-            problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T, mu, has_lo, has_hi
+            problem, it.x, it.y, it.z_lo, it.z_hi, g, c, jty, mu, has_lo, has_hi
         )
         while e_mu <= KAPPA_EPS * mu and mu > opts.tol / 11.0:
             mu = max(opts.tol / 11.0, mu / 10.0)
             tau = max(TAU_MIN, 1.0 - mu)
             filter_entries.clear()
             e_mu, *_ = _kkt_error(
-                problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T, mu, has_lo, has_hi
+                problem, it.x, it.y, it.z_lo, it.z_hi, g, c, jty, mu, has_lo, has_hi
             )
 
         sl_lo, sl_hi = it.slacks()
@@ -526,7 +532,7 @@ def solve(
 
         W = problem.hessian(it.x, it.y, 1.0)
 
-        rhs = np.concatenate([-(grad_phi + J.T @ it.y), -c])
+        rhs = np.concatenate([-(grad_phi + jty), -c])
 
         # inertia-corrected factorization
         delta_w = 0.0
@@ -717,7 +723,7 @@ def solve(
     if status is not SolveStatus.OPTIMAL and best is not None and best[0] < np.inf:
         _, bx, by, bzl, bzh, bf = best
         e_now, *_ = _kkt_error(
-            problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T, 0.0, has_lo, has_hi
+            problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T @ it.y, 0.0, has_lo, has_hi
         )
         if best[0] < e_now:
             it.x, it.y, it.z_lo, it.z_hi, f = bx, by, bzl, bzh, bf

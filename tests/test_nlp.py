@@ -298,21 +298,24 @@ class TestNumericalBreakdown:
         assert np.all(np.isfinite(sol.x))
 
 
-def random_bordered(rng, cells=4, cell_vars=3, cell_rows=2, border_vars=3, border_rows=2):
+def random_bordered(rng, cells=4, cell_vars=3, cell_rows=2, border_vars=3, border_rows=2, couple=None):
     """Random labels, Hessian, Jacobian and diagonal shift of a bordered-block
-    KKT matrix: indefinite cells and border rows; no entry links two cells."""
+    KKT matrix: indefinite cells and border rows; no entry links two cells.
+    Entries are nonzero with probability 0.7, except that those between cell k
+    and the border use ``couple[k]`` when it is given."""
     var_label = rng.permutation(np.r_[np.repeat(np.arange(cells), cell_vars), -np.ones(border_vars, int)])
     row_label = rng.permutation(np.r_[np.repeat(np.arange(cells), cell_rows), -np.ones(border_rows, int)])
     n, m = var_label.size, row_label.size
-    allowed = (
-        (var_label[:, None] == var_label[None, :])
-        | (var_label[:, None] < 0)
-        | (var_label[None, :] < 0)
-    )
-    H = np.triu(rng.normal(size=(n, n)) * allowed * (rng.random((n, n)) < 0.7))
+    couple = np.full(cells, 0.7) if couple is None else np.asarray(couple, dtype=float)
+
+    def density(a, b):
+        a, b = a[:, None], b[None, :]
+        p = np.where(a == b, 0.7, couple[np.maximum(a, b)])
+        return np.where((a >= 0) & (b >= 0) & (a != b), 0.0, p)
+
+    H = np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < density(var_label, var_label)))
     H = H + np.triu(H, 1).T
-    j_allowed = (row_label[:, None] < 0) | (var_label[None, :] < 0) | (row_label[:, None] == var_label[None, :])
-    J = rng.normal(size=(m, n)) * j_allowed * (rng.random((m, n)) < 0.7)
+    J = rng.normal(size=(m, n)) * (rng.random((m, n)) < density(row_label, var_label))
     shift = np.r_[rng.uniform(-1.0, 2.0, n), -rng.uniform(0.0, 1e-3, m)]
     return np.r_[var_label, row_label], H, J, shift
 
@@ -322,23 +325,48 @@ def kkt_matrix(H, J, shift):
     return M + np.diag(shift)
 
 
+def assert_matches_dense(rng, blocks, H, J, shift):
+    """The bordered factorization, with the labels and without, has the
+    inertia of ``eigvalsh`` and solves as ``np.linalg.solve`` does."""
+    n, m = J.shape[1], J.shape[0]
+    M = kkt_matrix(H, J, shift)
+    eig = np.linalg.eigvalsh(M)
+    tol = 1e-10 * np.abs(eig).max()
+    assert np.abs(eig).min() > tol
+    expect = (int(np.sum(eig > tol)), int(np.sum(eig < -tol)), 0)
+    rhs = rng.normal(size=n + m)
+    for labels in (blocks, None):
+        system = _BorderedKkt(labels, n, m).system(sp.coo_matrix(H), sp.coo_matrix(J))
+        factor = _BorderedFactor(system, shift)
+        assert factor.inertia == expect
+        np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(M, rhs), rtol=1e-7, atol=1e-9)
+
+
 class TestBorderedKkt:
     @pytest.mark.parametrize("seed", range(12))
     def test_inertia_and_solution_match_dense(self, seed):
         rng = np.random.default_rng(seed)
-        blocks, H, J, shift = random_bordered(rng)
+        assert_matches_dense(rng, *random_bordered(rng))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("couple", [(0.0, 1.0, 0.5, 0.2), (0.0, 0.0, 0.0, 0.0)], ids=["uneven", "uncoupled"])
+    @pytest.mark.parametrize("border", [(3, 2), (0, 0)], ids=["border", "no-border"])
+    def test_uneven_coupling_matches_dense(self, seed, couple, border, capfd):
+        # cell 0 touches no border column and cell 1 all of them, so the
+        # other cells' panels are padded with zero rows; with no coupling at
+        # all, or no border, the panels are empty (t = 0), and an empty border
+        # is never handed to LAPACK, which would print an argument error
+        rng = np.random.default_rng(100 + seed)
+        blocks, H, J, shift = random_bordered(rng, 4, 3, 2, *border, couple=couple)
         n, m = J.shape[1], J.shape[0]
-        M = kkt_matrix(H, J, shift)
-        eig = np.linalg.eigvalsh(M)
-        tol = 1e-10 * np.abs(eig).max()
-        assert np.abs(eig).min() > tol
-        expect = (int(np.sum(eig > tol)), int(np.sum(eig < -tol)), 0)
-        rhs = rng.normal(size=n + m)
-        for labels in (blocks, None):
-            system = _BorderedKkt(labels, n, m).system(sp.coo_matrix(H), sp.coo_matrix(J))
-            factor = _BorderedFactor(system, shift)
-            assert factor.inertia == expect
-            np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(M, rhs), rtol=1e-7, atol=1e-9)
+        kkt = _BorderedKkt(blocks, n, m)
+        system = kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+        width = sum(border) if couple[1] else 0
+        assert system.B.shape == (4, width, 5)
+        np.testing.assert_array_equal(system.B[0], 0.0)
+        np.testing.assert_array_equal(kkt.cols[1], np.arange(width))
+        assert_matches_dense(rng, blocks, H, J, shift)
+        assert capfd.readouterr() == ("", "")
 
     def test_hessian_linking_two_cells_rejected(self):
         # variable 1 (cell 0) and variable 2 (cell 1) share a Hessian entry
@@ -378,10 +406,24 @@ class TestBorderedKkt:
         empty = sp.coo_matrix((n, n))
         for h, j in ((H, J), (empty, J), (H2 + H2.T, J2), (H, J)):
             got = kkt.system(sp.coo_matrix(h), sp.coo_matrix(j))
-            want = _BorderedKkt(blocks, n, m).system(sp.coo_matrix(h), sp.coo_matrix(j))
+            fresh = _BorderedKkt(blocks, n, m)
+            want = fresh.system(sp.coo_matrix(h), sp.coo_matrix(j))
             np.testing.assert_array_equal(got.A, want.A)
             np.testing.assert_array_equal(got.S, want.S)
-            np.testing.assert_array_equal(got.B.toarray(), want.B.toarray())
+            np.testing.assert_array_equal(got.B, want.B)
+            np.testing.assert_array_equal(kkt.cols, fresh.cols)
+        # the same CSR object, its pattern changed in place: a border row
+        # moves an entry to a variable it did not touch, and the split follows
+        h, j = sp.csr_matrix(H), sp.csr_matrix(J)
+        kkt.system(h, j)
+        row = np.flatnonzero(blocks[n:] < 0)[0]
+        free = np.setdiff1d(np.arange(n), j.indices[j.indptr[row]:j.indptr[row + 1]])
+        j.indices[j.indptr[row]] = free[0]
+        moved, fresh = kkt.system(h, j), _BorderedKkt(blocks, n, m)
+        expect = fresh.system(h, j.copy())
+        for name in ("A", "B", "S"):
+            np.testing.assert_array_equal(getattr(moved, name), getattr(expect, name))
+        np.testing.assert_array_equal(kkt.cols, fresh.cols)
         bad = sp.csr_matrix(J)
         bad.data[0] = np.nan
         with pytest.raises(_Breakdown, match="not finite"):
