@@ -8,20 +8,25 @@ the KKT system.
 The KKT system is factored in bordered-block form (Zavala, Laird & Biegler
 2008; Chiang, Petra & Zavala 2014).  ``NlpProblem.blocks`` labels every
 variable and constraint row either with its diagonal block, called a cell
-(label >= 0), or with the border (-1).  Each cell is factored by LAPACK's
-Bunch-Kaufman ``dsytrf`` in place and eliminated into the Schur complement
-of the border, which is factored densely by ``scipy.linalg.ldl``.  A cell's
-couplings are a dense panel over the few border columns it touches, so the
-elimination is one batched product over all cells.  The inertia is
-the sum of the cell inertias and the Schur inertia (Haynsworth additivity),
-so inertia correction stays exact.  Cells meet only through the border: a
-Hessian or Jacobian entry that links two cells is rejected, so a problem
-writes any quantity that couples cells as a border variable with its own
-defining row.  That row belongs to the border when its cell's own rows
-already fix the cell's variables, because each cell block must be regular.
-The split of the KKT pattern is kept, so an iteration with the pattern of
-the last one only scatters values.  Without labels everything is border, and
-the whole KKT matrix gets one dense factorization.  A factorization that
+(label >= 0), or with the border, whose unknowns are either the band (label
+<= -2, at position -2 - label) or the arrow (-1).  Each cell is factored by
+LAPACK's Bunch-Kaufman ``dsytrf`` in place and eliminated into the Schur
+complement of the border.  A cell's couplings are a dense panel over the few
+border columns it touches, so the elimination is one batched product over
+all cells.  The Schur complement is a block-tridiagonal band plus an arrow
+(Golub & Van Loan, sec. 4.5): ``dsytrf`` factors each band block, which is
+eliminated into the next block and into the arrow, and ``scipy.linalg.ldl``
+factors only what is left of the arrow, so the border costs time linear in
+its band.  The inertia is the sum of the cell, band-block and arrow
+inertias (Haynsworth additivity), so inertia correction stays exact.  Cells
+meet only through the border: a Hessian or Jacobian entry that links two
+cells is rejected, so a problem writes any quantity that couples cells as a
+border variable with its own defining row.  That row belongs to the border
+when its cell's own rows already fix the cell's variables, because each cell
+block must be regular.  The split of the KKT pattern is kept, so an
+iteration with the pattern of the last one only scatters values.  Without
+labels everything is arrow, and the whole KKT matrix gets one dense
+factorization.  A factorization that
 cannot be repaired (non-finite entries, or inertia correction run past its
 cap) ends the solve with status ``NUMERICAL`` and a diagnostic.
 
@@ -66,6 +71,8 @@ G_PHI = 1e-5
 S_THETA = 1.1
 S_PHI = 2.3
 FILTER_DELTA = 1.0
+# fewest rows of a band block of the border's Schur complement
+BAND_ROWS = 32
 
 
 class SolveStatus(Enum):
@@ -94,9 +101,15 @@ class NlpProblem:
 
     ``blocks`` optionally labels the n variables and then the m constraint
     rows for the bordered-block KKT factorization: a label >= 0 names a cell,
-    -1 the border.  Cells must have equal sizes, and no Jacobian or Hessian
-    entry may link two cells.  ``None`` factors the whole KKT matrix as one
-    dense block.
+    -1 the border's dense arrow, and a label <= -2 places the unknown in the
+    border's band at position ``-2 - label`` (unknowns sharing a position
+    follow in index order).  Cells must have equal sizes, and no Jacobian or
+    Hessian entry may link two cells.  The band is factored in blocks of
+    consecutive positions, each of at least ``BAND_ROWS`` rows (or the whole
+    band) and at least as wide as the farthest reach of a Hessian or Jacobian
+    entry between two band unknowns; a cell coupled to band unknowns in
+    blocks that are not neighbours is rejected.  ``None`` factors the whole
+    KKT matrix as one dense block.
     """
 
     n: int
@@ -121,8 +134,8 @@ class NlpProblem:
             raise ValueError(f"bounds must satisfy lo < hi elementwise (variable {bad})")
         if self.blocks is not None:
             self.blocks = np.asarray(self.blocks, dtype=np.intp)
-            if self.blocks.shape != (self.n + self.m,) or np.any(self.blocks < -1):
-                raise ValueError("blocks must hold n + m labels, each >= -1")
+            if self.blocks.shape != (self.n + self.m,):
+                raise ValueError("blocks must hold n + m labels")
 
 
 @dataclass
@@ -166,13 +179,22 @@ class _BorderedKkt:
     """Bordered-block form of the KKT matrix ``[[H + diag(sx), J^T], [J, diag(sy)]]``.
 
     ``blocks`` labels each unknown (the n variables, then the m constraint
-    rows) with its cell (>= 0) or the border (-1); ``None`` puts everything
-    in the border.  All cells must have the same size.  One rule fixes the
-    structure: an entry may link a cell only to itself or to the border.  A
-    Jacobian or Hessian entry between two cells raises ``ValueError``.  Cell
-    k's couplings form a dense (t, size) panel whose row j is border column
-    ``cols[k, j]``; t is the most border columns any cell touches, and a cell
-    touching fewer has zero rows.
+    rows) with its cell (>= 0), the arrow (-1) or the band (<= -2); ``None``
+    puts everything in the arrow.  All cells must have the same size.  One
+    rule fixes the structure: an entry may link a cell only to itself or to
+    the border.  A Jacobian or Hessian entry between two cells raises
+    ``ValueError``.  Cell k's couplings form a dense (t, size) panel whose row
+    j is border column ``cols[k, j]``; t is the most border columns any cell
+    touches, and a cell touching fewer has zero rows.
+
+    The border is ordered band first, by position ``-2 - label`` (ties in
+    index order), then the arrow.  The band is cut into blocks of ``block``
+    rows: at least ``BAND_ROWS`` (or the whole band, when it is shorter) and
+    at least the farthest reach of a Hessian or Jacobian entry between two
+    band unknowns, so the entries the problem writes make the band block
+    tridiagonal.  A cell whose couplings reach two band unknowns in blocks
+    that are not neighbours would fill the band outside that envelope, and
+    raises ``ValueError``.  The last block is padded with unit diagonal rows.
     """
 
     def __init__(self, blocks, n: int, m: int):
@@ -185,7 +207,10 @@ class _BorderedKkt:
         size = int(sizes[0]) if n_cells else 0
         self.n, self.m, self.labels = n, m, labels
         self.cells = in_cell[np.argsort(labels[in_cell], kind="stable")].reshape(n_cells, size)
-        self.border = np.flatnonzero(labels < 0)
+        band = np.flatnonzero(labels <= -2)
+        self.band = band.size
+        self.border = np.concatenate([band[np.argsort(-labels[band], kind="stable")],
+                                      np.flatnonzero(labels == -1)])
         self.local = np.empty(n + m, dtype=np.intp)
         self.local[self.cells.ravel()] = np.tile(np.arange(size), n_cells)
         self.local[self.border] = np.arange(self.border.size)
@@ -211,18 +236,48 @@ class _BorderedKkt:
         n_cells, size = self.cells.shape
         A = np.zeros((n_cells, size, size))
         A.flat[self._a_at] = v[self._a_of]
-        S = np.zeros((self.border.size, self.border.size))
-        S.flat[self._s_at] = v[self._s_of]
+        S = np.zeros(self._s_size)
+        S[self._s_at] = v[self._s_of]
+        S[self.pad_at] = 1.0
         B = np.zeros(self.cols.shape + (size,))
         B.flat[self._b_at] = v[self._edge]
         return _KktSystem(self, A, B, S)
+
+    def border_blocks(self, S: np.ndarray):
+        """Views of the flat border storage ``S``: the band's diagonal blocks
+        (p, block, block), each block's panel (p, block + arrow, block) whose
+        first ``block`` rows are the next block's and whose other rows are
+        the arrow's, and the arrow (arrow, arrow)."""
+        b, na = self.block, self.border.size - self.band
+        p = self._p_at // (b * b)
+        return (S[: self._p_at].reshape(p, b, b),
+                S[self._p_at : self._r_at].reshape(p, b + na, b),
+                S[self._r_at :].reshape(na, na))
+
+    def _home(self, i, j):
+        """Flat position in the border storage of border entry (i, j), local
+        indices; -1 where the entry is kept only as its transpose."""
+        nband, b, na = self.band, self.block, self.border.size - self.band
+        qi, qj = i // b, j // b
+        home = np.full(np.broadcast(i, j).shape, -1, dtype=np.intp)
+        in_band = (i < nband) & (j < nband)
+        for keep, at in (
+            (in_band & (qi == qj), i * b + j % b),
+            (in_band & (qi == qj + 1), self._p_at + (qj * (b + na) + i % b) * b + j % b),
+            ((i >= nband) & (j < nband), self._p_at + (qj * (b + na) + b + i - nband) * b + j % b),
+            ((i >= nband) & (j >= nband), self._r_at + (i - nband) * na + j - nband),
+        ):
+            home = np.where(keep, at, home)
+        return home
 
     def _split(self, H, J):
         """Classify the entries of the KKT pattern of ``H`` and ``J`` (CSR)."""
         n, N = self.n, self.n + self.m
         hr = np.repeat(np.arange(n), np.diff(H.indptr))
         jr = n + np.repeat(np.arange(self.m), np.diff(J.indptr))
-        keys = [hr * N + H.indices, H.indices * N + hr, jr * N + J.indices, J.indices * N + jr]
+        # scipy may store the indices as int32, and N * N can exceed its range
+        hc, jc = H.indices.astype(np.intp), J.indices.astype(np.intp)
+        keys = [hr * N + hc, hc * N + hr, jr * N + jc, jc * N + jr]
         keys, self._slot = np.unique(np.concatenate(keys), return_inverse=True)
         r, c = self._r, self._c = keys // N, keys % N
         bi, bj = self.labels[r], self.labels[c]
@@ -240,24 +295,57 @@ class _BorderedKkt:
                 f"variable {c[k]} of cell {bj[k]}; cells may meet only through the border"
             )
 
-        width = self.border.size
+        width, nband = self.border.size, self.band
         n_cells, size = self.cells.shape
         same = np.flatnonzero((bi == bj) & (bi >= 0))
         self._a_of, self._a_at = same, (bi[same] * size + li[same]) * size + lj[same]
-        both = np.flatnonzero((bi < 0) & (bj < 0))
-        self._s_of, self._s_at = both, li[both] * width + lj[both]
-        # couplings (cell, local row, border column) go to the panels
+        # couplings (cell, local row, border column) go to the panels; a
+        # cell's border columns are ranked in ascending order
         self._edge = np.flatnonzero((bi >= 0) & (bj < 0))
         cell, row, col = bi[self._edge], li[self._edge], lj[self._edge]
-        touched = np.zeros((n_cells, width), dtype=bool)
-        touched[cell, col] = True
-        rank = np.cumsum(touched, axis=1) - 1
-        t = int(touched.sum(axis=1).max(initial=0))
+        pairs, pair_of = np.unique(cell * width + col, return_inverse=True)
+        first = np.searchsorted(pairs, np.arange(n_cells + 1) * width)
+        count = np.diff(first)
+        rank = np.arange(pairs.size) - np.repeat(first[:-1], count)
+        t = int(count.max(initial=0))
         self.cols = np.zeros((n_cells, t), dtype=np.intp)
-        k, j = np.nonzero(touched)
-        self.cols[k, rank[k, j]] = j
-        self._b_at = (cell * t + rank[cell, col]) * size + row
-        self.schur_at = (self.cols[:, :, None] * width + self.cols[:, None, :]).ravel()
+        self.cols[pairs // width, rank] = pairs % width
+        self._b_at = (cell * t + rank[pair_of]) * size + row
+
+        # band blocks of at least BAND_ROWS rows (or the whole band) that span
+        # every band entry of H and J, evenly sized to keep the padding short;
+        # then the panels and the arrow
+        both = np.flatnonzero((bi < 0) & (bj < 0))
+        li, lj = li[both], lj[both]
+        reach = np.abs(li - lj)[(li < nband) & (lj < nband)].max(initial=0)
+        b = self.block = -(-nband // max(1, nband // max(BAND_ROWS, reach))) if nband else 1
+        p = -(-nband // b)
+        self._p_at = p * b * b
+        self._r_at = self._p_at + p * (b + width - nband) * b
+        self._s_size = self._r_at + (width - nband) ** 2
+        at = self._home(li, lj)
+        self._s_of, self._s_at = both[at >= 0], at[at >= 0]
+        self.diag_at = self._home(np.arange(width), np.arange(width))
+        pad = np.arange(nband, p * b)
+        self.pad_at = pad * b + pad % b
+
+        # each cell's (t, t) Schur block goes to its homes; padding rows and
+        # the transposed halves go to one slot past the end
+        real = np.arange(t) < count[:, None]
+        real = real[:, :, None] & real[:, None, :]
+        i, j = self.cols[:, :, None], self.cols[:, None, :]
+        far = np.argwhere(real & (i < nband) & (j < nband) & (np.abs(i // b - j // b) > 1))
+        if far.size:
+            k, a, c = far[0]
+            u, w = (f"variable {x}" if x < n else f"constraint row {x - n}"
+                    for x in self.border[self.cols[k, [a, c]]])
+            raise ValueError(
+                f"cell {k} couples {u} and {w}, band unknowns "
+                f"{abs(self.cols[k, a] - self.cols[k, c])} positions apart; the band's blocks "
+                f"of {b} rows meet only their neighbours"
+            )
+        at = self._home(i, j)
+        self.schur_at = np.where(real & (at >= 0), at, self._s_size).ravel()
 
 
 @dataclass
@@ -265,7 +353,7 @@ class _KktSystem:
     kkt: _BorderedKkt
     A: np.ndarray  # (cells, size, size) diagonal blocks, exactly symmetric
     B: np.ndarray  # (cells, t, size) panels; row j of cell k is border column kkt.cols[k, j]
-    S: np.ndarray  # (border, border)
+    S: np.ndarray  # the border's entries, flat; kkt.border_blocks gives the band and the arrow
 
 
 def _pivot_inertia(d1: np.ndarray, n2: int) -> tuple[int, int, int]:
@@ -276,16 +364,28 @@ def _pivot_inertia(d1: np.ndarray, n2: int) -> tuple[int, int, int]:
     return pos + n2, neg + n2, d1.size - pos - neg
 
 
+def _blocks_inertia(lu: np.ndarray, piv: np.ndarray) -> tuple[int, int, int]:
+    """Inertia of (k, s, s) blocks factored in place by ``dsytrf``."""
+    diag = np.arange(lu.shape[1])
+    one = piv > 0  # LAPACK marks both rows of a 2x2 pivot negative
+    return _pivot_inertia(lu[:, diag, diag][one], int(np.count_nonzero(~one)) // 2)
+
+
 class _BorderedFactor:
     """Bunch-Kaufman factors of every cell (LAPACK ``dsytrf``) and of the
-    border's Schur complement (``scipy.linalg.ldl``).  The inertia is the sum
-    of theirs (Haynsworth).  When a cell has a zero pivot the border is left
-    unfactored and the zero is reported.  ``shift`` (length n + m) is added to
-    the diagonal.
+    border's Schur complement, which is a block-tridiagonal band plus a small
+    arrow (Golub & Van Loan, sec. 4.5): ``dsytrf`` factors each band block
+    and the block is eliminated into the next block and into the arrow, whose
+    remaining complement ``scipy.linalg.ldl`` factors.  The inertia is the sum
+    of theirs (Haynsworth).  When a cell or a band block has a zero pivot the
+    rest is left unfactored and the zero is reported.  ``shift`` (length
+    n + m) is added to the diagonal.
 
     A cell block is symmetric, so its transpose is a Fortran-ordered view
     that ``dsytrf`` factors in place; ``dsytrs`` solves in place on the
-    Fortran views of the panels ``X = B A^-1`` and of the right-hand sides."""
+    Fortran views of the panels ``X = B A^-1`` and of the right-hand sides.
+    A band block and its panel ``Y`` to the next block and the arrow are
+    treated the same way."""
 
     def __init__(self, system: _KktSystem, shift: np.ndarray):
         kkt = system.kkt
@@ -297,31 +397,50 @@ class _BorderedFactor:
         self.piv = np.empty((n_cells, size), dtype=np.int32)
         for k in range(n_cells):
             self.piv[k] = dsytrf(self.lu[k].T, lower=1, overwrite_a=1)[1]
-        one = self.piv > 0  # LAPACK marks both rows of a 2x2 pivot negative
-        cells = _pivot_inertia(self.lu[:, diag, diag][one], int(np.count_nonzero(~one)) // 2)
+        cells = _blocks_inertia(self.lu, self.piv)
         if cells[2]:
             self.inertia = cells
             return
 
-        nb = kkt.border.size
         S = system.S.copy()
-        S[np.arange(nb), np.arange(nb)] += shift[kkt.border]
+        S[kkt.diag_at] += shift[kkt.border]
         self.X = system.B.copy()
         for k in range(n_cells):
             dsytrs(self.lu[k].T, self.piv[k], self.X[k].T, lower=1, overwrite_b=1)
         # each cell's (t, t) block B X^T goes to its border columns
         S -= np.bincount(kkt.schur_at, (system.B @ self.X.transpose(0, 2, 1)).ravel(),
-                         minlength=nb * nb).reshape(nb, nb)
-        lu, D, self.perm = sla.ldl(S, lower=True, overwrite_a=True, check_finite=False)
+                         minlength=S.size + 1)[:-1]
+        # the band, block by block: factor it, solve its panel and update the
+        # next block and the next panel's arrow rows
+        self.band_lu, P, R = kkt.border_blocks(S)
+        b, p = kkt.block, self.band_lu.shape[0]
+        self.band_piv = np.empty((p, b), dtype=np.int32)
+        self.Y = np.empty_like(P)
+        for q in range(p):
+            self.band_piv[q], info = dsytrf(self.band_lu[q].T, lower=1, overwrite_a=1)[1:]
+            if info:  # an exactly zero pivot
+                band = _blocks_inertia(self.band_lu[: q + 1], self.band_piv[: q + 1])
+                self.inertia = (cells[0] + band[0], cells[1] + band[1], band[2])
+                return
+            self.Y[q] = P[q]
+            dsytrs(self.band_lu[q].T, self.band_piv[q], self.Y[q].T, lower=1, overwrite_b=1)
+            if q + 1 < p:
+                update = self.Y[q] @ P[q, :b].T
+                self.band_lu[q + 1] -= update[:b]
+                P[q + 1, b:] -= update[b:]
+        band = _blocks_inertia(self.band_lu, self.band_piv)
+        band = (band[0] - kkt.pad_at.size, band[1], band[2])  # a padding row is a pivot of 1
+        R -= np.tensordot(self.Y[:, b:], P[:, b:], axes=([0, 2], [0, 2]))
+        lu, D, self.perm = sla.ldl(R, lower=True, overwrite_a=True, check_finite=False)
         self.L = np.asfortranarray(lu[self.perm])
         self.first = np.flatnonzero(np.diag(D, -1))  # 2x2 pivots at (i, i + 1)
-        self.single = np.ones(S.shape[0], dtype=bool)
+        self.single = np.ones(R.shape[0], dtype=bool)
         self.single[self.first] = self.single[self.first + 1] = False
         i, j = self.first, self.first + 1
         self.d1 = np.diag(D)[self.single]
         self.d2 = (D[i, i], D[j, i], D[j, j])
-        border = _pivot_inertia(self.d1, self.first.size)
-        self.inertia = (cells[0] + border[0], cells[1] + border[1], border[2])
+        arrow = _pivot_inertia(self.d1, self.first.size)
+        self.inertia = tuple(sum(parts) for parts in zip(cells, band, arrow))
 
     def _border_solve(self, b: np.ndarray) -> np.ndarray:
         if not b.size:
@@ -339,6 +458,26 @@ class _BorderedFactor:
         out[self.perm] = u
         return out
 
+    def _band_solve(self, r: np.ndarray) -> np.ndarray:
+        """Solve with the border's Schur complement: forward through the band
+        blocks, then the arrow, then back through the band."""
+        kkt = self.system.kkt
+        b, nband = kkt.block, kkt.band
+        w = np.zeros(self.band_lu.shape[:2])
+        w.reshape(-1)[:nband] = r[:nband]
+        rest = r[nband:].copy()
+        for q in range(w.shape[0]):
+            update = self.Y[q] @ w[q]
+            if q + 1 < w.shape[0]:
+                w[q + 1] -= update[:b]
+            rest -= update[b:]
+            dsytrs(self.band_lu[q].T, self.band_piv[q], w[q][:, None], lower=1, overwrite_b=1)
+        z = self._border_solve(rest)
+        w -= self.Y[:, b:].transpose(0, 2, 1) @ z
+        for q in range(w.shape[0] - 2, -1, -1):
+            w[q] -= w[q + 1] @ self.Y[q, :b]
+        return np.concatenate([w.reshape(-1)[:nband], z])
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         kkt = self.system.kkt
         y = rhs[kkt.cells]
@@ -346,7 +485,7 @@ class _BorderedFactor:
             dsytrs(self.lu[k].T, self.piv[k], y[k][:, None], lower=1, overwrite_b=1)
         coupled = np.bincount(kkt.cols.ravel(), (self.system.B @ y[:, :, None]).ravel(),
                               minlength=kkt.border.size)
-        z = self._border_solve(rhs[kkt.border] - coupled)
+        z = self._band_solve(rhs[kkt.border] - coupled)
         out = np.empty(rhs.size)
         out[kkt.border] = z
         out[kkt.cells] = y - (z[kkt.cols][:, None, :] @ self.X)[:, 0]

@@ -301,6 +301,7 @@ def _assemble(
     # chance machinery: one grid serves every chance node
     if grid is not None:
         Dc, Dg = grid.interpolant_factors()  # (K, K) and (nb, K), equal entries per row
+        DgT = Dg.T
         g_cols = Dg.indices.reshape(Dg.shape[0], -1)
         g_vals = Dg.data.reshape(g_cols.shape)
         rho = grid.greville_weights()
@@ -411,7 +412,7 @@ def _assemble(
     def jacobian(x):
         alpha, Pi, _ = gather(x)
         cells = kern.jacobian(kern.affine(alpha), x[state], delta_nd)
-        budget = [-(Dg.T @ (rho * shortfall(x, cid)[1])) for cid in chance_ids]
+        budget = [-(DgT @ (rho * shortfall(x, cid)[1])) for cid in chance_ids]
         return jac.matrix(cells[:, kern.jac_rows, kern.jac_cols], kern.ratio_jacobian(Pi), *budget)
 
     # Hessian: compressor power in the flows and ratios, the pipe friction
@@ -452,12 +453,17 @@ def _assemble(
     if grids:
         # one cell per stochastic cell: its states, recourse flows and rows;
         # the compressor ratios and the chance variables and rows are border
-        # (the deterministic problem is a single cell, with nothing to eliminate)
+        # (the deterministic problem is a single cell, with nothing to eliminate).
+        # In the border, spline coefficient k and spline row k of every chance
+        # node share band position k; the ratios, t and the budget rows are
+        # the arrow
         blocks = np.full(n_var + n_con, -1, dtype=int)
         blocks[state] = cell
         for cols in (qs_idx, *d_idx.values(), *s_idx.values()):
             blocks[cols] = cell[:, 0]
         blocks[n_var + cell_rows] = cell
+        for cid in chance_ids:
+            blocks[c_idx[cid]] = blocks[n_var + spline_rows[cid]] = -2 - np.arange(K)
 
     problem = NlpProblem(
         n=n_var,

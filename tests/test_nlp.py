@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
+import gasflow.nlp as nlp
 from gasflow.nlp import (
     EvaluationError,
     NlpOptions,
@@ -342,6 +343,37 @@ def assert_matches_dense(rng, blocks, H, J, shift):
         np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(M, rhs), rtol=1e-7, atol=1e-9)
 
 
+def random_banded(rng, cells=4, cell_vars=3, cell_rows=2, band=(14, 12), arrow=(2, 1), reach=3):
+    """Random labels, Hessian, Jacobian and diagonal shift of a bordered KKT
+    matrix whose border is a band plus an arrow.  ``band`` and ``arrow`` give
+    their (variables, rows); the band unknowns take the positions 0, 1, ...
+    in a random order, and an entry between two of them spans at most
+    ``reach`` positions.  Cell k couples to the arrow and to the band
+    positions within 2 of k * (band size) / cells."""
+    nband = sum(band)
+    kind = np.r_[np.repeat(np.arange(cells), cell_vars), np.full(band[0], -2),
+                 np.full(arrow[0], -1), np.repeat(np.arange(cells), cell_rows),
+                 np.full(band[1], -2), np.full(arrow[1], -1)]
+    n = cells * cell_vars + band[0] + arrow[0]
+    pos = np.full(kind.size, -1)
+    pos[kind == -2] = rng.permutation(nband)
+    centre = np.where(kind >= 0, np.maximum(kind, 0) * nband // max(cells, 1), pos)
+    a, b = (kind[:, None], centre[:, None]), (kind[None, :], centre[None, :])
+    allowed = (
+        (a[0] == -1) | (b[0] == -1)
+        | ((a[0] >= 0) & (a[0] == b[0]))
+        | ((a[0] == -2) & (b[0] == -2) & (np.abs(a[1] - b[1]) <= reach))
+        | ((np.minimum(a[0], b[0]) == -2) & (np.maximum(a[0], b[0]) >= 0)
+           & (np.abs(a[1] - b[1]) <= 2))
+    )
+    dense = rng.normal(size=allowed.shape) * (rng.random(allowed.shape) < 0.7 * allowed)
+    H = np.triu(dense[:n, :n])
+    H = H + np.triu(H, 1).T
+    J = dense[n:, :n]
+    shift = np.r_[rng.uniform(-1.0, 2.0, n), -rng.uniform(0.0, 1e-3, kind.size - n)]
+    return np.where(kind == -2, -2 - pos, kind), H, J, shift
+
+
 class TestBorderedKkt:
     @pytest.mark.parametrize("seed", range(12))
     def test_inertia_and_solution_match_dense(self, seed):
@@ -367,6 +399,53 @@ class TestBorderedKkt:
         np.testing.assert_array_equal(kkt.cols[1], np.arange(width))
         assert_matches_dense(rng, blocks, H, J, shift)
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("rows", [32, 4], ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("arrow", [(2, 1), (0, 0)], ids=["arrow", "no-arrow"])
+    def test_band_and_arrow_match_dense(self, seed, rows, arrow, monkeypatch, capfd):
+        # 41 band unknowns: one block by default, or nine blocks of 5 rows, the
+        # last padded by 4, when BAND_ROWS is 4 and the reach 3; without an
+        # arrow no LAPACK routine is handed an empty argument
+        monkeypatch.setattr(nlp, "BAND_ROWS", rows)
+        rng = np.random.default_rng(200 + seed)
+        blocks, H, J, shift = random_banded(rng, cells=6, band=(22, 19), arrow=arrow)
+        kkt = _BorderedKkt(blocks, J.shape[1], J.shape[0])
+        system = kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+        expect = (1, 41) if rows == 32 else (9, 5)
+        assert kkt.band == 41 and (kkt.border_blocks(system.S)[0].shape[0], kkt.block) == expect
+        assert_matches_dense(rng, blocks, H, J, shift)
+        assert capfd.readouterr() == ("", "")
+
+    def test_singular_leading_band_block_reported_as_zero(self, monkeypatch):
+        # band variables x0..x3 in blocks of two; x0 and x1 have no curvature
+        # and meet only the arrow row x0 + x1 + x2 + x3 - t = 0, so the first
+        # band block is singular while the whole matrix is not
+        monkeypatch.setattr(nlp, "BAND_ROWS", 2)
+        H = np.diag([0.0, 0.0, 1.0, 1.0, 2.0])
+        H[2, 3] = H[3, 2] = 0.5
+        J = np.array([[1.0, 1.0, 1.0, 1.0, -1.0]])
+        blocks = np.array([-2, -3, -4, -5, -1, -1])
+        kkt = _BorderedKkt(blocks, 5, 1)
+        system = kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+        assert kkt.block == 2
+        assert _BorderedFactor(system, np.zeros(6)).inertia[2] > 0
+        shift = np.r_[np.full(5, 1e-4), -1e-8]
+        assert _BorderedFactor(system, shift).inertia == (5, 1, 0)
+        assert_matches_dense(np.random.default_rng(0), blocks, H, J, shift)
+
+    def test_band_entry_outside_the_envelope_rejected(self, monkeypatch):
+        # band variables x1..x6 in blocks of two; cell 0 (x0 and row 0) couples
+        # to x1 in the first block and to x6 in the third
+        monkeypatch.setattr(nlp, "BAND_ROWS", 2)
+        H = np.eye(7)
+        for i in range(1, 6):
+            H[i, i + 1] = H[i + 1, i] = 0.5
+        J = np.zeros((1, 7))
+        J[0, [0, 1, 6]] = 1.0
+        kkt = _BorderedKkt(np.array([0, -2, -3, -4, -5, -6, -7, 0]), 7, 1)
+        with pytest.raises(ValueError, match="cell 0 couples variable 1 and variable 6"):
+            kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
 
     def test_hessian_linking_two_cells_rejected(self):
         # variable 1 (cell 0) and variable 2 (cell 1) share a Hessian entry

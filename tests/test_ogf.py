@@ -6,7 +6,14 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from gasflow import configs, parse_network, solve_steady
-from gasflow.nlp import NlpOptions, _BorderedKkt, check_derivatives, check_hessian, solve
+from gasflow.nlp import (
+    NlpOptions,
+    _BorderedFactor,
+    _BorderedKkt,
+    check_derivatives,
+    check_hessian,
+    solve,
+)
 from gasflow.ogf import (
     OgfError,
     PenaltyConfig,
@@ -300,8 +307,9 @@ class TestStructuredKkt:
         assert np.all(var[layout.phi_idx] == np.arange(8)[:, None])
         assert np.all(row[layout.bal_rows] == np.arange(8)[:, None])
         assert var[layout.alpha_idx["C1"]] == -1
-        assert np.all(row[layout.spline_rows["N3"]] == -1)
-        assert np.all(var[layout.c_idx["N3"]] == -1)
+        # spline coefficient k and spline row k share band position k
+        assert np.all(row[layout.spline_rows["N3"]] == -2 - np.arange(8))
+        assert np.all(var[layout.c_idx["N3"]] == -2 - np.arange(8))
         assert var[layout.t_idx["N3"]] == -1
         assert row[layout.cc_rows["N3"]] == -1
         assert assemble_deterministic(single_pipe)[0].blocks is None
@@ -385,6 +393,48 @@ class TestStructuredKkt:
         assert blocked.optimal and dense.optimal
         assert blocked.iterations == dense.iterations
         assert blocked.objective == pytest.approx(dense.objective, rel=1e-10)
+
+    @pytest.mark.parametrize("case", ["eight_node", "single_pipe"])
+    def test_band_labels_match_an_all_arrow_border(self, case):
+        # the band-plus-arrow factorization and one dense factorization of the
+        # whole border (band labels turned into -1) take the same iterates
+        net = configs.load(case)
+        if case == "eight_node":
+            net, K = net.with_node(replace(net.node("J3"), demand_max=300.0)), 16
+        else:
+            net, K = net.with_node(replace(net.node("N3"), epsilon=0.01)), 100
+        unc = net.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, K, node_id=unc.id)
+        problem, layout = assemble_chance_constrained(net, {unc.id: grid}, PEN)
+        assert np.count_nonzero(problem.blocks <= -2) == 2 * K
+        x0 = initial_point_chance_constrained(net, layout)
+        band = solve(problem, x0)
+        arrow = solve(replace(problem, blocks=np.maximum(problem.blocks, -1)), x0)
+        assert band.status is arrow.status and band.optimal
+        assert band.iterations == arrow.iterations
+        assert band.objective == pytest.approx(arrow.objective, rel=1e-10)
+
+    def test_no_border_sized_array_at_k400(self, eight_node):
+        # nothing the split or the factorization keeps is as large as a dense
+        # matrix over the 805-row border
+        unc = eight_node.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, 400, node_id=unc.id)
+        problem, layout = assemble_chance_constrained(eight_node, {unc.id: grid}, PEN)
+        x = initial_point_chance_constrained(eight_node, layout)
+        y = np.random.default_rng(4).normal(size=problem.m) * 1e-2
+        kkt = _BorderedKkt(problem.blocks, problem.n, problem.m)
+        system = kkt.system(problem.hessian(x, y, 1.0), problem.jacobian(x))
+        shift = np.r_[np.ones(problem.n), np.full(problem.m, -1e-8)]
+        factor = _BorderedFactor(system, shift)
+        assert factor.inertia == (problem.n, problem.m, 0)
+        nb = kkt.border.size
+        assert nb == 805 and kkt.band == 800
+        arrays = [a for owner in (kkt, system, factor) for a in vars(owner).values()
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) > 20
+        assert max(a.size for a in arrays) < nb * nb
+        step = factor.solve(np.random.default_rng(5).normal(size=problem.n + problem.m))
+        assert np.all(np.isfinite(step))
 
 
 def supply_relief_net(pressure_floor=4.82e6):
