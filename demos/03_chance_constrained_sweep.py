@@ -27,11 +27,10 @@ for label, cfg in (("uniform", "single_pipe"), ("truncnormal", "single_pipe_trun
     for eps in EPSILONS:
         sol = solve_chance_constrained(net, K=K, penalty=PEN, epsilon=eps, x0=prev)
         prev = sol
-        grid = sol.layout.grids["N3"]
-        est = violation_probability(sol, net, grid, mc_samples=5000, seed=11)[0]
+        est = violation_probability(sol, mc_samples=5000, seed=11)[0]
         print(f"{label:14s} {eps:5.2f} {sol.alpha['C1']:8.5f} "
               f"{est.mc_mean_penalty:10.5f} {est.mc_violation_probability:9.4f}")
-        dist = distribution_of(sol, "pressure@N3", grid)
+        dist = distribution_of(sol, "pressure@N3")
         xs, ys = dist.density
         path = OUT / f"pressure_pdf_{label}_eps{eps}.csv"
         with path.open("w", newline="") as fh:

@@ -24,7 +24,7 @@ base = configs.load("eight_node")
 for qmax in (200.0, 300.0, math.inf):
     net = base.with_node(replace(base.node("J3"), demand_max=qmax))
     sol = solve_chance_constrained(net, K=K, penalty=PEN)
-    rep = kkt_report(sol, net)[0]
+    rep = kkt_report(sol)[0]
     lq3, ld3, lq5 = sol.lambda_q["J3"], sol.lambda_d["J3"], sol.lambda_q["J5"]
     cap = "inf" if math.isinf(qmax) else f"{qmax:.0f}"
     print(f"\nnomination cap q3max = {cap} kg/s  ({sol.status.value}):")

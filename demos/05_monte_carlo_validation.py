@@ -17,12 +17,11 @@ PEN = PenaltyConfig(gamma=2500.0, delta=1e-3)
 
 net = configs.load("single_pipe")
 sol = solve_chance_constrained(net, K=K, penalty=PEN, epsilon=EPS)
-grid = sol.layout.grids["N3"]
 print(f"solved: alpha = {sol.alpha['C1']:.5f}, E[penalty] = "
       f"{sol.sfv_expectation['N3']:.5f} (budget {EPS})")
 
 for n in (1000, 10000):
-    est = violation_probability(sol, net, grid, mc_samples=n, seed=11)[0]
+    est = violation_probability(sol, mc_samples=n, seed=11)[0]
     print(f"\n{n} resimulations:")
     print(f"  mean penalty        {est.mc_mean_penalty:.5f} +- {est.mc_penalty_se:.5f}")
     print(f"  violation frequency {est.mc_violation_probability:.4f}"

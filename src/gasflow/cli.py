@@ -129,19 +129,16 @@ def _failed(solution: CcSolution) -> bool:
     return solution.status in (SolveStatus.INFEASIBLE, SolveStatus.NUMERICAL)
 
 
-def _cc_artifacts(net: Network, config: RunConfig, solution: CcSolution, out: Path):
+def _cc_artifacts(config: RunConfig, solution: CcSolution, out: Path):
     if _failed(solution):
         _json_dump(out / "solution.json", solution.to_json_dict())
         return
-    grid = solution.layout.grids[net.uncertain_nodes[0].id]
-    estimates = violation_probability(
-        solution, net, grid, mc_samples=config.mc_samples, seed=config.seed
-    )
+    estimates = violation_probability(solution, mc_samples=config.mc_samples, seed=config.seed)
     mc_payload = {e.node: e.to_json_dict() for e in estimates}
     _json_dump(out / "solution.json", solution.to_json_dict(mc_estimates=mc_payload))
     _json_dump(out / "violation.json", {"estimates": [e.to_json_dict() for e in estimates]})
     if solution.d:
-        reports = kkt_report(solution, net)
+        reports = kkt_report(solution)
         _json_dump(out / "kkt_report.json", {"reports": [r.to_json_dict() for r in reports]})
     quantities = []
     for cid in solution.layout.chance_nodes:
@@ -149,7 +146,7 @@ def _cc_artifacts(net: Network, config: RunConfig, solution: CcSolution, out: Pa
     for nid in sorted(solution.d):
         quantities += [f"d@{nid}", f"lambda_q@{nid}", f"lambda_d@{nid}"]
     for qty in quantities:
-        dist = distribution_of(solution, qty, grid)
+        dist = distribution_of(solution, qty)
         _write_distribution_csvs(out, qty.replace("@", "_"), dist)
 
 
@@ -208,7 +205,7 @@ def run(config: RunConfig) -> int:
         solution = solve_chance_constrained(
             net, K=config.cells, penalty=penalty, epsilon=config.epsilon
         )
-        _cc_artifacts(net, config, solution, out)
+        _cc_artifacts(config, solution, out)
         slack = _chance_slack(solution)
         print(
             f"{config.mode} status={solution.status.value} "
@@ -253,9 +250,8 @@ def _sweep(net: Network, penalty: PenaltyConfig, config: RunConfig, out: Path) -
             chance = None
             if not _failed(solution):
                 x_prev = solution  # a failed point never seeds the next one
-                grid = solution.layout.grids[net.uncertain_nodes[0].id]
                 est = violation_probability(
-                    solution, net, grid, mc_samples=config.mc_samples, seed=config.seed
+                    solution, mc_samples=config.mc_samples, seed=config.seed
                 )
                 chance = est[0] if est else None
             rows.append(

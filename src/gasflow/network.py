@@ -80,6 +80,12 @@ class Node:
             raise NetworkError(
                 f"node {self.id!r}: demand and supply must be nonnegative", entity=self.id
             )
+        if not (self.demand_max > 0 and self.supply_max > 0):  # NaN fails too
+            raise NetworkError(
+                f"node {self.id!r}: demand_max and supply_max must be positive "
+                f"(got {self.demand_max}, {self.supply_max})",
+                entity=self.id,
+            )
         if self.demand > 0 and self.supply > 0:
             raise NetworkError(
                 f"node {self.id!r}: only one of demand or supply can be positive "

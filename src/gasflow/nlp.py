@@ -92,7 +92,8 @@ class EvaluationError(RuntimeError):
 
 @dataclass
 class NlpProblem:
-    """Smooth NLP data: callbacks plus box bounds.
+    """Smooth NLP data: callbacks plus box bounds (infinite where absent; a
+    NaN bound is rejected, not read as absent).
 
     ``jacobian`` may return a scipy sparse matrix or an ndarray (m x n) with a
     fixed sparsity pattern.  ``hessian(x, y, obj_factor)`` is required and
@@ -129,6 +130,9 @@ class NlpProblem:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.shape != (self.n,) or self.upper.shape != (self.n,):
             raise ValueError("bounds must have shape (n,)")
+        nan = np.isnan(self.lower) | np.isnan(self.upper)
+        if nan.any():
+            raise ValueError(f"bounds must not be NaN (variable {int(np.argmax(nan))})")
         if np.any(self.lower >= self.upper):
             bad = int(np.argmax(self.lower >= self.upper))
             raise ValueError(f"bounds must satisfy lo < hi elementwise (variable {bad})")

@@ -90,15 +90,17 @@ class CcLayout:
     """Index maps from network entities to NLP variables and constraint rows.
 
     The deterministic problem is the single-cell special case (K = 1, no
-    chance machinery).  All index arrays address the flat variable vector of
-    the assembled :class:`NlpProblem`; ``-1`` marks the slack node's squared
-    pressure, which is a constant rather than a variable.
+    chance machinery, ``grid`` None).  A chance-constrained layout holds the
+    network it was assembled for and the stochastic grid of its one uncertain
+    node, so a solution carries both.  All index arrays address the flat
+    variable vector of the assembled :class:`NlpProblem`; ``-1`` marks the
+    slack node's squared pressure, which is a constant rather than a variable.
     """
 
     net: Network
     scaling: Scaling
     penalty: PenaltyConfig
-    grids: dict[str, StochasticGrid]
+    grid: StochasticGrid | None
     K: int
     cell_mass: np.ndarray
     cell_omega: np.ndarray  # uncertain-node increment per cell (kg/s)
@@ -110,15 +112,12 @@ class CcLayout:
     qs_idx: np.ndarray  # (K,)
     c_idx: dict[str, np.ndarray]  # (K,) spline coefficients of the chance node's squared pressure
     t_idx: dict[str, int]  # budget slack
-    pipe_rows: np.ndarray  # (K, n_pipes)
-    comp_rows: np.ndarray  # (K, n_comps)
     bal_rows: np.ndarray  # (K, nv)
     spline_rows: dict[str, np.ndarray]  # (K,) Pi_k - Dc[k] @ c = 0, border rows
     cc_rows: dict[str, int]  # budget rows
     epsilon: dict[str, float]
     f_scale: float
     n: int
-    m: int
     base_withdrawal: dict[str, float]  # fixed nodal loads after any override
 
     @property
@@ -127,7 +126,7 @@ class CcLayout:
 
     @property
     def deterministic(self) -> bool:
-        return not self.grids
+        return self.grid is None
 
 
 def _chance_nodes(net: Network) -> list[Node]:
@@ -181,12 +180,11 @@ class _Pattern:
 
 def _assemble(
     net: Network,
-    grids: dict[str, StochasticGrid] | None,
+    grid: StochasticGrid | None,
     penalty: PenaltyConfig,
     loads: dict[str, float] | None = None,
 ) -> tuple[NlpProblem, CcLayout]:
-    """Shared assembler; ``grids`` empty/None builds the deterministic problem."""
-    grids = dict(grids) if grids else {}
+    """Shared assembler; ``grid`` None builds the deterministic problem."""
     kern = kernel(net)
     scaling = kern.scaling
     nodes = net.nodes
@@ -194,16 +192,16 @@ def _assemble(
     idx = net.node_index
 
     uncertain = [n for n in nodes if n.uncertainty is not None]
-    if grids:
+    if grid is not None:
         if len(uncertain) != 1:
             raise OgfError(
                 "the chance-constrained problem supports exactly one uncertain node; "
                 f"found {len(uncertain)}"
             )
         unc_node = uncertain[0]
-        if unc_node.id not in grids:
-            raise OgfError(f"no stochastic grid supplied for uncertain node {unc_node.id!r}")
-        grid = grids[unc_node.id]
+        if grid.node_id != unc_node.id:
+            raise OgfError(f"stochastic grid built for node {grid.node_id!r}, "
+                           f"but the uncertain node is {unc_node.id!r}")
         K = grid.K
         cell_mass = grid.cell_mass.copy()
         cell_omega = grid.collocation_points.copy()
@@ -218,7 +216,6 @@ def _assemble(
         cell_mass = np.ones(1)
         cell_omega = np.zeros(1)
         chance = []
-        grid = None
         unc_node = None
 
     flow_sc = scaling.flow
@@ -279,7 +276,7 @@ def _assemble(
         [loads.get(n.id, n.base_withdrawal) for n in nodes], dtype=float
     )
     r_cells = np.zeros((K, nv))
-    if grids:
+    if grid is not None:
         r_cells[:, idx[unc_node.id]] = cell_omega
     q_cells_nd = (base_q[None, :] + r_cells) / flow_sc
 
@@ -291,7 +288,7 @@ def _assemble(
         if n.id in loads and not n.demand_optimized:
             d_fixed = max(loads[n.id], 0.0)
             s_fixed = max(-loads[n.id], 0.0)
-        r_mean = n.uncertainty.measure_mean() if (grids and n.uncertainty) else 0.0
+        r_mean = n.uncertainty.measure_mean() if (grid is not None and n.uncertainty) else 0.0
         econ_const += n.demand_price * (d_fixed + r_mean) - n.supply_price * s_fixed
     econ_const_nd = econ_const / f_scale
 
@@ -300,11 +297,10 @@ def _assemble(
 
     # chance machinery: one grid serves every chance node
     if grid is not None:
-        Dc, Dg = grid.interpolant_factors()  # (K, K) and (nb, K), equal entries per row
+        Dc, Dg, rho = grid.Dc, grid.Dg, grid.rho  # Dc, Dg: equal entries per row
         DgT = Dg.T
         g_cols = Dg.indices.reshape(Dg.shape[0], -1)
         g_vals = Dg.data.reshape(g_cols.shape)
-        rho = grid.greville_weights()
         # a negative weight would let the SFV expectation of a nonnegative
         # penalty fall below zero
         if rho.min() < 0.0:
@@ -450,7 +446,7 @@ def _assemble(
                            *budget)
 
     blocks = None
-    if grids:
+    if grid is not None:
         # one cell per stochastic cell: its states, recourse flows and rows;
         # the compressor ratios and the chance variables and rows are border
         # (the deterministic problem is a single cell, with nothing to eliminate).
@@ -475,14 +471,14 @@ def _assemble(
         lower=lower,
         upper=upper,
         hessian=hessian,
-        name="ogf-cc" if grids else "ogf-det",
+        name="ogf-det" if grid is None else "ogf-cc",
         blocks=blocks,
     )
     layout = CcLayout(
         net=net,
         scaling=scaling,
         penalty=penalty,
-        grids=grids,
+        grid=grid,
         K=K,
         cell_mass=cell_mass,
         cell_omega=cell_omega,
@@ -494,15 +490,12 @@ def _assemble(
         qs_idx=qs_idx,
         c_idx=c_idx,
         t_idx=t_idx,
-        pipe_rows=pipe_rows,
-        comp_rows=comp_rows,
         bal_rows=bal_rows,
         spline_rows=spline_rows,
         cc_rows=cc_rows,
         epsilon=epsilon,
         f_scale=f_scale,
         n=n_var,
-        m=n_con,
         base_withdrawal={n.id: float(base_q[j]) for j, n in enumerate(nodes)},
     )
     return problem, layout
@@ -521,19 +514,20 @@ def assemble_deterministic(
 
 def assemble_chance_constrained(
     net: Network,
-    grids: dict[str, StochasticGrid],
+    grid: StochasticGrid,
     penalty: PenaltyConfig | None = None,
 ) -> tuple[NlpProblem, CcLayout]:
     """Chance-constrained optimal gas flow over the stochastic grid.
 
-    Exactly one node may carry an uncertainty spec (1-D stochastic space).
-    Nodes flagged with an epsilon keep their maximum-pressure boxes per cell
-    but trade the minimum-pressure box for the expected-penalty budget; all
-    other nodes keep hard boxes in every cell.
+    Exactly one node may carry an uncertainty spec (1-D stochastic space),
+    and ``grid`` must be built for it (its ``node_id``).  Nodes flagged with
+    an epsilon keep their maximum-pressure boxes per cell but trade the
+    minimum-pressure box for the expected-penalty budget; all other nodes
+    keep hard boxes in every cell.
     """
-    if not grids:
+    if grid is None:
         raise OgfError("chance-constrained assembly requires a stochastic grid")
-    return _assemble(net, grids, penalty or PenaltyConfig())
+    return _assemble(net, grid, penalty or PenaltyConfig())
 
 
 @dataclass
@@ -692,10 +686,9 @@ def decode(solution: NlpSolution, layout: CcLayout) -> CcSolution:
     gamma = layout.penalty.gamma
     sfv, lambda_cc = {}, {}
     for cid, cols in layout.c_idx.items():
-        (grid,) = layout.grids.values()
         pimin = net.node(cid).pressure_min**2 / pi_sc
-        v, _, _ = layout.penalty.shape(pimin - grid.interpolant_factors()[1] @ x[cols])
-        sfv[cid] = float(gamma * (grid.greville_weights() @ v))
+        v, _, _ = layout.penalty.shape(pimin - layout.grid.Dg @ x[cols])
+        sfv[cid] = float(gamma * (layout.grid.rho @ v))
         lambda_cc[cid] = float(y[layout.cc_rows[cid]] * f_sc / gamma)  # the row is divided by gamma
 
     # objective pieces in physical units
@@ -786,17 +779,14 @@ def solve_deterministic(
 def initial_point_chance_constrained(
     net: Network,
     layout: CcLayout,
-    det: CcSolution | None = None,
     options: NlpOptions | None = None,
 ) -> np.ndarray:
     """Warm start for the stochastic problem from the mean-load deterministic
     solution, refined per cell by the steady simulation where it converges."""
-    grid = layout.grids[list(layout.grids)[0]]
+    grid = layout.grid
     unc_id = grid.node_id
-    mean_r = grid.spec.measure_mean()
-    if det is None:
-        loads = {unc_id: net.node(unc_id).base_withdrawal + mean_r}
-        det = solve_deterministic(net, loads=loads, penalty=layout.penalty, options=options)
+    loads = {unc_id: net.node(unc_id).base_withdrawal + grid.spec.measure_mean()}
+    det = solve_deterministic(net, loads=loads, penalty=layout.penalty, options=options)
 
     idx = net.node_index
     flow_sc = layout.scaling.flow
@@ -832,13 +822,11 @@ def initial_point_chance_constrained(
         x0[layout.qs_idx[k]] = q_k.sum() / flow_sc
 
     # spline coefficients through the cell values, and the budget slack there
-    Dc, Dg = grid.interpolant_factors()
-    rho = grid.greville_weights()
     for cid, cols in layout.c_idx.items():
         node = net.node(cid)
-        x0[cols] = spsolve(Dc.tocsc(), x0[layout.pi_idx[:, idx[cid]]])
-        v, _, _ = layout.penalty.shape(node.pressure_min**2 / pi_sc - Dg @ x0[cols])
-        slack_t = node.epsilon - layout.penalty.gamma * float(rho @ v)
+        x0[cols] = spsolve(grid.Dc.tocsc(), x0[layout.pi_idx[:, idx[cid]]])
+        v, _, _ = layout.penalty.shape(node.pressure_min**2 / pi_sc - grid.Dg @ x0[cols])
+        slack_t = node.epsilon - layout.penalty.gamma * float(grid.rho @ v)
         x0[layout.t_idx[cid]] = max(slack_t, 1e-3 * max(node.epsilon, 1e-8))
     return x0
 
@@ -873,7 +861,7 @@ def solve_chance_constrained(
     if unc.epsilon is None:
         raise OgfError(f"uncertain node {unc.id!r} has no epsilon")
     grid = build_grid(unc.uncertainty, K, node_id=unc.id)
-    problem, layout = assemble_chance_constrained(net, {unc.id: grid}, penalty)
+    problem, layout = assemble_chance_constrained(net, grid, penalty)
     prev = x0.nlp if x0 is not None else None
     if prev is not None and prev.x.size == problem.n and prev.lambda_eq.size == problem.m:
         duals0 = (prev.lambda_eq, prev.lambda_lo, prev.lambda_hi)

@@ -13,6 +13,10 @@ controls, the only sampling here.  The solved cell states are the SFV
 representation of the state as a function of the withdrawal, so each sample
 starts from their cubic interpolant at its withdrawal and is corrected by the
 exact steady solve.
+
+Every function here takes the solution alone: its ``layout`` holds the
+network it was solved on and, for a chance-constrained solve, the stochastic
+grid of the uncertain node.
 """
 
 from __future__ import annotations
@@ -23,11 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gasflow.network import Network
 from gasflow.nlp import SolveStatus
 from gasflow.ogf import CcSolution
 from gasflow.steady import SteadySolveError, solve_steady
-from gasflow.stochastic import StochasticGrid
 
 log = logging.getLogger("gasflow.pricing")
 
@@ -107,12 +109,9 @@ def _per_cell_values(solution: CcSolution, quantity: str) -> np.ndarray:
     )
 
 
-def distribution_of(
-    solution: CcSolution,
-    quantity: str,
-    grid: StochasticGrid,
-) -> ValueDistribution:
-    """Distribution of a solved quantity over the uncertainty space.
+def distribution_of(solution: CcSolution, quantity: str) -> ValueDistribution:
+    """Distribution of a solved quantity over the uncertainty space of a
+    chance-constrained solution, on the grid it was solved on.
 
     ``quantity`` selects ``pressure@node``, ``flow@edge``, ``lambda_q@node``,
     ``lambda_q_per_mass@node``, ``lambda_d@node`` or ``d@node``.  The discrete
@@ -126,11 +125,10 @@ def distribution_of(
     mass, is that small.  Nothing is sampled, so the result does not depend
     on any seed.
     """
+    grid = solution.layout.grid
+    if grid is None:
+        raise PricingError("distribution_of needs a chance-constrained solution")
     values = _per_cell_values(solution, quantity)
-    if values.shape != (grid.K,):
-        raise PricingError(
-            f"selector {quantity!r} produced {values.shape}, expected ({grid.K},)"
-        )
     dist = ValueDistribution(
         omega=grid.collocation_points.copy(),
         support=values.copy(),
@@ -181,16 +179,18 @@ class KktReport:
         }
 
 
-def kkt_report(solution: CcSolution, net: Network, tolerance: float = 1e-5) -> list[KktReport]:
-    """Verify lambda_q + lambda_d = price * cell_mass per cell, per optimized node.
+def kkt_report(solution: CcSolution, tolerance: float = 1e-5) -> list[KktReport]:
+    """Verify lambda_q + lambda_d = price * cell_mass per cell, per optimized node,
+    with the prices of the network the solution was solved on.
 
-    For uniform cell masses the reference is price / K.  Solutions that did
-    not reach a KKT point are flagged; their residuals are informational.
+    For uniform cell masses the reference is price / K; a deterministic
+    solution is one cell of mass one.  Solutions that did not reach a KKT
+    point are flagged; their residuals are informational.
     """
     reports = []
     at_kkt = solution.status is SolveStatus.OPTIMAL
     for nid in sorted(solution.d):
-        node = net.node(nid)
+        node = solution.layout.net.node(nid)
         reference = node.demand_price * solution.cell_mass
         residual = solution.lambda_q[nid] + solution.lambda_d[nid] - reference
         max_abs = float(np.abs(residual).max())
@@ -240,13 +240,10 @@ class ViolationEstimate:
 
 
 def violation_probability(
-    solution: CcSolution,
-    net: Network,
-    grid: StochasticGrid,
-    mc_samples: int = 10000,
-    seed: int = 0,
+    solution: CcSolution, mc_samples: int = 10000, seed: int = 0
 ) -> list[ViolationEstimate]:
-    """Monte-Carlo revalidation of the chance constraint at fixed controls.
+    """Monte-Carlo revalidation of a chance-constrained solution at its
+    controls, on the network and grid it was solved on.
 
     Samples the uncertain withdrawal by inverse CDF, in increasing order, and
     simulates the exact steady physics per sample (optimized nominations
@@ -265,6 +262,7 @@ def violation_probability(
         raise PricingError("violation_probability needs a chance-constrained solution")
     if mc_samples < 2:
         raise PricingError(f"the Monte-Carlo check needs at least 2 samples, got {mc_samples}")
+    net, grid = layout.net, layout.grid
     unc_id = grid.node_id
     idx = net.node_index
     gamma = layout.penalty.gamma

@@ -5,7 +5,8 @@ uniform or a truncated normal measure.  The interval is split into ``K``
 uniform cells; the physics is collocated at the cell centers, and a clamped
 cubic B-spline basis (``K + 3`` functions, partition of unity) carries the
 penalty expansion used by the chance constraint; two sparse factors carry
-cell values to its Greville points.  All measure quantities (cell masses,
+cell values to its Greville points and one weight vector integrates values
+there, all built once with the grid.  All measure quantities (cell masses,
 basis integrals, means, quantiles, the law of an interpolated quantity) are
 computed in closed form, by Gauss-Legendre quadrature or by bisection on the
 monotone pieces of a cubic; no sampling enters the construction.
@@ -221,8 +222,17 @@ class StochasticGrid:
     ``greville`` are its K+3 canonical collocation points, and
     ``basis_integrals`` the measure integrals of each basis function.
 
+    The not-a-knot cubic interpolant through the cell centers has K B-spline
+    coefficients ``c``, with knots at the centers but the second and
+    second-to-last: ``Dc`` (K, K) evaluates it at the centers and ``Dg``
+    (n_basis, K) at the Greville points, the end pieces extended, each with
+    four stored entries per row (zeros included).  ``rho = B^-T @
+    basis_integrals``, with ``B`` the basis at the Greville points: the
+    measure integral of the spline through values ``v`` there is ``rho @ v``.
+
     A degenerate grid (zero-width interval) carries a single constant basis
-    function so downstream assembly needs no special cases.
+    function, takes ``c`` as the cell values and their mean as its one value,
+    so downstream assembly needs no special cases.
     """
 
     node_id: str
@@ -234,6 +244,9 @@ class StochasticGrid:
     spline_knots: np.ndarray
     greville: np.ndarray
     basis_integrals: np.ndarray
+    Dc: sp.csr_matrix | sp.csr_array
+    Dg: sp.csr_matrix | sp.csr_array
+    rho: np.ndarray
 
     @property
     def n_basis(self) -> int:
@@ -249,30 +262,6 @@ class StochasticGrid:
         if self.degenerate:
             return np.ones((x.size, 1))
         return _design_matrix(self.spline_knots, x).toarray()
-
-    def collocation_matrix(self) -> np.ndarray:
-        """Square basis matrix at the Greville points (unisolvent)."""
-        return self.basis_matrix(self.greville)
-
-    def interpolant_factors(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """Factors ``(Dc, Dg)`` of the not-a-knot cubic interpolant through the
-        cell centers, whose K B-spline coefficients ``c`` have knots at the
-        centers but the second and second-to-last: ``Dc`` (K, K) evaluates it
-        at the centers and ``Dg`` (n_basis, K) at the Greville points, each
-        with four stored entries per row (zeros included), so ``Dg @ inv(Dc)``
-        maps cell values to values there.  ``Dg`` extends the end pieces to the
-        outer Greville points.  A degenerate grid takes ``c`` as the cell
-        values."""
-        if self.degenerate:
-            return sp.identity(self.K, format="csr"), sp.csr_matrix(np.full((1, self.K), 1.0 / self.K))
-        x = self.collocation_points
-        t = np.concatenate([[x[0]] * 4, x[2:-2], [x[-1]] * 4])
-        return _design_matrix(t, x), _design_matrix(t, self.greville)
-
-    def greville_weights(self) -> np.ndarray:
-        """Weights ``rho = B^-T @ basis_integrals``: the measure integral of the
-        spline through values ``v`` at the Greville points is ``rho @ v``."""
-        return spsolve(sp.csc_matrix(self.collocation_matrix().T), self.basis_integrals)
 
     def value_interpolator(self, values: np.ndarray):
         """Callable omega -> value: the not-a-knot cubic through the per-cell
@@ -352,23 +341,17 @@ def build_grid(spec: UncertaintySpec, K: int, node_id: str = "") -> StochasticGr
 
     Requires K >= 4 (the cubic interpolation through cell centers needs at
     least four points).  Cell masses come from closed-form CDF differences;
-    basis integrals from Gauss-Legendre quadrature against the density.
+    basis integrals from Gauss-Legendre quadrature against the density;
+    ``rho`` from one sparse solve with the basis at the Greville points.
     """
     if K < 4:
         raise ValueError(f"need at least 4 stochastic cells, got {K}")
     if spec.width == 0.0:
         point = float(spec.lo)
-        return StochasticGrid(
-            node_id=node_id,
-            spec=spec,
-            K=K,
-            knots=np.full(K + 1, point),
-            collocation_points=np.full(K, point),
-            cell_mass=np.full(K, 1.0 / K),
-            spline_knots=np.full(8, point),
-            greville=np.array([point]),
-            basis_integrals=np.array([1.0]),
-        )
+        return StochasticGrid(node_id, spec, K, np.full(K + 1, point), np.full(K, point),
+                              np.full(K, 1.0 / K), np.full(8, point), np.array([point]),
+                              np.array([1.0]), sp.identity(K, format="csr"),
+                              sp.csr_matrix(np.full((1, K), 1.0 / K)), np.array([1.0]))
     knots = np.linspace(spec.lo, spec.hi, K + 1)
     centers = 0.5 * (knots[:-1] + knots[1:])
     if spec.dist == "uniform":
@@ -378,20 +361,21 @@ def build_grid(spec: UncertaintySpec, K: int, node_id: str = "") -> StochasticGr
         mass = np.diff(cdf)
     t = np.concatenate([[spec.lo] * 3, knots, [spec.hi] * 3])
     greville = np.array([t[i + 1 : i + 4].mean() for i in range(K + 3)])
-    grid = StochasticGrid(
-        node_id=node_id,
-        spec=spec,
-        K=K,
-        knots=knots,
-        collocation_points=centers,
-        cell_mass=mass,
-        spline_knots=t,
-        greville=greville,
-        basis_integrals=np.empty(K + 3),
-    )
-    integrals = measure_basis_integrals(grid)
-    object.__setattr__(grid, "basis_integrals", integrals)
-    return grid
+    integrals = _basis_integrals(spec, knots, t, 8)
+    B_T = _design_matrix(t, greville).T.tocsc()
+    B_T.eliminate_zeros()
+    tc = np.concatenate([[centers[0]] * 4, centers[2:-2], [centers[-1]] * 4])
+    return StochasticGrid(node_id, spec, K, knots, centers, mass, t, greville, integrals,
+                          _design_matrix(tc, centers), _design_matrix(tc, greville),
+                          spsolve(B_T, integrals))
+
+
+def _basis_integrals(spec: UncertaintySpec, knots: np.ndarray, t: np.ndarray,
+                     points_per_interval: int) -> np.ndarray:
+    # a dense product: summing the same terms sparsely moves the integrals at
+    # roundoff
+    nodes, weights = _gauss_legendre_panels(knots, points_per_interval)
+    return _design_matrix(t, nodes).toarray().T @ (weights * spec.pdf(nodes))
 
 
 def measure_basis_integrals(grid: StochasticGrid, points_per_interval: int = 8) -> np.ndarray:
@@ -403,7 +387,4 @@ def measure_basis_integrals(grid: StochasticGrid, points_per_interval: int = 8) 
     """
     if grid.degenerate:
         return np.array([1.0])
-    nodes, weights = _gauss_legendre_panels(grid.knots, points_per_interval)
-    basis = grid.basis_matrix(nodes)
-    density = grid.spec.pdf(nodes)
-    return basis.T @ (weights * density)
+    return _basis_integrals(grid.spec, grid.knots, grid.spline_knots, points_per_interval)

@@ -37,8 +37,8 @@ def _run_case(net, K, epsilon=None) -> CcCase:
     t0 = time.perf_counter()
     sol = solve_chance_constrained(net, K=K, penalty=ACCEPT_PEN, epsilon=epsilon)
     dt = time.perf_counter() - t0
-    grid = sol.layout.grids[net.uncertain_nodes[0].id]
-    est = violation_probability(sol, net, grid, mc_samples=MC_SAMPLES, seed=MC_SEED)[0]
+    grid = sol.layout.grid
+    est = violation_probability(sol, mc_samples=MC_SAMPLES, seed=MC_SEED)[0]
     return CcCase(net=net, solution=sol, grid=grid, estimate=est, solve_seconds=dt)
 
 

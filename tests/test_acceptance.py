@@ -210,7 +210,7 @@ def test_criterion_7_numerics_hygiene():
     det_problem, _ = assemble_deterministic(net, penalty=ACCEPT_PEN)
     unc = net.uncertain_nodes[0]
     grid16 = build_grid(unc.uncertainty, 16, node_id=unc.id)
-    cc_problem, _ = assemble_chance_constrained(net, {unc.id: grid16}, ACCEPT_PEN)
+    cc_problem, _ = assemble_chance_constrained(net, grid16, ACCEPT_PEN)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for problem in (det_problem, cc_problem):

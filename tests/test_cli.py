@@ -447,6 +447,15 @@ class TestArgumentHandling:
         assert code == 1
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["nan", "0", "-5"])
+    def test_bad_qmax_value_names_the_node(self, eight_node_path, tmp_path, capsys, cap):
+        # a NaN cap once solved as no cap, and a non-positive one failed in
+        # the solver without naming the node
+        code = main(["validate", "--network", str(eight_node_path), "--cells", "8",
+                     "--mc-samples", "50", "--qmax", f"J3={cap}", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: node 'J3': ")
+
     @pytest.mark.parametrize("flag,value", [("--epsilon", "nan"), ("--epsilon", "inf"),
                                             ("--gamma", "nan"), ("--gamma", "inf"),
                                             ("--delta", "nan"), ("--delta", "inf")])

@@ -232,6 +232,14 @@ class TestValidation:
         with pytest.raises(NetworkError, match="flow node"):
             parse_network(doc)
 
+    @pytest.mark.parametrize("key", ["demand_max", "supply_max"])
+    @pytest.mark.parametrize("cap", [math.nan, 0.0, -5.0])
+    def test_cap_must_be_positive(self, key, cap):
+        doc = minimal_doc()
+        doc["nodes"][1][key] = cap
+        with pytest.raises(NetworkError, match=rf"node 'B': .*{key}"):
+            parse_network(doc)
+
     def test_bad_compressor_ratio(self):
         doc = minimal_doc()
         doc["compressors"] = [

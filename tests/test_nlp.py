@@ -237,6 +237,24 @@ class TestSolverProperties:
             )
 
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_nan_bound_rejected(self, side):
+        # a NaN bound is not an absent one
+        bounds = {"lower": np.array([0.0, -np.inf]), "upper": np.array([1.0, np.inf])}
+        bounds[side][1] = np.nan
+        with pytest.raises(ValueError, match=r"NaN \(variable 1\)"):
+            NlpProblem(
+                n=2,
+                m=0,
+                objective=lambda x: 0.0,
+                gradient=lambda x: np.zeros(2),
+                constraints=lambda x: np.zeros(0),
+                jacobian=lambda x: np.zeros((0, 2)),
+                hessian=lambda x, y, s: np.zeros((2, 2)),
+                **bounds,
+            )
+
+
 class TestDerivativeChecker:
     def test_linear_constraints_exact(self):
         p = bounded_lp()

@@ -131,7 +131,7 @@ class TestChanceConstrainedStructure:
         net = single_pipe
         unc = net.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
-        problem, layout = assemble_chance_constrained(net, {unc.id: grid}, PEN)
+        problem, layout = assemble_chance_constrained(net, grid, PEN)
         K, nv, ne = 8, 3, 2
         assert layout.K == K
         # alpha + per-cell (Pi without slack, flows, slack injection) + spline
@@ -269,7 +269,7 @@ class TestDerivatives:
     def test_chance_assembly_derivatives(self, single_pipe):
         unc = single_pipe.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
-        problem, _ = assemble_chance_constrained(single_pipe, {unc.id: grid}, PEN)
+        problem, _ = assemble_chance_constrained(single_pipe, grid, PEN)
         rng = np.random.default_rng(2)
         for _ in range(3):
             x = random_interior(problem, rng)
@@ -280,7 +280,7 @@ class TestDerivatives:
         net = configs.load(config)
         unc = net.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
-        problem, layout = assemble_chance_constrained(net, {unc.id: grid}, PEN)
+        problem, layout = assemble_chance_constrained(net, grid, PEN)
         rng = np.random.default_rng(5)
         x = random_interior(problem, rng)
         # spread the chance node's squared pressure around its floor so the
@@ -289,7 +289,7 @@ class TestDerivatives:
         j = net.node_index[cid]
         pimin = net.node(cid).pressure_min ** 2 / layout.scaling.squared_pressure
         x[layout.pi_idx[:, j]] = pimin * (1.0 + 0.05 * rng.uniform(-1.0, 1.0, layout.K))
-        Dc, Dg = grid.interpolant_factors()
+        Dc, Dg = grid.Dc, grid.Dg
         x[layout.c_idx[cid]] = np.linalg.solve(Dc.toarray(), x[layout.pi_idx[:, j]])
         z = pimin - Dg @ x[layout.c_idx[cid]]
         assert np.any(z > 1e-3) and np.any(z < -1e-3)
@@ -302,7 +302,7 @@ class TestStructuredKkt:
     def test_blocks_follow_the_cells(self, single_pipe):
         unc = single_pipe.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
-        problem, layout = assemble_chance_constrained(single_pipe, {unc.id: grid}, PEN)
+        problem, layout = assemble_chance_constrained(single_pipe, grid, PEN)
         var, row = problem.blocks[: problem.n], problem.blocks[problem.n :]
         assert np.all(var[layout.phi_idx] == np.arange(8)[:, None])
         assert np.all(row[layout.bal_rows] == np.arange(8)[:, None])
@@ -319,7 +319,7 @@ class TestStructuredKkt:
         net = configs.load(config)
         unc = net.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
-        problem, layout = assemble_chance_constrained(net, {unc.id: grid}, PEN)
+        problem, layout = assemble_chance_constrained(net, grid, PEN)
         (cid,) = layout.chance_nodes
         rng = np.random.default_rng(11)
         x = random_interior(problem, rng)
@@ -348,7 +348,7 @@ class TestStructuredKkt:
         pimin = net.node(cid).pressure_min ** 2 / layout.scaling.squared_pressure
         W = CubicSpline(grid.collocation_points, np.eye(grid.K))(grid.greville)
         v = np.maximum(pimin - W @ pi_cells, 0.0) ** 2
-        a = np.linalg.solve(grid.collocation_matrix(), v)
+        a = np.linalg.solve(grid.basis_matrix(grid.greville), v)
         for shift in (0.0, rng.uniform(0.0, 0.1)):
             x = x0.copy()
             x[layout.t_idx[cid]] += shift
@@ -369,7 +369,7 @@ class TestStructuredKkt:
         net = configs.load(config)
         unc = net.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, K, node_id=unc.id)
-        problem, layout = assemble_chance_constrained(net, {unc.id: grid}, PEN)
+        problem, layout = assemble_chance_constrained(net, grid, PEN)
         border = np.flatnonzero(problem.blocks < 0)
         assert border.size == len(net.compressors) + len(layout.chance_nodes) * (2 * K + 2)
         x = random_interior(problem, np.random.default_rng(K))
@@ -386,7 +386,7 @@ class TestStructuredKkt:
         net = eight_node.with_node(replace(eight_node.node("J3"), demand_max=300.0))
         unc = net.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 16, node_id=unc.id)
-        problem, layout = assemble_chance_constrained(net, {unc.id: grid}, PEN)
+        problem, layout = assemble_chance_constrained(net, grid, PEN)
         x0 = initial_point_chance_constrained(net, layout)
         blocked = solve(problem, x0)
         dense = solve(replace(problem, blocks=None), x0)
@@ -405,7 +405,7 @@ class TestStructuredKkt:
             net, K = net.with_node(replace(net.node("N3"), epsilon=0.01)), 100
         unc = net.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, K, node_id=unc.id)
-        problem, layout = assemble_chance_constrained(net, {unc.id: grid}, PEN)
+        problem, layout = assemble_chance_constrained(net, grid, PEN)
         assert np.count_nonzero(problem.blocks <= -2) == 2 * K
         x0 = initial_point_chance_constrained(net, layout)
         band = solve(problem, x0)
@@ -419,7 +419,7 @@ class TestStructuredKkt:
         # matrix over the 805-row border
         unc = eight_node.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 400, node_id=unc.id)
-        problem, layout = assemble_chance_constrained(eight_node, {unc.id: grid}, PEN)
+        problem, layout = assemble_chance_constrained(eight_node, grid, PEN)
         x = initial_point_chance_constrained(eight_node, layout)
         y = np.random.default_rng(4).normal(size=problem.m) * 1e-2
         kkt = _BorderedKkt(problem.blocks, problem.n, problem.m)
@@ -554,11 +554,17 @@ class TestAssemblyErrors:
         unc = net.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
         with pytest.raises(OgfError, match="epsilon"):
-            assemble_chance_constrained(net, {unc.id: grid}, PEN)
+            assemble_chance_constrained(net, grid, PEN)
+
+    def test_grid_for_another_node_rejected(self, single_pipe):
+        unc = single_pipe.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, 8, node_id="N2")
+        with pytest.raises(OgfError, match=r"'N2'.*'N3'"):
+            assemble_chance_constrained(single_pipe, grid, PEN)
 
     def test_grid_required(self, single_pipe):
         with pytest.raises(OgfError, match="grid"):
-            assemble_chance_constrained(single_pipe, {}, PEN)
+            assemble_chance_constrained(single_pipe, None, PEN)
 
     def test_bad_penalty(self):
         for gamma in (0.0, math.nan, math.inf):
@@ -579,7 +585,7 @@ class TestAssemblyErrors:
     def test_six_truncated_normal_cells_solve(self):
         net = configs.load("single_pipe_truncnormal")
         grid = build_grid(net.uncertain_nodes[0].uncertainty, 6)
-        assert grid.greville_weights().min() > 0.0
+        assert grid.rho.min() > 0.0
         assert solve_chance_constrained(net, K=6, penalty=PEN).optimal
 
     def test_unknown_load_override(self, single_pipe):
@@ -591,7 +597,7 @@ class TestWarmStart:
     def test_initial_point_within_bounds(self, single_pipe):
         unc = single_pipe.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
-        problem, layout = assemble_chance_constrained(single_pipe, {unc.id: grid}, PEN)
+        problem, layout = assemble_chance_constrained(single_pipe, grid, PEN)
         x0 = initial_point_chance_constrained(single_pipe, layout)
         assert np.all(x0 >= problem.lower - 1e-9)
         assert np.all(np.where(np.isfinite(problem.upper), x0 <= problem.upper + 1e-6, True))

@@ -39,9 +39,8 @@ def sp_solution(single_pipe):
 
 
 @pytest.fixture(scope="module")
-def sp_grid(single_pipe):
-    unc = single_pipe.uncertain_nodes[0]
-    return build_grid(unc.uncertainty, 16, node_id=unc.id)
+def sp_grid(sp_solution):
+    return sp_solution.layout.grid
 
 
 @pytest.fixture(scope="module")
@@ -49,23 +48,31 @@ def en_problem():
     net = configs.load("eight_node")
     net = net.with_node(replace(net.node("J3"), demand_max=300.0))
     sol = solve_chance_constrained(net, K=16, penalty=PEN)
-    unc = net.uncertain_nodes[0]
-    grid = build_grid(unc.uncertainty, 16, node_id=unc.id)
-    return net, sol, grid
+    return net, sol, sol.layout.grid
+
+
+@pytest.fixture(scope="module")
+def point_mass(en_problem):
+    """The chance-constrained solve of ``en_problem``'s network with the
+    uncertain withdrawal a point mass."""
+    net = en_problem[0]
+    unc = UncertaintySpec(dist="uniform", lo=16.0, hi=16.0)
+    net = net.with_node(replace(net.node("J5"), uncertainty=unc))
+    return solve_chance_constrained(net, K=4, penalty=PEN)
 
 
 class TestDistributions:
     def test_discrete_mass_is_cell_mass(self, sp_solution, sp_grid):
-        dist = distribution_of(sp_solution, "pressure@N3", sp_grid)
+        dist = distribution_of(sp_solution, "pressure@N3")
         np.testing.assert_allclose(dist.mass, sp_grid.cell_mass)
         assert dist.support.shape == (16,)
 
-    def test_mean_is_mass_weighted_sum(self, sp_solution, sp_grid):
-        dist = distribution_of(sp_solution, "flow@P1", sp_grid)
+    def test_mean_is_mass_weighted_sum(self, sp_solution):
+        dist = distribution_of(sp_solution, "flow@P1")
         assert dist.mean == pytest.approx(float(dist.mass @ dist.support), rel=1e-14)
 
-    def test_density_integrates_to_one(self, sp_solution, sp_grid):
-        dist = distribution_of(sp_solution, "pressure@N3", sp_grid)
+    def test_density_integrates_to_one(self, sp_solution):
+        dist = distribution_of(sp_solution, "pressure@N3")
         xs, ys = dist.density
         integral = np.trapezoid(ys, xs)
         assert integral == pytest.approx(1.0, abs=1e-3)
@@ -73,7 +80,7 @@ class TestDistributions:
     def test_constant_quantity_density_peaks_at_value(self, en_problem):
         net, sol, grid = en_problem
         # d3 is pinned at its 300 bound in every cell (up to barrier slack)
-        dist = distribution_of(sol, "d@J3", grid)
+        dist = distribution_of(sol, "d@J3")
         assert np.ptp(dist.support) <= 1e-4
         assert dist.kind == "atom" and dist.density is None
         value, mass = dist.atom
@@ -83,7 +90,7 @@ class TestDistributions:
     def test_exactly_constant_quantity_is_one_atom(self, en_problem):
         net, sol, grid = en_problem
         pinned = replace(sol, d={"J3": np.full(16, 123.0)})
-        dist = distribution_of(pinned, "d@J3", grid)
+        dist = distribution_of(pinned, "d@J3")
         assert dist.kind == "atom"
         assert dist.atom == (123.0, 1.0)
 
@@ -91,27 +98,27 @@ class TestDistributions:
         # cells 1/15 kg/s apart below the cap are a distribution, not an atom
         net, sol, grid = en_problem
         spread = replace(sol, d={"J3": np.linspace(299.0, 300.0, 16)})
-        dist = distribution_of(spread, "d@J3", grid)
+        dist = distribution_of(spread, "d@J3")
         assert dist.kind == "density" and dist.atom is None
 
-    def test_monotone_quantity_density_shape(self, sp_solution, sp_grid):
+    def test_monotone_quantity_density_shape(self, sp_solution):
         # pressure falls with withdrawal, so the density support must span
         # the per-cell extremes
-        dist = distribution_of(sp_solution, "pressure@N3", sp_grid)
+        dist = distribution_of(sp_solution, "pressure@N3")
         xs, _ = dist.density
         assert xs.min() < dist.support.min()
         assert xs.max() > dist.support.max()
 
     def test_lambda_q_selector(self, en_problem):
         net, sol, grid = en_problem
-        dist = distribution_of(sol, "lambda_q@J5", grid)
+        dist = distribution_of(sol, "lambda_q@J5")
         assert dist.support.shape == (16,)
 
     def test_lambda_q_per_mass_selector(self, en_problem):
         # both the raw per-cell dual and the mass-normalized price are emitted
         net, sol, grid = en_problem
-        raw = distribution_of(sol, "lambda_q@J5", grid)
-        per = distribution_of(sol, "lambda_q_per_mass@J5", grid)
+        raw = distribution_of(sol, "lambda_q@J5")
+        per = distribution_of(sol, "lambda_q_per_mass@J5")
         np.testing.assert_allclose(per.support, raw.support / grid.cell_mass)
 
     def test_zero_per_mass_price_stays_one_atom_as_k_grows(self):
@@ -120,9 +127,7 @@ class TestDistributions:
         net = configs.load("eight_node")
         net = net.with_node(replace(net.node("J3"), demand_max=200.0))
         sol = solve_chance_constrained(net, K=100, penalty=PEN)
-        unc = net.uncertain_nodes[0]
-        grid = build_grid(unc.uncertainty, 100, node_id=unc.id)
-        dist = distribution_of(sol, "lambda_q_per_mass@J5", grid)
+        dist = distribution_of(sol, "lambda_q_per_mass@J5")
         assert dist.kind == "atom"
         value, mass = dist.atom
         assert mass == 1.0 and abs(value) <= 1e-6
@@ -133,51 +138,58 @@ class TestDistributions:
         net = configs.load("eight_node")
         net = net.with_node(replace(net.node("J3"), demand_max=300.0))
         sol = solve_chance_constrained(net, K=400, penalty=PEN)
-        grid = sol.layout.grids["J5"]
+        grid = sol.layout.grid
         d3 = sol.d["J3"]
         assert np.ptp(d3) > CONSTANT_RTOL * 300.0
-        dist = distribution_of(sol, "d@J3", grid)
+        dist = distribution_of(sol, "d@J3")
         assert dist.kind == "atom" and dist.density is None
         value, mass = dist.atom
         assert mass == 1.0
         assert value == pytest.approx(float(grid.cell_mass @ d3), rel=1e-15)
         assert 300.0 - 1e-3 < value <= 300.0
 
-    def test_unknown_selectors(self, sp_solution, sp_grid):
+    def test_unknown_selectors(self, sp_solution):
         with pytest.raises(PricingError, match="unknown node"):
-            distribution_of(sp_solution, "pressure@NOPE", sp_grid)
+            distribution_of(sp_solution, "pressure@NOPE")
         with pytest.raises(PricingError, match="unknown edge"):
-            distribution_of(sp_solution, "flow@Q9", sp_grid)
+            distribution_of(sp_solution, "flow@Q9")
         with pytest.raises(PricingError, match="selector kind"):
-            distribution_of(sp_solution, "entropy@N3", sp_grid)
+            distribution_of(sp_solution, "entropy@N3")
         with pytest.raises(PricingError, match="optimized demand"):
-            distribution_of(sp_solution, "lambda_d@N3", sp_grid)
+            distribution_of(sp_solution, "lambda_d@N3")
 
-    def test_repeat_calls_are_identical(self, sp_solution, sp_grid):
-        a = distribution_of(sp_solution, "pressure@N3", sp_grid)
-        b = distribution_of(sp_solution, "pressure@N3", sp_grid)
+    def test_repeat_calls_are_identical(self, sp_solution):
+        a = distribution_of(sp_solution, "pressure@N3")
+        b = distribution_of(sp_solution, "pressure@N3")
         np.testing.assert_array_equal(a.density[0], b.density[0])
         np.testing.assert_array_equal(a.density[1], b.density[1])
 
     def test_discrete_omega_is_cell_center(self, sp_solution, sp_grid):
-        dist = distribution_of(sp_solution, "pressure@N3", sp_grid)
+        dist = distribution_of(sp_solution, "pressure@N3")
         np.testing.assert_array_equal(dist.omega, sp_grid.collocation_points)
 
-    def test_degenerate_grid_is_one_atom(self, en_problem):
-        net, sol, _ = en_problem
-        point = build_grid(UncertaintySpec(dist="uniform", lo=80.0, hi=80.0), 16, node_id="J5")
-        dist = distribution_of(sol, "pressure@J5", point)
+    def test_degenerate_grid_is_one_atom(self, point_mass):
+        assert point_mass.layout.grid.degenerate
+        sol = replace(point_mass, Pi=point_mass.Pi * np.linspace(0.9, 1.1, point_mass.K)[:, None])
+        dist = distribution_of(sol, "pressure@J5")
         assert np.ptp(dist.support) > 1e3  # the values differ; the law is one point
         assert dist.kind == "atom" and dist.density is None
         value, mass = dist.atom
         assert mass == 1.0
         assert value == pytest.approx(float(np.mean(sol.pressure("J5"))), rel=1e-12)
 
+    def test_needs_a_chance_constrained_solution(self, en_problem):
+        from gasflow.ogf import solve_deterministic
+
+        det = solve_deterministic(en_problem[0], loads={"J5": 80.0}, penalty=PEN)
+        with pytest.raises(PricingError, match="chance"):
+            distribution_of(det, "pressure@J5")
+
     def test_density_matches_sampled_cdf(self, en_problem):
         # KS distance between the exact law and the empirical CDF of 10^6
         # inverse-CDF draws through the same interpolant, at the bin edges
         net, sol, grid = en_problem
-        dist = distribution_of(sol, "pressure@J5", grid)
+        dist = distribution_of(sol, "pressure@J5")
         xs, ys = dist.density
         h = xs[1] - xs[0]
         edges = np.append(xs - 0.5 * h, xs[-1] + 0.5 * h)
@@ -188,10 +200,34 @@ class TestDistributions:
         assert np.abs(exact - empirical).max() <= 2e-3
 
 
+def test_grid_operators_are_built_once(monkeypatch):
+    # the solve, the Monte-Carlo check and a distribution use the operators
+    # the grid built; none evaluates a spline basis again
+    import gasflow.stochastic as stochastic
+
+    real = stochastic._design_matrix
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stochastic, "_design_matrix", counted)
+    net = configs.load("single_pipe")
+    unc = net.uncertain_nodes[0]
+    build_grid(unc.uncertainty, 8, node_id=unc.id)
+    per_grid = len(calls)
+    calls.clear()
+    sol = solve_chance_constrained(net, K=8, penalty=PEN, epsilon=0.05)
+    violation_probability(sol, mc_samples=50, seed=0)
+    distribution_of(sol, "pressure@N3")
+    assert 0 < len(calls) <= per_grid
+
+
 class TestKktReport:
     def test_identity_holds_per_cell(self, en_problem):
         net, sol, _ = en_problem
-        reports = kkt_report(sol, net)
+        reports = kkt_report(sol)
         assert len(reports) == 1
         rep = reports[0]
         assert rep.node == "J3"
@@ -202,7 +238,7 @@ class TestKktReport:
 
     def test_requires_optimized_demand(self, sp_solution, single_pipe):
         with pytest.raises(PricingError, match="optimized demand"):
-            kkt_report(sp_solution, single_pipe)
+            kkt_report(sp_solution)
 
     def test_status_gate(self, en_problem):
         net, _, _ = en_problem
@@ -210,7 +246,7 @@ class TestKktReport:
             net, K=16, penalty=PEN, options=NlpOptions(max_iter=2)
         )
         assert rough.status is not SolveStatus.OPTIMAL
-        reports = kkt_report(rough, net)
+        reports = kkt_report(rough)
         assert not reports[0].at_kkt_point
         assert not reports[0].passed
 
@@ -220,16 +256,14 @@ class TestKktReport:
 
         net, _, _ = en_problem
         det = solve_deterministic(net, loads={"J5": 80.0}, penalty=PEN)
-        rep = kkt_report(det, net)[0]
+        rep = kkt_report(det)[0]
         np.testing.assert_allclose(rep.reference, [20.0])
         assert rep.passed
 
 
 class TestViolationProbability:
-    def test_single_pipe_estimates(self, sp_solution, single_pipe, sp_grid):
-        estimates = violation_probability(
-            sp_solution, single_pipe, sp_grid, mc_samples=3000, seed=0
-        )
+    def test_single_pipe_estimates(self, sp_solution):
+        estimates = violation_probability(sp_solution, mc_samples=3000, seed=0)
         est = estimates[0]
         assert est.node == "N3"
         assert est.n_failed == 0
@@ -240,20 +274,20 @@ class TestViolationProbability:
         assert est.mc_mean_penalty <= est.epsilon + tol
         assert abs(est.mc_mean_penalty - est.sfv_expectation) <= tol
 
-    def test_slack_budget_agreement(self, single_pipe, sp_grid):
+    def test_slack_budget_agreement(self, single_pipe):
         # a huge budget leaves the penalty unconstrained (ratio at its lower
         # bound); the SFV expectation must still track the resimulated mean
         sol = solve_chance_constrained(single_pipe, K=16, penalty=PEN, epsilon=50.0)
         assert sol.optimal
         assert sol.alpha["C1"] == pytest.approx(1.0, abs=1e-3)
         assert sol.sfv_expectation["N3"] < 50.0 - 1.0  # strictly slack
-        est = violation_probability(sol, single_pipe, sp_grid, mc_samples=2000, seed=0)[0]
+        est = violation_probability(sol, mc_samples=2000, seed=0)[0]
         tol = 3.0 * est.mc_penalty_se + 0.02 * est.epsilon
         assert abs(est.mc_mean_penalty - est.sfv_expectation) <= tol
 
-    def test_mc_deterministic_given_seed(self, sp_solution, single_pipe, sp_grid):
-        a = violation_probability(sp_solution, single_pipe, sp_grid, mc_samples=500, seed=3)
-        b = violation_probability(sp_solution, single_pipe, sp_grid, mc_samples=500, seed=3)
+    def test_mc_deterministic_given_seed(self, sp_solution):
+        a = violation_probability(sp_solution, mc_samples=500, seed=3)
+        b = violation_probability(sp_solution, mc_samples=500, seed=3)
         assert a[0].mc_mean_penalty == b[0].mc_mean_penalty
         assert a[0].mc_violation_probability == b[0].mc_violation_probability
 
@@ -264,8 +298,6 @@ class TestViolationProbability:
 
         net = configs.load("eight_node")
         sol = solve_chance_constrained(net, K=8, penalty=PEN)
-        unc = net.uncertain_nodes[0]
-        grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
         real_solve = pricing.solve_steady
         iterations = []
 
@@ -275,7 +307,7 @@ class TestViolationProbability:
             return state
 
         monkeypatch.setattr(pricing, "solve_steady", counted)
-        est = violation_probability(sol, net, grid, mc_samples=500, seed=7)[0]
+        est = violation_probability(sol, mc_samples=500, seed=7)[0]
         assert est.n_failed == 0
         assert len(iterations) == 500
         # 984 when each sample started from the previous one, 202 from a
@@ -304,10 +336,10 @@ class TestViolationProbability:
             return capture(net, alpha, q, x0=None)
 
         monkeypatch.setattr(pricing, "solve_steady", capture)
-        warm = violation_probability(sol, net, grid, mc_samples=300, seed=5)[0]
+        warm = violation_probability(sol, mc_samples=300, seed=5)[0]
         predicted, captured = captured, []
         monkeypatch.setattr(pricing, "solve_steady", cold)
-        ref = violation_probability(sol, net, grid, mc_samples=300, seed=5)[0]
+        ref = violation_probability(sol, mc_samples=300, seed=5)[0]
 
         assert warm.n_failed == ref.n_failed == 0
         assert len(predicted) == 300
@@ -332,8 +364,6 @@ class TestViolationProbability:
         net = configs.load("eight_node")
         net = net.with_node(replace(net.node("J3"), demand_max=300.0))
         sol = solve_chance_constrained(net, K=50, penalty=PEN)
-        unc = net.uncertain_nodes[0]
-        grid = build_grid(unc.uncertainty, 50, node_id=unc.id)
         real_solve = pricing.solve_steady
         iterations = []
 
@@ -343,46 +373,42 @@ class TestViolationProbability:
             return state
 
         monkeypatch.setattr(pricing, "solve_steady", counted)
-        est = violation_probability(sol, net, grid, mc_samples=7000, seed=1)[0]
+        est = violation_probability(sol, mc_samples=7000, seed=1)[0]
         assert est.n_failed == 0
         assert len(iterations) == 7000
         assert iterations.count(0) >= 0.99 * 7000
 
     @pytest.mark.parametrize("grid_kind", ["point_mass", "duplicate_omega"])
-    def test_repeated_omega_starts_from_the_interpolant(self, en_problem, grid_kind):
+    def test_repeated_omega_starts_from_the_interpolant(self, en_problem, point_mass, grid_kind):
         # a point-mass grid interpolates the cell states by their mean, and
         # repeated withdrawals get the same start: neither may divide by zero
         # or index past a scalar
         net, sol, grid = en_problem
         if grid_kind == "point_mass":
-            net = net.with_node(
-                replace(net.node("J5"),
-                        uncertainty=UncertaintySpec(dist="uniform", lo=16.0, hi=16.0))
-            )
-            sol = solve_chance_constrained(net, K=4, penalty=PEN)
-            grid = sol.layout.grids["J5"]
-            assert grid.degenerate
+            sol = point_mass
+            assert sol.layout.grid.degenerate
         else:
             grid = replace(grid, spec=RoundedSpec(**vars(grid.spec)))
+            sol = replace(sol, layout=replace(sol.layout, grid=grid))
         with np.errstate(all="raise"):
-            est = violation_probability(sol, net, grid, mc_samples=200, seed=2)[0]
+            est = violation_probability(sol, mc_samples=200, seed=2)[0]
         assert est.n_failed == 0
         assert np.isfinite(est.mc_mean_penalty)
 
-    def test_requires_chance_solution(self, single_pipe, sp_grid):
+    def test_requires_chance_solution(self, single_pipe):
         from gasflow.ogf import solve_deterministic
 
         det = solve_deterministic(single_pipe, loads={"N3": 250.0}, penalty=PEN)
         with pytest.raises(PricingError, match="chance"):
-            violation_probability(det, single_pipe, sp_grid)
+            violation_probability(det)
 
     @pytest.mark.parametrize("samples", [0, 1, -5])
-    def test_too_few_samples(self, sp_solution, single_pipe, sp_grid, samples):
+    def test_too_few_samples(self, sp_solution, samples):
         with pytest.raises(PricingError, match="at least 2 samples"):
-            violation_probability(sp_solution, single_pipe, sp_grid, mc_samples=samples)
+            violation_probability(sp_solution, mc_samples=samples)
 
     def test_failed_resimulations_are_counted(
-        self, sp_solution, single_pipe, sp_grid, monkeypatch
+        self, sp_solution, monkeypatch
     ):
         import gasflow.pricing as pricing
         from gasflow.steady import SteadySolveError, solve_steady as real_solve
@@ -396,7 +422,6 @@ class TestViolationProbability:
             return real_solve(net, alpha, q, **kwargs)
 
         monkeypatch.setattr(pricing, "solve_steady", flaky)
-        est = violation_probability(sp_solution, single_pipe, sp_grid,
-                                    mc_samples=100, seed=0)[0]
+        est = violation_probability(sp_solution, mc_samples=100, seed=0)[0]
         assert est.n_failed == 20
         assert np.isfinite(est.mc_mean_penalty)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline, CubicSpline
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import spsolve
 from scipy.special import erf
 
 from gasflow import UncertaintySpec, build_grid, configs, measure_basis_integrals
@@ -55,9 +57,9 @@ class TestGridConstruction:
         assert grid.n_basis == 1
         np.testing.assert_allclose(grid.basis_integrals, [1.0])
         # the interpolant's single value is the cell mean
-        Dc, Dg = grid.interpolant_factors()
+        Dc, Dg = grid.Dc, grid.Dg
         np.testing.assert_allclose(Dg.toarray() @ np.linalg.inv(Dc.toarray()), 0.25)
-        np.testing.assert_allclose(grid.greville_weights(), [1.0])
+        np.testing.assert_allclose(grid.rho, [1.0])
 
     @pytest.mark.parametrize("shape", [(4,), (4, 3)], ids=["1d", "2d"])
     def test_degenerate_interpolator_gives_the_mean_per_column(self, shape):
@@ -110,13 +112,23 @@ class TestSplineBasis:
         # sparse matrices, and its measure integral has positive weights
         grid = build_grid(spec, K)
         W = CubicSpline(grid.collocation_points, np.eye(K))(grid.greville)
-        Dc, Dg = grid.interpolant_factors()
+        Dc, Dg = grid.Dc, grid.Dg
         assert Dc.shape == (K, K) and Dg.shape == (K + 3, K)
         assert np.diff(Dc.indptr).max() <= 4 and np.diff(Dg.indptr).max() <= 4
         assert np.abs(W - Dg.toarray() @ np.linalg.inv(Dc.toarray())).max() <= 1e-13
-        rho = grid.greville_weights()
+        rho = grid.rho
         assert np.all(rho > 0)
         assert rho.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("config", ["eight_node", "single_pipe", "single_pipe_truncnormal"])
+    @pytest.mark.parametrize("K", [4, 5, 6, 50, 100, 400])
+    def test_rho_is_the_collocation_solve(self, config, K):
+        # the weights come from the sparse basis at the Greville points; the
+        # oracle solves with the dense one, converted to CSC
+        unc = configs.load(config).uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, K, node_id=unc.id)
+        oracle = spsolve(csc_matrix(grid.basis_matrix(grid.greville).T), grid.basis_integrals)
+        assert_bitwise(grid.rho, oracle)
 
     def test_cubic_reproduction(self):
         grid = build_grid(UNIFORM, 12)
@@ -127,7 +139,7 @@ class TestSplineBasis:
             x = (np.asarray(x) - 250.0) / 50.0
             return coeffs[0] + coeffs[1] * x + coeffs[2] * x**2 + coeffs[3] * x**3
 
-        B = grid.collocation_matrix()
+        B = grid.basis_matrix(grid.greville)
         a = np.linalg.solve(B, poly(grid.greville))
         x = rng.uniform(200.0, 300.0, 100)
         approx = grid.basis_matrix(x) @ a
@@ -178,7 +190,7 @@ class TestScipyOracle:
         t = np.concatenate([[c[0]] * 4, c[2:-2], [c[-1]] * 4])
         expected = (BSpline.design_matrix(c, t, 3),
                     BSpline.design_matrix(grid.greville, t, 3, extrapolate=True))
-        for got, want in zip(grid.interpolant_factors(), expected):
+        for got, want in zip((grid.Dc, grid.Dg), expected):
             assert got.shape == want.shape
             assert_bitwise(got.data, want.data)
             assert_bitwise(got.toarray(), want.toarray())
