@@ -109,7 +109,9 @@ class Kernel:
     and :meth:`residual` and :meth:`jacobian` evaluate the rows over any
     leading batch axis of ``x``.  The NLP evaluates all rows on its K cells
     and reads the Jacobian at ``(jac_rows, jac_cols)``; the steady solve
-    solves one state of the rows :meth:`square` keeps per ratio vector.
+    solves one state of the rows :meth:`square` keeps per ratio vector, and
+    first checks its start on their folded form, the same rows on the
+    caller's physical units with the friction coefficient ``kappa_flow``.
     """
 
     def __init__(self, net: Network):
@@ -148,7 +150,8 @@ class Kernel:
         pattern = self.template[:, :-1] != 0.0
         pattern.reshape(-1)[self._slope] = True
         self.jac_rows, self.jac_cols = np.nonzero(pattern)
-        self.squares: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self.kappa_flow = self.kappa / flow**2  # kappa for flows in kg/s
+        self.squares: dict[bytes, tuple[np.ndarray, ...]] = {}
 
     def affine(self, alpha) -> np.ndarray:
         """The template with the ratios ``alpha`` (n_comp,) at the suction entries."""
@@ -165,19 +168,38 @@ class Kernel:
         b[..., npc:] = -q
         return b
 
-    def square(self, alpha) -> tuple[np.ndarray, np.ndarray]:
-        """The steady solve's square system at the ratios ``alpha`` (n_comp,):
-        :meth:`affine` on ``square_rows`` (the slack balance dropped), and the
-        slack's pressure terms, the part of :meth:`offset` on its pipe and
-        compressor rows; the balance rows' ``-q`` is the caller's.  ``A`` is
-        stored by columns, so the transpose of its state block in
-        :meth:`residual` is contiguous.  The system is kept in ``squares``
-        under ``alpha.tobytes()``, the oldest of eight dropped first."""
+    def square(self, alpha) -> tuple[np.ndarray, ...]:
+        """The steady solve's square system at the ratios ``alpha`` (n_comp,),
+        in two forms.
+
+        The scaled form is :meth:`affine` on ``square_rows`` (the slack
+        balance dropped) and the slack's pressure terms, the part of
+        :meth:`offset` on its pipe and compressor rows; the balance rows'
+        ``-q`` is the caller's.  ``A`` is stored by columns, so the transpose
+        of its state block in :meth:`residual` is contiguous.
+
+        The folded form ``(M, c)`` writes the same rows on the caller's
+        physical vector ``v = [Pi (every node), phi, q (every node)]``: they
+        read ``v @ M + c`` plus ``kappa_flow * phi * |phi|`` on the pipe rows.
+        ``M`` is the state block of ``A`` with its columns divided by the
+        squared-pressure and flow scales, each non-slack withdrawal entering
+        its balance row as ``-1 / flow``; the slack's pressure and withdrawal
+        have zero rows.  ``c`` is the slack's pressure terms.
+
+        The system ``(A, b_slack, M, c)`` is kept in ``squares`` under
+        ``alpha.tobytes()``, the oldest of eight dropped first."""
         A = np.asfortranarray(self.affine(alpha).take(self.square_rows, axis=0))
         if len(self.squares) >= 8:
             del self.squares[next(iter(self.squares))]
-        npc = self.n_pipe + self.n_comp
-        system = self.squares[alpha.tobytes()] = (A, self.pi_slack * A[:npc, -1])
+        npc, nf = self.n_pipe + self.n_comp, self.nv - 1
+        b_slack = self.pi_slack * A[:npc, -1]
+        M = np.zeros((2 * self.nv + self.ne, len(self.square_rows)))
+        M[self.free] = A[:, :nf].T / self.scaling.squared_pressure
+        M[self.nv : self.nv + self.ne] = A[:, nf:-1].T / self.scaling.flow
+        # the non-slack balances follow the pipe and compressor rows in order
+        M[self.nv + self.ne + self.free, npc + np.arange(nf)] = -1.0 / self.scaling.flow
+        c = np.concatenate([b_slack, np.zeros(nf)])
+        system = self.squares[alpha.tobytes()] = (A, b_slack, M, c)
         return system
 
     def residual(self, A, b, x, delta: float) -> np.ndarray:

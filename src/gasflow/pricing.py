@@ -251,11 +251,13 @@ def violation_probability(
     bounds).  Each sample starts from the cubic interpolant of the solved
     cell states (squared pressures and flows) at its withdrawal, all samples
     at once, and is corrected by ``solve_steady``'s damped Newton, which
-    certifies every state to its tolerance and returns a start that already
-    meets it unchanged.  Samples do not depend on each other.  Reports the
-    mean quadratic penalty and the violation frequency per chance-relaxed
-    node with standard errors.  Samples whose steady solve fails are counted
-    separately, never silently dropped.
+    certifies every state to its tolerance.  A start that already meets it
+    is returned unchanged: the same squared pressures and flows, the slack's
+    set to its fixed value, with no Newton step.  A start or withdrawal that
+    is not finite fails its sample.  Samples do not depend on each other.
+    Reports the mean quadratic penalty and the violation frequency per
+    chance-relaxed node with standard errors.  Samples whose steady solve
+    fails are counted separately, never silently dropped.
     """
     layout = solution.layout
     if layout.deterministic:

@@ -378,6 +378,65 @@ class TestViolationProbability:
         assert len(iterations) == 7000
         assert iterations.count(0) >= 0.99 * 7000
 
+    @pytest.mark.parametrize("case", ["eight_node-300", "eight_node-inf", "single_pipe"])
+    def test_certified_exactly_when_the_scaled_start_meets_the_law(self, case, monkeypatch):
+        # the certified exit decides on the folded rows in physical units; a
+        # sample must take no Newton step exactly when the kernel's scaled
+        # residual of its start is within the tolerance
+        import gasflow.pricing as pricing
+
+        if case == "single_pipe":
+            net = configs.load("single_pipe")
+            sol = solve_chance_constrained(net, K=100, penalty=PEN, epsilon=0.05)
+            samples = 4000
+        else:
+            net = configs.load("eight_node")
+            cap = float(case.split("-")[1])
+            net = net.with_node(replace(net.node("J3"), demand_max=cap))
+            sol = solve_chance_constrained(net, K=50, penalty=PEN)
+            samples = 7000
+        real_solve = pricing.solve_steady
+        captured = []
+
+        def capture(net, alpha, q, x0=None):
+            state = real_solve(net, alpha, q, x0=x0)
+            captured.append((q, np.concatenate(x0), state.iterations))
+            return state
+
+        monkeypatch.setattr(pricing, "solve_steady", capture)
+        assert violation_probability(sol, mc_samples=samples, seed=1)[0].n_failed == 0
+        assert len(captured) == samples
+        kern = kernel(sol.layout.net)
+        alpha = np.array([sol.alpha[c.id] for c in net.compressors])
+        A, b_slack = kern.squares[alpha.tobytes()][:2]
+        q = np.array([c[0] for c in captured])
+        start = np.array([c[1] for c in captured])
+        flow, nv = kern.scaling.flow, kern.nv
+        x = np.hstack([start[:, kern.free] / kern.scaling.squared_pressure, start[:, nv:] / flow])
+        b = np.hstack([np.tile(b_slack, (samples, 1)), -q[:, kern.free] / flow])
+        meets = np.abs(kern.residual(A, b, x, 0.0)).max(axis=1) <= 1e-10
+        np.testing.assert_array_equal(np.array([c[2] for c in captured]) == 0, meets)
+
+    def test_poisoned_start_is_a_failed_sample(self, sp_solution, monkeypatch):
+        # a NaN in a start must fail that sample, not pass it as converged
+        import gasflow.pricing as pricing
+
+        real_solve = pricing.solve_steady
+        calls = []
+
+        def poisoned(net, alpha, q, x0=None):
+            calls.append(1)
+            if len(calls) == 3:
+                Pi = x0[0].copy()
+                Pi[net.node_index["N3"]] = np.nan
+                x0 = (Pi, x0[1])
+            return real_solve(net, alpha, q, x0=x0)
+
+        monkeypatch.setattr(pricing, "solve_steady", poisoned)
+        est = violation_probability(sp_solution, mc_samples=100, seed=0)[0]
+        assert est.n_failed == 1
+        assert np.isfinite(est.mc_mean_penalty)
+
     @pytest.mark.parametrize("grid_kind", ["point_mass", "duplicate_omega"])
     def test_repeated_omega_starts_from_the_interpolant(self, en_problem, point_mass, grid_kind):
         # a point-mass grid interpolates the cell states by their mean, and

@@ -212,6 +212,140 @@ class TestRatioCache:
         assert list(kernel(net).squares) == [a.tobytes() for a in ratios[2:]]
 
 
+class TestInputs:
+    """Non-finite or wrongly sized inputs name what is wrong."""
+
+    Q = {"J3": 200.0, "J5": 96.0}
+
+    @pytest.fixture(scope="class")
+    def eight_node(self):
+        net = configs.load("eight_node")
+        return net, solve_steady(net, np.array([1.1, 1.2, 1.05]), self.Q)
+
+    def test_nan_start_names_the_node(self, eight_node):
+        net, st = eight_node
+        Pi = st.Pi.copy()
+        Pi[3] = np.nan
+        with pytest.raises(SteadySolveError, match="not finite") as err:
+            solve_steady(net, np.array([1.1, 1.2, 1.05]), self.Q, x0=(Pi, st.phi))
+        assert err.value.node == net.nodes[3].id
+
+    @pytest.mark.parametrize("as_dict", [False, True])
+    def test_nan_withdrawal_names_the_node(self, eight_node, as_dict):
+        net, st = eight_node
+        q = np.array([self.Q.get(n.id, 0.0) for n in net.nodes])
+        q[2] = np.nan
+        if as_dict:
+            q = {n.id: v for n, v in zip(net.nodes, q)}
+        for x0 in (None, (st.Pi, st.phi)):
+            with pytest.raises(SteadySolveError, match="not finite") as err:
+                solve_steady(net, np.array([1.1, 1.2, 1.05]), q, x0=x0)
+            assert err.value.node == net.nodes[2].id
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_start_flow_names_the_edge(self, eight_node):
+        net, st = eight_node
+        phi = st.phi.copy()
+        phi[4] = np.inf
+        with pytest.raises(SteadySolveError, match="not finite") as err:
+            solve_steady(net, np.array([1.1, 1.2, 1.05]), self.Q, x0=(st.Pi, phi))
+        assert err.value.node == net.edges[4].id
+
+    def test_one_ratio_is_not_broadcast(self):
+        net = configs.load("eight_node")
+        with pytest.raises(ValueError, match="alpha: expected 3 entries.*got 1"):
+            solve_steady(net, np.array([1.2]), self.Q)
+
+    def test_two_ratios_for_three_compressors(self):
+        net = configs.load("eight_node")
+        with pytest.raises(ValueError, match="alpha: expected 3 entries.*got 2"):
+            solve_steady(net, np.array([1.2, 1.1]), self.Q)
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_withdrawals_of_the_wrong_length(self, extra):
+        net = configs.load("eight_node")
+        q = np.zeros(len(net.nodes) + extra)
+        with pytest.raises(ValueError, match=f"q: expected 8 entries.*got {8 + extra}"):
+            solve_steady(net, None, q)
+
+    def test_start_flows_one_short(self, eight_node):
+        net, st = eight_node
+        with pytest.raises(ValueError, match="x0 flows: expected 8 entries.*got 7"):
+            solve_steady(net, np.array([1.1, 1.2, 1.05]), self.Q, x0=(st.Pi, st.phi[:-1]))
+
+    def test_ratio_dict_without_a_compressor(self):
+        net = configs.load("eight_node")
+        with pytest.raises(SteadySolveError, match="C2") as err:
+            solve_steady(net, {"C1": 1.1, "C3": 1.1}, self.Q)
+        assert err.value.node == "C2"
+
+    def test_ratio_dict_with_an_unknown_compressor(self):
+        net = configs.load("eight_node")
+        with pytest.raises(SteadySolveError, match="CX") as err:
+            solve_steady(net, {"C1": 1.1, "C2": 1.1, "C3": 1.1, "CX": 1.5}, self.Q)
+        assert err.value.node == "CX"
+
+
+class TestCertifiedStart:
+    """A start that already meets the law is returned as given."""
+
+    ALPHA = np.array([1.1, 1.2, 1.05])
+    Q = {"J3": 200.0, "J5": 96.0}
+
+    def test_start_comes_back_as_given(self):
+        net = configs.load("eight_node")
+        st = solve_steady(net, self.ALPHA, self.Q)
+        Pi0, phi0 = st.Pi.copy(), st.phi.copy()
+        slack = net.node_index[net.slack_node.id]
+        Pi0[slack] *= 1.0 + 1e-9  # the slack's squared pressure meets no row
+        x0 = (Pi0.copy(), phi0.copy())
+        again = solve_steady(net, self.ALPHA, self.Q, x0=x0)
+        assert again.iterations == 0
+        assert len(again.residual_history) == 1
+        want = Pi0.copy()
+        want[slack] = nondimensionalize(net).squared_pressure
+        np.testing.assert_array_equal(again.Pi, want)
+        np.testing.assert_array_equal(again.phi, phi0)
+        again.Pi[:] = 0.0
+        again.phi[:] = 0.0
+        np.testing.assert_array_equal(x0[0], Pi0)
+        np.testing.assert_array_equal(x0[1], phi0)
+
+    def test_uncertified_start_steps_from_the_scaled_rows(self):
+        # the folded rows agree with the scaled ones only to rounding; Newton
+        # must start from the scaled residual, bit for bit, or warm starts move
+        net = configs.load("eight_node")
+        st = solve_steady(net, self.ALPHA, self.Q)
+        q = np.array([self.Q.get(n.id, 0.0) for n in net.nodes]) * 1.01
+        again = solve_steady(net, self.ALPHA, q, x0=(st.Pi, st.phi))
+        assert again.iterations > 0
+        kern, sc = kernel(net), nondimensionalize(net)
+        A, b_slack = kern.squares[self.ALPHA.tobytes()][:2]
+        x = np.concatenate([st.Pi[kern.free] / sc.squared_pressure, st.phi / sc.flow])
+        b = np.concatenate([b_slack, -q[kern.free] / sc.flow])
+        assert again.residual_history[0] == np.abs(kern.residual(A, b, x, 0.0)).max()
+
+    def test_infeasible_exact_state_names_the_node(self):
+        # at 900 kg/s the pipe's drop exceeds the slack's squared pressure:
+        # the law's exact state has Pi_L < 0 and must still be refused
+        net = two_node_net()
+        pi_s = net.slack_node.slack_pressure**2
+        pi_l = pi_s - net.kappa()[0] * 900.0**2
+        assert pi_l < 0
+        with pytest.raises(SteadySolveError, match="negative squared pressure") as err:
+            solve_steady(net, None, {"L": 900.0}, x0=(np.array([pi_s, pi_l]), np.array([900.0])))
+        assert err.value.node == "L"
+
+    def test_ratio_range_is_checked_before_certifying(self):
+        net = configs.load("eight_node")
+        st = solve_steady(net, self.ALPHA, self.Q)
+        assert solve_steady(net, self.ALPHA, self.Q, x0=(st.Pi, st.phi)).iterations == 0
+        bad = np.array([1.1, 2.0, 1.05])
+        with pytest.raises(SteadySolveError, match="C2.*ratio") as err:
+            solve_steady(net, bad, self.Q, x0=(st.Pi, st.phi))
+        assert err.value.node == "C2"
+
+
 class TestMonotonicity:
     def test_single_pipe_withdrawal_monotone(self):
         net = configs.load("single_pipe")
