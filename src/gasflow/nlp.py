@@ -23,12 +23,13 @@ meet only through the border: a Hessian or Jacobian entry that links two
 cells is rejected, so a problem writes any quantity that couples cells as a
 border variable with its own defining row.  That row belongs to the border
 when its cell's own rows already fix the cell's variables, because each cell
-block must be regular.  The split of the KKT pattern is kept, so an
-iteration with the pattern of the last one only scatters values.  Without
-labels everything is arrow, and the whole KKT matrix gets one dense
-factorization.  A factorization that
-cannot be repaired (non-finite entries, or inertia correction run past its
-cap) ends the solve with status ``NUMERICAL`` and a diagnostic.
+block must be regular.  A problem declares its Jacobian and Hessian structure
+once (Ipopt's TNLP contract), so the KKT pattern is split before any callback
+runs and each iteration only scatters values.  Without labels everything is
+arrow, and the whole KKT matrix gets one dense factorization.  A
+factorization that cannot be repaired (non-finite entries, or inertia
+correction run past its cap) ends the solve with status ``NUMERICAL`` and a
+diagnostic.
 
 Returns equality and bound multipliers under the convention
 
@@ -51,7 +52,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.linalg.lapack import dsytrf, dsytrs, dtrtrs
 
 log = logging.getLogger("gasflow.nlp")
@@ -95,10 +95,11 @@ class NlpProblem:
     """Smooth NLP data: callbacks plus box bounds (infinite where absent; a
     NaN bound is rejected, not read as absent).
 
-    ``jacobian`` may return a scipy sparse matrix or an ndarray (m x n) with a
-    fixed sparsity pattern.  ``hessian(x, y, obj_factor)`` is required and
-    returns the exact Hessian of ``obj_factor * f + y @ c`` (n x n, sparse or
-    dense, both triangles; it is symmetrized internally).
+    ``jac_structure`` and ``hess_structure`` are the fixed ``(rows, cols)``
+    of the entries of the Jacobian (m x n) and of the Hessian (n x n, both
+    triangles; it is symmetrized internally).  ``jacobian(x)`` and
+    ``hessian(x, y, obj_factor)``, the exact Hessian of ``obj_factor * f +
+    y @ c``, return their values in that order; repeated positions add up.
 
     ``blocks`` optionally labels the n variables and then the m constraint
     rows for the bordered-block KKT factorization: a label >= 0 names a cell,
@@ -118,10 +119,12 @@ class NlpProblem:
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     constraints: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], object]
+    jacobian: Callable[[np.ndarray], np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
-    hessian: Callable[[np.ndarray, np.ndarray, float], object]
+    hessian: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    jac_structure: tuple[np.ndarray, np.ndarray]
+    hess_structure: tuple[np.ndarray, np.ndarray]
     name: str = ""
     blocks: np.ndarray | None = None
 
@@ -140,6 +143,18 @@ class NlpProblem:
             self.blocks = np.asarray(self.blocks, dtype=np.intp)
             if self.blocks.shape != (self.n + self.m,):
                 raise ValueError("blocks must hold n + m labels")
+        for field, shape in (("jac_structure", (self.m, self.n)), ("hess_structure", (self.n, self.n))):
+            rows, cols = (np.asarray(a) for a in getattr(self, field))
+            if rows.ndim != 1 or rows.shape != cols.shape or not {rows.dtype.kind, cols.dtype.kind} <= set("iu"):
+                raise ValueError(f"{field}: rows and cols must be integer vectors of equal length; "
+                                 f"got {rows.dtype} {rows.shape} and {cols.dtype} {cols.shape}")
+            rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+            outside = (rows < 0) | (rows >= shape[0]) | (cols < 0) | (cols >= shape[1])
+            if outside.any():
+                k = int(np.argmax(outside))
+                raise ValueError(f"{field}: entry {k} at ({rows[k]}, {cols[k]}) lies outside "
+                                 f"{shape[0]} x {shape[1]}")
+            setattr(self, field, (rows, cols))
 
 
 @dataclass
@@ -168,11 +183,31 @@ class NlpSolution:
         return self.status is SolveStatus.OPTIMAL
 
 
-def _as_sparse(mat, shape) -> sp.csr_matrix:
-    """``mat`` as CSR; a ``csr_matrix`` is returned as it is, not copied."""
-    if isinstance(mat, sp.csr_matrix):
-        return mat
-    return sp.csr_matrix(mat if sp.issparse(mat) else np.asarray(mat, dtype=float).reshape(shape))
+def _vector(name: str, values, size: int) -> np.ndarray:
+    """``values`` as a float vector; ``ValueError`` unless it has ``size`` entries."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (size,):
+        given = values.shape[0] if values.ndim == 1 else f"shape {values.shape}"
+        raise ValueError(f"{name}: expected {size} entries, got {given}")
+    return values
+
+
+class _Entries:
+    """The distinct positions (``rows``, ``cols``, row-major) of a declared
+    structure in a matrix ``width`` wide, and the ``slot`` of each entry."""
+
+    def __init__(self, name: str, structure, width: int):
+        keys, self.slot = np.unique(structure[0] * width + structure[1], return_inverse=True)
+        self.rows, self.cols = keys // width, keys % width
+        self.name, self.width = name, width
+
+    def sum(self, values) -> np.ndarray:
+        """The callback's ``values`` summed per distinct position."""
+        return np.bincount(self.slot, _vector(self.name, values, self.slot.size), minlength=self.rows.size)
+
+    def rmatvec(self, summed: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``M^T y`` for the matrix ``M`` of the ``summed`` values."""
+        return np.bincount(self.cols, summed * y[self.rows], minlength=self.width)
 
 
 class _Breakdown(ArithmeticError):
@@ -201,7 +236,7 @@ class _BorderedKkt:
     raises ``ValueError``.  The last block is padded with unit diagonal rows.
     """
 
-    def __init__(self, blocks, n: int, m: int):
+    def __init__(self, blocks, n: int, m: int, hess_structure, jac_structure):
         labels = np.full(n + m, -1, dtype=np.intp) if blocks is None else np.asarray(blocks)
         in_cell = np.flatnonzero(labels >= 0)
         n_cells = int(labels.max()) + 1 if in_cell.size else 0
@@ -209,7 +244,7 @@ class _BorderedKkt:
         if n_cells and sizes.min() != sizes.max():
             raise ValueError(f"cell blocks must have equal sizes; found {sorted(set(sizes.tolist()))}")
         size = int(sizes[0]) if n_cells else 0
-        self.n, self.m, self.labels = n, m, labels
+        self.n, self.m = n, m
         self.cells = in_cell[np.argsort(labels[in_cell], kind="stable")].reshape(n_cells, size)
         band = np.flatnonzero(labels <= -2)
         self.band = band.size
@@ -218,73 +253,16 @@ class _BorderedKkt:
         self.local = np.empty(n + m, dtype=np.intp)
         self.local[self.cells.ravel()] = np.tile(np.arange(size), n_cells)
         self.local[self.border] = np.arange(self.border.size)
-        self._pattern = None  # the (H, J) pattern that _split last classified
-
-    def system(self, H, J) -> "_KktSystem":
-        """Split the KKT matrix of Hessian ``H`` (symmetrized here) and
-        Jacobian ``J`` into cell blocks, cell-border couplings and the border.
-
-        The split of the sparsity pattern is kept, and a call whose ``H`` and
-        ``J`` have the pattern of the previous one only scatters values."""
-        H, J = _as_sparse(H, (self.n, self.n)), _as_sparse(J, (self.m, self.n))
-        pattern = (H.indptr, H.indices, J.indptr, J.indices)
-        if self._pattern is None or not all(map(np.array_equal, pattern, self._pattern)):
-            self._pattern = None
-            self._split(H, J)
-            self._pattern = tuple(a.copy() for a in pattern)
-        v = np.bincount(self._slot, np.concatenate([0.5 * H.data, 0.5 * H.data, J.data, J.data]),
-                        minlength=self._r.size)
-        if not np.all(np.isfinite(v)):
-            k = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise _Breakdown(f"KKT entry ({self._r[k]}, {self._c[k]}) is not finite")
-        n_cells, size = self.cells.shape
-        A = np.zeros((n_cells, size, size))
-        A.flat[self._a_at] = v[self._a_of]
-        S = np.zeros(self._s_size)
-        S[self._s_at] = v[self._s_of]
-        S[self.pad_at] = 1.0
-        B = np.zeros(self.cols.shape + (size,))
-        B.flat[self._b_at] = v[self._edge]
-        return _KktSystem(self, A, B, S)
-
-    def border_blocks(self, S: np.ndarray):
-        """Views of the flat border storage ``S``: the band's diagonal blocks
-        (p, block, block), each block's panel (p, block + arrow, block) whose
-        first ``block`` rows are the next block's and whose other rows are
-        the arrow's, and the arrow (arrow, arrow)."""
-        b, na = self.block, self.border.size - self.band
-        p = self._p_at // (b * b)
-        return (S[: self._p_at].reshape(p, b, b),
-                S[self._p_at : self._r_at].reshape(p, b + na, b),
-                S[self._r_at :].reshape(na, na))
-
-    def _home(self, i, j):
-        """Flat position in the border storage of border entry (i, j), local
-        indices; -1 where the entry is kept only as its transpose."""
-        nband, b, na = self.band, self.block, self.border.size - self.band
-        qi, qj = i // b, j // b
-        home = np.full(np.broadcast(i, j).shape, -1, dtype=np.intp)
-        in_band = (i < nband) & (j < nband)
-        for keep, at in (
-            (in_band & (qi == qj), i * b + j % b),
-            (in_band & (qi == qj + 1), self._p_at + (qj * (b + na) + i % b) * b + j % b),
-            ((i >= nband) & (j < nband), self._p_at + (qj * (b + na) + b + i - nband) * b + j % b),
-            ((i >= nband) & (j >= nband), self._r_at + (i - nband) * na + j - nband),
-        ):
-            home = np.where(keep, at, home)
-        return home
-
-    def _split(self, H, J):
-        """Classify the entries of the KKT pattern of ``H`` and ``J`` (CSR)."""
-        n, N = self.n, self.n + self.m
-        hr = np.repeat(np.arange(n), np.diff(H.indptr))
-        jr = n + np.repeat(np.arange(self.m), np.diff(J.indptr))
-        # scipy may store the indices as int32, and N * N can exceed its range
-        hc, jc = H.indices.astype(np.intp), J.indices.astype(np.intp)
+        # the KKT pattern of the declared structures, classified once
+        self.hess = _Entries("hessian", hess_structure, n)
+        self.jac = _Entries("jacobian", jac_structure, n)
+        N = n + m
+        hr, hc = self.hess.rows, self.hess.cols
+        jr, jc = n + self.jac.rows, self.jac.cols
         keys = [hr * N + hc, hc * N + hr, jr * N + jc, jc * N + jr]
         keys, self._slot = np.unique(np.concatenate(keys), return_inverse=True)
         r, c = self._r, self._c = keys // N, keys % N
-        bi, bj = self.labels[r], self.labels[c]
+        bi, bj = labels[r], labels[c]
         li, lj = self.local[r], self.local[c]
         cross = np.flatnonzero((bi >= 0) & (bj >= 0) & (bi != bj))
         if cross.size:
@@ -300,7 +278,6 @@ class _BorderedKkt:
             )
 
         width, nband = self.border.size, self.band
-        n_cells, size = self.cells.shape
         same = np.flatnonzero((bi == bj) & (bi >= 0))
         self._a_of, self._a_at = same, (bi[same] * size + li[same]) * size + lj[same]
         # couplings (cell, local row, border column) go to the panels; a
@@ -351,6 +328,50 @@ class _BorderedKkt:
         at = self._home(i, j)
         self.schur_at = np.where(real & (at >= 0), at, self._s_size).ravel()
 
+    def system(self, H, J) -> "_KktSystem":
+        """Scatter the KKT matrix of Hessian ``H`` (symmetrized here) and
+        Jacobian ``J``, summed by ``self.hess.sum`` and ``self.jac.sum``, into
+        cell blocks, cell-border couplings and the border."""
+        v = np.bincount(self._slot, np.concatenate([0.5 * H, 0.5 * H, J, J]), minlength=self._r.size)
+        if not np.all(np.isfinite(v)):
+            k = int(np.flatnonzero(~np.isfinite(v))[0])
+            raise _Breakdown(f"KKT entry ({self._r[k]}, {self._c[k]}) is not finite")
+        n_cells, size = self.cells.shape
+        A = np.zeros((n_cells, size, size))
+        A.flat[self._a_at] = v[self._a_of]
+        S = np.zeros(self._s_size)
+        S[self._s_at] = v[self._s_of]
+        S[self.pad_at] = 1.0
+        B = np.zeros(self.cols.shape + (size,))
+        B.flat[self._b_at] = v[self._edge]
+        return _KktSystem(self, A, B, S)
+
+    def border_blocks(self, S: np.ndarray):
+        """Views of the flat border storage ``S``: the band's diagonal blocks
+        (p, block, block), each block's panel (p, block + arrow, block) whose
+        first ``block`` rows are the next block's and whose other rows are
+        the arrow's, and the arrow (arrow, arrow)."""
+        b, na = self.block, self.border.size - self.band
+        p = self._p_at // (b * b)
+        return (S[: self._p_at].reshape(p, b, b),
+                S[self._p_at : self._r_at].reshape(p, b + na, b),
+                S[self._r_at :].reshape(na, na))
+
+    def _home(self, i, j):
+        """Flat position in the border storage of border entry (i, j), local
+        indices; -1 where the entry is kept only as its transpose."""
+        nband, b, na = self.band, self.block, self.border.size - self.band
+        qi, qj = i // b, j // b
+        home = np.full(np.broadcast(i, j).shape, -1, dtype=np.intp)
+        in_band = (i < nband) & (j < nband)
+        for keep, at in (
+            (in_band & (qi == qj), i * b + j % b),
+            (in_band & (qi == qj + 1), self._p_at + (qj * (b + na) + i % b) * b + j % b),
+            ((i >= nband) & (j < nband), self._p_at + (qj * (b + na) + b + i - nband) * b + j % b),
+            ((i >= nband) & (j >= nband), self._r_at + (i - nband) * na + j - nband),
+        ):
+            home = np.where(keep, at, home)
+        return home
 
 @dataclass
 class _KktSystem:
@@ -496,14 +517,14 @@ class _BorderedFactor:
         return out
 
 
-def _least_squares_multipliers(kkt: _BorderedKkt, J, rhs: np.ndarray) -> np.ndarray:
+def _least_squares_multipliers(kkt: _BorderedKkt, J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Multipliers minimizing ``|rhs - J^T y|`` from one solve of
     ``[[I, J^T], [J, 0]] [w; y] = [rhs; 0]`` (Waechter & Biegler 2006, sec. 3.6).
     Zero when J is rank deficient or the estimate exceeds 1e3."""
     n, m = kkt.n, kkt.m
     try:
         factor = _BorderedFactor(
-            kkt.system(sp.coo_matrix((n, n)), J), np.concatenate([np.ones(n), np.zeros(m)])
+            kkt.system(np.zeros(kkt.hess.rows.size), J), np.concatenate([np.ones(n), np.zeros(m)])
         )
     except _Breakdown:
         return np.zeros(m)
@@ -537,9 +558,7 @@ class _Iterate:
         self.p = problem
         self.has_lo = np.isfinite(problem.lower)
         self.has_hi = np.isfinite(problem.upper)
-        self.x = _project_interior(
-            np.asarray(x0, dtype=float), problem.lower, problem.upper, kappa=push
-        )
+        self.x = _project_interior(_vector("x0", x0, problem.n), problem.lower, problem.upper, kappa=push)
         self.y = np.zeros(problem.m)
         sl_lo, sl_hi = self.slacks()
         self.z_lo = np.where(self.has_lo, np.clip(mu0 / np.where(self.has_lo, sl_lo, 1.0), 1e-8, 1e8), 0.0)
@@ -601,14 +620,14 @@ def solve(
     """
     opts = options or NlpOptions()
     n, m = problem.n, problem.m
-    kkt = _BorderedKkt(problem.blocks, n, m)
+    kkt = _BorderedKkt(problem.blocks, n, m, problem.hess_structure, problem.jac_structure)
     it = _Iterate(problem, x0, MU0, push=1e-9 if duals0 is not None else 1e-2)
     has_lo, has_hi = it.has_lo, it.has_hi
     if duals0 is not None:
-        y0, zl0, zh0 = duals0
-        it.y = np.asarray(y0, dtype=float).reshape(m).copy()
-        it.z_lo = np.where(has_lo, np.clip(np.asarray(zl0, dtype=float), 1e-12, 1e12), 0.0)
-        it.z_hi = np.where(has_hi, np.clip(np.asarray(zh0, dtype=float), 1e-12, 1e12), 0.0)
+        y0, zl0, zh0 = (_vector(f"duals0[{i}]", d, k) for i, (d, k) in enumerate(zip(duals0, (m, n, n))))
+        it.y = y0.copy()
+        it.z_lo = np.where(has_lo, np.clip(zl0, 1e-12, 1e12), 0.0)
+        it.z_hi = np.where(has_hi, np.clip(zh0, 1e-12, 1e12), 0.0)
 
     f = float(problem.objective(it.x))
     c = np.asarray(problem.constraints(it.x), dtype=float).reshape(m)
@@ -618,12 +637,12 @@ def solve(
         idx = int(np.flatnonzero(~np.isfinite(c))[0])
         raise EvaluationError(f"constraint {idx} is not finite at the start point", index=idx)
     g = np.asarray(problem.gradient(it.x), dtype=float).reshape(n)
-    J = _as_sparse(problem.jacobian(it.x), (m, n))
+    J = kkt.jac.sum(problem.jacobian(it.x))
 
     if m and duals0 is None:
         it.y = _least_squares_multipliers(kkt, J, -(g - it.z_lo + it.z_hi))
 
-    e0, *_ = _kkt_error(problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T @ it.y, 0.0, has_lo, has_hi)
+    e0, *_ = _kkt_error(problem, it.x, it.y, it.z_lo, it.z_hi, g, c, kkt.jac.rmatvec(J, it.y), 0.0, has_lo, has_hi)
     mu = min(MU0, max(opts.tol / 11.0, e0 / 10.0))
     tau = max(TAU_MIN, 1.0 - mu)
 
@@ -642,7 +661,7 @@ def solve(
     debug = log.isEnabledFor(logging.DEBUG)
 
     for iteration in range(1, opts.max_iter + 1):
-        jty = J.T @ it.y
+        jty = kkt.jac.rmatvec(J, it.y)
         e_scaled, stat, feas, comp = _kkt_error(
             problem, it.x, it.y, it.z_lo, it.z_hi, g, c, jty, 0.0, has_lo, has_hi
         )
@@ -673,7 +692,7 @@ def solve(
         sigma = np.where(has_lo, it.z_lo / sl_lo, 0.0) + np.where(has_hi, it.z_hi / sl_hi, 0.0)
         grad_phi = g - np.where(has_lo, mu / sl_lo, 0.0) + np.where(has_hi, mu / sl_hi, 0.0)
 
-        W = problem.hessian(it.x, it.y, 1.0)
+        H = kkt.hess.sum(problem.hessian(it.x, it.y, 1.0))
 
         rhs = np.concatenate([-(grad_phi + jty), -c])
 
@@ -681,7 +700,7 @@ def solve(
         delta_w = 0.0
         delta_c = 0.0
         try:
-            system = kkt.system(_as_sparse(W, (n, n)), J)
+            system = kkt.system(H, J)
         except _Breakdown as exc:
             status = SolveStatus.NUMERICAL
             diagnostic = f"KKT factorization failed at iteration {iteration}: {exc}"
@@ -859,22 +878,22 @@ def solve(
 
         f, c = f_new, c_new
         g = np.asarray(problem.gradient(it.x), dtype=float).reshape(n)
-        J = _as_sparse(problem.jacobian(it.x), (m, n))
+        J = kkt.jac.sum(problem.jacobian(it.x))
     else:
         iteration = opts.max_iter
 
     if status is not SolveStatus.OPTIMAL and best is not None and best[0] < np.inf:
         _, bx, by, bzl, bzh, bf = best
         e_now, *_ = _kkt_error(
-            problem, it.x, it.y, it.z_lo, it.z_hi, g, c, J.T @ it.y, 0.0, has_lo, has_hi
+            problem, it.x, it.y, it.z_lo, it.z_hi, g, c, kkt.jac.rmatvec(J, it.y), 0.0, has_lo, has_hi
         )
         if best[0] < e_now:
             it.x, it.y, it.z_lo, it.z_hi, f = bx, by, bzl, bzh, bf
             c = np.asarray(problem.constraints(it.x), dtype=float).reshape(m)
             g = np.asarray(problem.gradient(it.x), dtype=float).reshape(n)
-            J = _as_sparse(problem.jacobian(it.x), (m, n))
+            J = kkt.jac.sum(problem.jacobian(it.x))
 
-    r_stat = g + J.T @ it.y - it.z_lo + it.z_hi
+    r_stat = g + kkt.jac.rmatvec(J, it.y) - it.z_lo + it.z_hi
     sl_lo, sl_hi = it.slacks()
     comp_terms = []
     if has_lo.any():
@@ -900,32 +919,40 @@ def solve(
     )
 
 
+def _dense(name: str, structure, values, shape) -> np.ndarray:
+    """The dense matrix of a callback's ``values`` at its declared ``structure``."""
+    out = np.zeros(shape)
+    np.add.at(out, structure, _vector(name, values, structure[0].size))
+    return out
+
+
+def _worst_difference(fn, x: np.ndarray, exact: np.ndarray, step: float) -> float:
+    """Worst ``|exact[:, i] - fd| / max(1, |exact[:, i]|)``, where fd is the
+    central difference of ``fn`` along coordinate i of ``x``."""
+    worst = 0.0
+    for i in range(x.size):
+        h = step * (1.0 + abs(x[i]))
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        fd = (fn(xp) - fn(xm)) / (2 * h)
+        denom = np.maximum(1.0, np.abs(exact[:, i]))
+        worst = max(worst, float(np.max(np.abs(fd - exact[:, i]) / denom, initial=0.0)))
+    return worst
+
+
 def check_derivatives(problem: NlpProblem, x: np.ndarray, step: float = 1e-6) -> float:
     """Compare analytic gradient/Jacobian with central finite differences.
 
     Returns the worst relative discrepancy ``|analytic - fd| / max(1, |analytic|)``
-    over all gradient entries and Jacobian entries.
+    over all gradient entries and Jacobian entries; an entry missing from the
+    declared structure reads as zero.
     """
     x = np.asarray(x, dtype=float)
-    n, m = problem.n, problem.m
-    g = np.asarray(problem.gradient(x), dtype=float).reshape(n)
-    J = _as_sparse(problem.jacobian(x), (m, n)).toarray()
-    worst = 0.0
-    for i in range(n):
-        h = step * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fd_g = (problem.objective(xp) - problem.objective(xm)) / (2 * h)
-        worst = max(worst, abs(fd_g - g[i]) / max(1.0, abs(g[i])))
-        if m:
-            cp = np.asarray(problem.constraints(xp), dtype=float)
-            cm = np.asarray(problem.constraints(xm), dtype=float)
-            fd_c = (cp - cm) / (2 * h)
-            denom = np.maximum(1.0, np.abs(J[:, i]))
-            worst = max(worst, float(np.max(np.abs(fd_c - J[:, i]) / denom)))
-    return worst
+    g = np.asarray(problem.gradient(x), dtype=float).reshape(1, problem.n)
+    J = _dense("jacobian", problem.jac_structure, problem.jacobian(x), (problem.m, problem.n))
+    return max(_worst_difference(lambda z: np.array([problem.objective(z)]), x, g, step),
+               _worst_difference(lambda z: np.asarray(problem.constraints(z), dtype=float), x, J, step))
 
 
 def check_hessian(problem: NlpProblem, x: np.ndarray, y: np.ndarray, step: float = 1e-6) -> float:
@@ -933,26 +960,17 @@ def check_hessian(problem: NlpProblem, x: np.ndarray, y: np.ndarray, step: float
     central finite differences of ``gradient + J^T y``.
 
     Returns the worst relative discrepancy ``|analytic - fd| / max(1, |analytic|)``
-    over all Hessian entries.
+    over all Hessian entries; an entry missing from the declared structure
+    reads as zero.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, m = problem.n, problem.m
-    H = _as_sparse(problem.hessian(x, y, 1.0), (n, n)).toarray()
-    H = 0.5 * (H + H.T)
+    n = problem.n
+    H = _dense("hessian", problem.hess_structure, problem.hessian(x, y, 1.0), (n, n))
+    jac = _Entries("jacobian", problem.jac_structure, n)
 
     def lagrangian_gradient(z):
         g = np.asarray(problem.gradient(z), dtype=float).reshape(n)
-        return g + _as_sparse(problem.jacobian(z), (m, n)).T @ y
+        return g + jac.rmatvec(jac.sum(problem.jacobian(z)), y)
 
-    worst = 0.0
-    for i in range(n):
-        h = step * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fd = (lagrangian_gradient(xp) - lagrangian_gradient(xm)) / (2 * h)
-        denom = np.maximum(1.0, np.abs(H[:, i]))
-        worst = max(worst, float(np.max(np.abs(fd - H[:, i]) / denom)))
-    return worst
+    return _worst_difference(lagrangian_gradient, x, 0.5 * (H + H.T), step)

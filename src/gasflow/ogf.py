@@ -29,7 +29,9 @@ The per-cell pipe, compressor and balance rows come from the shared
 friction nonlinearity ``phi * |phi|`` is smoothed here to
 ``phi * sqrt(phi^2 + delta^2)`` so the problem is twice differentiable; the
 steady simulation solver keeps the exact term, and the smoothing error is far
-below the cross-check tolerances at the default delta.
+below the cross-check tolerances at the default delta.  The assembly declares
+the Jacobian and Hessian structure once; the callbacks return value vectors
+in its order, the varying entries first and the constant ones last.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from gasflow.network import Network, Node, NodeKind
@@ -149,33 +150,13 @@ def _objective_scale(net: Network, scaling: Scaling) -> float:
     return max(cands)
 
 
-class _Pattern:
-    """CSR pattern of a sparse matrix, fixed when the problem is assembled.
-
-    ``varying`` lists (rows, cols) blocks whose values each :meth:`matrix`
-    call supplies, in order; ``fixed`` lists (rows, cols, vals) blocks summed
-    once here.  Repeated entries add up; a symmetric pair is two blocks.
-    """
-
-    def __init__(self, shape, varying, fixed=()):
-        pairs = [np.broadcast_arrays(np.asarray(b[0], dtype=int), np.asarray(b[1], dtype=int))
-                 for b in [*varying, *fixed]]
-        keys = [np.zeros(0, dtype=int)] + [r.ravel() * shape[1] + c.ravel() for r, c in pairs]
-        keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
-        n = sum(r.size for r, _ in pairs[: len(varying)])
-        vals = [np.broadcast_to(b[2], r.shape).ravel()
-                for b, (r, _) in zip(fixed, pairs[len(varying) :])]
-        self.shape, self.slot = shape, slot[:n]
-        self.base = np.bincount(slot[n:], np.concatenate([np.zeros(0), *vals]), minlength=keys.size)
-        indptr = np.r_[0, np.cumsum(np.bincount(keys // shape[1], minlength=shape[0]))]
-        # keep the index arrays in the dtype scipy picks, so matrix() shares them
-        proto = sp.csr_matrix((self.base, keys % shape[1], indptr), shape=shape)
-        self.indices, self.indptr = proto.indices, proto.indptr
-
-    def matrix(self, *values) -> sp.csr_matrix:
-        weights = np.concatenate([np.zeros(0)] + [np.ravel(v) for v in values])
-        data = self.base + np.bincount(self.slot, weights=weights, minlength=self.base.size)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+def _structure(blocks) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The ``(rows, cols)`` of ``blocks``, each (rows, cols) or (rows, cols,
+    values) broadcast together, in order, and the values the blocks carry.
+    A symmetric pair is two blocks."""
+    parts = [np.broadcast_arrays(*b) for b in blocks]
+    rows, cols = (np.concatenate([p[i].ravel() for p in parts]) for i in (0, 1))
+    return (rows, cols), np.concatenate([np.zeros(0)] + [p[2].ravel() for p in parts if len(p) > 2])
 
 
 def _assemble(
@@ -263,7 +244,6 @@ def _assemble(
     n_var, n_con = pos, row
 
     # ---- static data --------------------------------------------------------
-    kern_rows, kern_cols = cell_rows[:, kern.jac_rows], state[:, kern.jac_cols]
     a_cols = np.array([alpha_idx[c.id] for c in net.compressors], dtype=int)
     comp_m = np.array([c.m for c in net.compressors])
     eta_nd = np.array([c.eta for c in net.compressors]) * flow_sc / f_scale
@@ -388,13 +368,12 @@ def _assemble(
             c[cc_rows[cid]] = rho @ v + (x[t_idx[cid]] - epsilon[cid]) / gamma
         return c
 
-    # the Jacobian entries of the withdrawal columns and the spline rows are
-    # constant; the kernel's, the ratios' and the budget rows' vary
-    jac = _Pattern(
-        (n_con, n_var),
-        [(kern_rows, kern_cols), (comp_rows, a_cols)]
-        + [(cc_rows[cid], c_idx[cid]) for cid in chance_ids],
-        [(bal_rows[:, idx[nid]], cols, -1.0) for nid, cols in d_idx.items()]
+    # the entries of the kernel, the ratios and the budget rows vary; those
+    # of the withdrawal columns and the spline rows are constant and follow
+    jac_structure, jac_fixed = _structure(
+        [(cell_rows[:, kern.jac_rows], state[:, kern.jac_cols]), (comp_rows, a_cols)]
+        + [(cc_rows[cid], c_idx[cid]) for cid in chance_ids]
+        + [(bal_rows[:, idx[nid]], cols, -1.0) for nid, cols in d_idx.items()]
         + [(bal_rows[:, idx[nid]], cols, 1.0) for nid, cols in s_idx.items()]
         + [(bal_rows[:, slack], qs_idx, -1.0)]
         + [block for cid in chance_ids for block in (
@@ -402,14 +381,15 @@ def _assemble(
             (spline_rows[cid][:, None], c_idx[cid][Dc.indices.reshape(K, -1)],
              -Dc.data.reshape(K, -1)),
             (cc_rows[cid], t_idx[cid], 1.0 / gamma),
-        )],
+        )]
     )
 
     def jacobian(x):
         alpha, Pi, _ = gather(x)
         cells = kern.jacobian(kern.affine(alpha), x[state], delta_nd)
         budget = [-(DgT @ (rho * shortfall(x, cid)[1])) for cid in chance_ids]
-        return jac.matrix(cells[:, kern.jac_rows, kern.jac_cols], kern.ratio_jacobian(Pi), *budget)
+        return np.concatenate([cells[:, kern.jac_rows, kern.jac_cols].ravel(),
+                               kern.ratio_jacobian(Pi).ravel(), *budget, jac_fixed])
 
     # Hessian: compressor power in the flows and ratios, the pipe friction
     # laws, the ratio laws, and the budget rows' banded Dg^T diag(.) Dg
@@ -417,13 +397,12 @@ def _assemble(
     fr_cols = pi_idx[:, kern.comp_from]  # (K, n_comp)
     mask = fr_cols >= 0
     ratio_cols = np.broadcast_to(a_cols, (K, n_comp))
-    hess = _Pattern(
-        (n_var, n_var),
+    hess_structure, _ = _structure(
         [(comp_cols, comp_cols), (ratio_cols, comp_cols), (comp_cols, ratio_cols),
          (a_cols, a_cols), (phi_idx[:, :n_pipe], phi_idx[:, :n_pipe]),
          (ratio_cols[mask], fr_cols[mask]), (fr_cols[mask], ratio_cols[mask])]
         + [(c_idx[cid][g_cols][:, :, None], c_idx[cid][g_cols][:, None, :])
-           for cid in chance_ids],
+           for cid in chance_ids]
     )
 
     def hessian(x, y, obj_factor):
@@ -441,9 +420,9 @@ def _assemble(
             _, _, ddv = shortfall(x, cid)
             curv = y[cc_rows[cid]] * rho * ddv
             budget.append(curv[:, None, None] * g_vals[:, :, None] * g_vals[:, None, :])
-        return hess.matrix(flow_curv, cross, cross, ratio_curv,
-                           kern.pipe_hessian(phi, y[pipe_rows], delta_nd), y_ratio, y_ratio,
-                           *budget)
+        return np.concatenate([v.ravel() for v in (
+            flow_curv, cross, cross, ratio_curv, kern.pipe_hessian(phi, y[pipe_rows], delta_nd),
+            y_ratio, y_ratio, *budget)])
 
     blocks = None
     if grid is not None:
@@ -471,6 +450,8 @@ def _assemble(
         lower=lower,
         upper=upper,
         hessian=hessian,
+        jac_structure=jac_structure,
+        hess_structure=hess_structure,
         name="ogf-det" if grid is None else "ogf-cc",
         blocks=blocks,
     )

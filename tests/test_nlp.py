@@ -2,7 +2,6 @@ import logging
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
 import gasflow.nlp as nlp
@@ -20,6 +19,12 @@ from gasflow.nlp import (
 )
 
 
+def dense(rows, cols):
+    """The full (rows x cols) index grid, row-major, as a declared structure."""
+    r, c = np.indices((rows, cols))
+    return r.ravel(), c.ravel()
+
+
 def box_qp():
     # min x^2 s.t. x >= 1; solution x = 1, lower multiplier 2
     return NlpProblem(
@@ -28,10 +33,12 @@ def box_qp():
         objective=lambda x: float(x[0] ** 2),
         gradient=lambda x: np.array([2.0 * x[0]]),
         constraints=lambda x: np.zeros(0),
-        jacobian=lambda x: np.zeros((0, 1)),
+        jacobian=lambda x: np.zeros(0),
         lower=np.array([1.0]),
         upper=np.array([np.inf]),
-        hessian=lambda x, y, s: np.array([[2.0 * s]]),
+        hessian=lambda x, y, s: np.array([2.0 * s]),
+        jac_structure=dense(0, 1),
+        hess_structure=dense(1, 1),
     )
 
 
@@ -42,10 +49,12 @@ def bounded_lp(c1=3.0, c2=2.0, total=5.0, u=(4.0, 4.0)):
         objective=lambda x: float(-(c1 * x[0] + c2 * x[1])),
         gradient=lambda x: np.array([-c1, -c2]),
         constraints=lambda x: np.array([x[0] + x[1] - total]),
-        jacobian=lambda x: np.array([[1.0, 1.0]]),
+        jacobian=lambda x: np.array([1.0, 1.0]),
         lower=np.zeros(2),
         upper=np.array(u),
-        hessian=lambda x, y, s: np.zeros((2, 2)),
+        hessian=lambda x, y, s: np.zeros(4),
+        jac_structure=dense(1, 2),
+        hess_structure=dense(2, 2),
     )
 
 
@@ -70,7 +79,7 @@ def rosenbrock_eq():
                 [-400.0 * x[0], 200.0],
             ]
         )
-        return H
+        return H.ravel()
 
     return NlpProblem(
         n=2,
@@ -78,10 +87,12 @@ def rosenbrock_eq():
         objective=f,
         gradient=g,
         constraints=lambda x: np.array([x[0] + x[1] - 1.0]),
-        jacobian=lambda x: np.array([[1.0, 1.0]]),
+        jacobian=lambda x: np.array([1.0, 1.0]),
         lower=np.full(2, -np.inf),
         upper=np.full(2, np.inf),
         hessian=h,
+        jac_structure=dense(1, 2),
+        hess_structure=dense(2, 2),
     )
 
 
@@ -163,6 +174,8 @@ class TestSolverProperties:
             lower=p.lower,
             upper=p.upper,
             hessian=p.hessian,
+            jac_structure=p.jac_structure,
+            hess_structure=p.hess_structure,
         )
         scaled = solve(p_scaled, np.array([1.0, 1.0]))
         np.testing.assert_allclose(scaled.x, base.x, atol=1e-6)
@@ -197,10 +210,12 @@ class TestSolverProperties:
             objective=lambda x: float(x[0] ** 2),
             gradient=lambda x: np.array([2.0 * x[0]]),
             constraints=lambda x: np.array([x[0] ** 2 + 1.0]),
-            jacobian=lambda x: np.array([[2.0 * x[0]]]),
+            jacobian=lambda x: np.array([2.0 * x[0]]),
             lower=np.array([-np.inf]),
             upper=np.array([np.inf]),
-            hessian=lambda x, y, s: np.array([[2.0 * s + 2.0 * y[0]]]),
+            hessian=lambda x, y, s: np.array([2.0 * s + 2.0 * y[0]]),
+            jac_structure=dense(1, 1),
+            hess_structure=dense(1, 1),
         )
         sol = solve(p, np.array([0.5]), NlpOptions(max_iter=60))
         assert sol.status is not SolveStatus.OPTIMAL
@@ -213,10 +228,12 @@ class TestSolverProperties:
             objective=lambda x: float(x[0]),
             gradient=lambda x: np.ones(1),
             constraints=lambda x: np.array([np.nan]),
-            jacobian=lambda x: np.ones((1, 1)),
+            jacobian=lambda x: np.ones(1),
             lower=np.array([-np.inf]),
             upper=np.array([np.inf]),
-            hessian=lambda x, y, s: np.zeros((1, 1)),
+            hessian=lambda x, y, s: np.zeros(1),
+            jac_structure=dense(1, 1),
+            hess_structure=dense(1, 1),
         )
         with pytest.raises(EvaluationError) as err:
             solve(p, np.array([0.0]))
@@ -230,10 +247,12 @@ class TestSolverProperties:
                 objective=lambda x: 0.0,
                 gradient=lambda x: np.zeros(1),
                 constraints=lambda x: np.zeros(0),
-                jacobian=lambda x: np.zeros((0, 1)),
+                jacobian=lambda x: np.zeros(0),
                 lower=np.array([2.0]),
                 upper=np.array([1.0]),
-                hessian=lambda x, y, s: np.zeros((1, 1)),
+                hessian=lambda x, y, s: np.zeros(1),
+                jac_structure=dense(0, 1),
+                hess_structure=dense(1, 1),
             )
 
 
@@ -249,10 +268,52 @@ class TestSolverProperties:
                 objective=lambda x: 0.0,
                 gradient=lambda x: np.zeros(2),
                 constraints=lambda x: np.zeros(0),
-                jacobian=lambda x: np.zeros((0, 2)),
-                hessian=lambda x, y, s: np.zeros((2, 2)),
+                jacobian=lambda x: np.zeros(0),
+                hessian=lambda x, y, s: np.zeros(4),
+                jac_structure=dense(0, 2),
+                hess_structure=dense(2, 2),
                 **bounds,
             )
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("field, structure, match", [
+        ("jac_structure", (np.array([0, 0]), np.array([0])), r"jac_structure: rows and cols"),
+        ("hess_structure", (np.zeros((2, 2), int), np.zeros((2, 2), int)),
+         r"hess_structure: rows and cols must be integer vectors"),
+        ("jac_structure", (np.array([0.0, 0.7]), np.array([0.0, 1.9])),
+         r"jac_structure: rows and cols must be integer vectors"),
+        ("jac_structure", (np.array([0, 1]), np.array([1, 0])),
+         r"jac_structure: entry 1 at \(1, 0\) lies outside 1 x 2"),
+        ("hess_structure", (np.array([0, 1]), np.array([-1, 1])),
+         r"hess_structure: entry 0 at \(0, -1\) lies outside 2 x 2"),
+    ], ids=["ragged", "not-1d", "float", "jacobian-outside", "hessian-outside"])
+    def test_structure_checked_at_construction(self, field, structure, match):
+        p = bounded_lp()
+        fields = {"jac_structure": p.jac_structure, "hess_structure": p.hess_structure, field: structure}
+        with pytest.raises(ValueError, match=match):
+            NlpProblem(n=2, m=1, objective=p.objective, gradient=p.gradient,
+                       constraints=p.constraints, jacobian=p.jacobian, lower=p.lower,
+                       upper=p.upper, hessian=p.hessian, **fields)
+
+    @pytest.mark.parametrize("problem, x0, duals0, match", [
+        (box_qp, [3.0, 1.0], None, r"x0: expected 1 entries, got 2"),
+        (bounded_lp, [1.0, 1.0], (np.zeros(2), np.zeros(2), np.zeros(2)),
+         r"duals0\[0\]: expected 1 entries, got 2"),
+        (bounded_lp, [1.0, 1.0], (np.zeros(1), np.zeros(3), np.zeros(2)),
+         r"duals0\[1\]: expected 2 entries, got 3"),
+    ], ids=["x0", "duals0-eq", "duals0-lo"])
+    def test_wrong_length_start_rejected(self, problem, x0, duals0, match):
+        with pytest.raises(ValueError, match=match):
+            solve(problem(), np.array(x0), duals0=duals0)
+
+    @pytest.mark.parametrize("callback", ["jacobian", "hessian"])
+    def test_wrong_length_values_rejected(self, callback):
+        p = bounded_lp()
+        setattr(p, callback, lambda *args: np.zeros(3))
+        size = p.jac_structure[0].size if callback == "jacobian" else p.hess_structure[0].size
+        with pytest.raises(ValueError, match=f"{callback}: expected {size} entries, got 3"):
+            solve(p, np.array([1.0, 1.0]))
 
 
 class TestDerivativeChecker:
@@ -273,12 +334,21 @@ class TestDerivativeChecker:
             objective=f,
             gradient=lambda x: np.array([x[0] / np.sqrt(x[0] ** 2 + delta**2)]),
             constraints=lambda x: np.zeros(0),
-            jacobian=lambda x: np.zeros((0, 1)),
+            jacobian=lambda x: np.zeros(0),
             lower=np.array([-np.inf]),
             upper=np.array([np.inf]),
-            hessian=lambda x, y, s: np.array([[s * delta**2 / (x[0] ** 2 + delta**2) ** 1.5]]),
+            hessian=lambda x, y, s: np.array([s * delta**2 / (x[0] ** 2 + delta**2) ** 1.5]),
+            jac_structure=dense(0, 1),
+            hess_structure=dense(1, 1),
         )
         assert check_derivatives(p, np.array([5e-3])) <= 1e-5
+
+    def test_detects_undeclared_entry(self):
+        # the structure leaves out J[0, 1], whose derivative is 1
+        p = bounded_lp()
+        p.jac_structure = (np.array([0]), np.array([0]))
+        p.jacobian = lambda x: np.array([1.0])
+        assert check_derivatives(p, np.array([1.7, 2.2])) > 1e-2
 
     def test_detects_wrong_gradient(self):
         p = NlpProblem(
@@ -287,10 +357,12 @@ class TestDerivativeChecker:
             objective=lambda x: float(x[0] ** 2),
             gradient=lambda x: np.array([3.0 * x[0]]),  # wrong on purpose
             constraints=lambda x: np.zeros(0),
-            jacobian=lambda x: np.zeros((0, 1)),
+            jacobian=lambda x: np.zeros(0),
             lower=np.array([-np.inf]),
             upper=np.array([np.inf]),
-            hessian=lambda x, y, s: np.array([[2.0 * s]]),
+            hessian=lambda x, y, s: np.array([2.0 * s]),
+            jac_structure=dense(0, 1),
+            hess_structure=dense(1, 1),
         )
         assert check_derivatives(p, np.array([2.0])) > 1e-2
 
@@ -309,6 +381,7 @@ class TestNumericalBreakdown:
             n=2, m=1, objective=base.objective, gradient=base.gradient,
             constraints=base.constraints, jacobian=base.jacobian,
             lower=base.lower, upper=base.upper, hessian=hessian,
+            jac_structure=base.jac_structure, hess_structure=base.hess_structure,
         )
         sol = solve(p, np.array([0.5, 0.5]))
         assert sol.status is SolveStatus.NUMERICAL
@@ -344,6 +417,21 @@ def kkt_matrix(H, J, shift):
     return M + np.diag(shift)
 
 
+def coo(M):
+    """Dense ``M`` as a declared structure, its nonzero positions in row-major
+    order, and their values."""
+    at = np.nonzero(M)
+    return at, M[at]
+
+
+def bordered(labels, H, J):
+    """The bordered KKT of dense ``H`` and ``J``, declared at their nonzeros,
+    and its system."""
+    (hs, h), (js, j) = coo(H), coo(J)
+    kkt = _BorderedKkt(labels, J.shape[1], J.shape[0], hs, js)
+    return kkt, kkt.system(h, j)
+
+
 def assert_matches_dense(rng, blocks, H, J, shift):
     """The bordered factorization, with the labels and without, has the
     inertia of ``eigvalsh`` and solves as ``np.linalg.solve`` does."""
@@ -355,8 +443,7 @@ def assert_matches_dense(rng, blocks, H, J, shift):
     expect = (int(np.sum(eig > tol)), int(np.sum(eig < -tol)), 0)
     rhs = rng.normal(size=n + m)
     for labels in (blocks, None):
-        system = _BorderedKkt(labels, n, m).system(sp.coo_matrix(H), sp.coo_matrix(J))
-        factor = _BorderedFactor(system, shift)
+        factor = _BorderedFactor(bordered(labels, H, J)[1], shift)
         assert factor.inertia == expect
         np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(M, rhs), rtol=1e-7, atol=1e-9)
 
@@ -408,9 +495,7 @@ class TestBorderedKkt:
         # is never handed to LAPACK, which would print an argument error
         rng = np.random.default_rng(100 + seed)
         blocks, H, J, shift = random_bordered(rng, 4, 3, 2, *border, couple=couple)
-        n, m = J.shape[1], J.shape[0]
-        kkt = _BorderedKkt(blocks, n, m)
-        system = kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+        kkt, system = bordered(blocks, H, J)
         width = sum(border) if couple[1] else 0
         assert system.B.shape == (4, width, 5)
         np.testing.assert_array_equal(system.B[0], 0.0)
@@ -428,8 +513,7 @@ class TestBorderedKkt:
         monkeypatch.setattr(nlp, "BAND_ROWS", rows)
         rng = np.random.default_rng(200 + seed)
         blocks, H, J, shift = random_banded(rng, cells=6, band=(22, 19), arrow=arrow)
-        kkt = _BorderedKkt(blocks, J.shape[1], J.shape[0])
-        system = kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+        kkt, system = bordered(blocks, H, J)
         expect = (1, 41) if rows == 32 else (9, 5)
         assert kkt.band == 41 and (kkt.border_blocks(system.S)[0].shape[0], kkt.block) == expect
         assert_matches_dense(rng, blocks, H, J, shift)
@@ -444,8 +528,7 @@ class TestBorderedKkt:
         H[2, 3] = H[3, 2] = 0.5
         J = np.array([[1.0, 1.0, 1.0, 1.0, -1.0]])
         blocks = np.array([-2, -3, -4, -5, -1, -1])
-        kkt = _BorderedKkt(blocks, 5, 1)
-        system = kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+        kkt, system = bordered(blocks, H, J)
         assert kkt.block == 2
         assert _BorderedFactor(system, np.zeros(6)).inertia[2] > 0
         shift = np.r_[np.full(5, 1e-4), -1e-8]
@@ -461,26 +544,23 @@ class TestBorderedKkt:
             H[i, i + 1] = H[i + 1, i] = 0.5
         J = np.zeros((1, 7))
         J[0, [0, 1, 6]] = 1.0
-        kkt = _BorderedKkt(np.array([0, -2, -3, -4, -5, -6, -7, 0]), 7, 1)
         with pytest.raises(ValueError, match="cell 0 couples variable 1 and variable 6"):
-            kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+            _BorderedKkt(np.array([0, -2, -3, -4, -5, -6, -7, 0]), 7, 1, np.nonzero(H), np.nonzero(J))
 
     def test_hessian_linking_two_cells_rejected(self):
         # variable 1 (cell 0) and variable 2 (cell 1) share a Hessian entry
         H = np.eye(4)
         H[1, 2] = H[2, 1] = 0.5
         J = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
-        kkt = _BorderedKkt(np.array([0, 0, 1, 1, 0, 1]), 4, 2)
         with pytest.raises(ValueError, match="variable 1 of cell 0 and variable 2 of cell 1"):
-            kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+            _BorderedKkt(np.array([0, 0, 1, 1, 0, 1]), 4, 2, np.nonzero(H), np.nonzero(J))
 
     def test_singular_cell_reported_as_zero(self):
         # cells {x0} and {x1} have zero Hessian; the border row x0 + x1 - t
         # makes the whole matrix nonsingular, but the cells cannot be eliminated
         H = np.diag([0.0, 0.0, 2.0])
         J = np.array([[1.0, 1.0, -1.0]])
-        kkt = _BorderedKkt(np.array([0, 1, -1, -1]), 3, 1)
-        system = kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+        system = bordered(np.array([0, 1, -1, -1]), H, J)[1]
         assert _BorderedFactor(system, np.zeros(4)).inertia[2] > 0
         assert _BorderedFactor(system, np.r_[np.full(3, 1e-4), -1e-8]).inertia == (3, 1, 0)
 
@@ -488,53 +568,40 @@ class TestBorderedKkt:
         # row 1 belongs to cell 1 but also uses variable 0 of cell 0
         H = np.eye(4)
         J = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 1.0]])
-        kkt = _BorderedKkt(np.array([0, 0, 1, 1, 0, 1]), 4, 2)
         with pytest.raises(ValueError, match="constraint row 1"):
-            kkt.system(sp.coo_matrix(H), sp.coo_matrix(J))
+            _BorderedKkt(np.array([0, 0, 1, 1, 0, 1]), 4, 2, np.nonzero(H), np.nonzero(J))
 
     def test_split_is_kept_per_pattern(self):
-        # one instance across patterns and values gives what a fresh one gives;
-        # the checks still run on every call
+        # one instance across value sets of its declared pattern gives what a
+        # fresh one gives; the finiteness check still runs on every call
         rng = np.random.default_rng(3)
         blocks, H, J, _ = random_bordered(rng)
         n, m = J.shape[1], J.shape[0]
-        kkt = _BorderedKkt(blocks, n, m)
+        (hs, h), (js, j) = coo(H), coo(J)
+        kkt = _BorderedKkt(blocks, n, m, hs, js)
         H2, J2 = H * rng.normal(size=H.shape), J * rng.normal(size=J.shape)
-        empty = sp.coo_matrix((n, n))
-        for h, j in ((H, J), (empty, J), (H2 + H2.T, J2), (H, J)):
-            got = kkt.system(sp.coo_matrix(h), sp.coo_matrix(j))
-            fresh = _BorderedKkt(blocks, n, m)
-            want = fresh.system(sp.coo_matrix(h), sp.coo_matrix(j))
+        for hv, jv in ((h, j), (np.zeros(h.size), j), ((H2 + H2.T)[hs], J2[js]), (h, j)):
+            got = kkt.system(hv, jv)
+            fresh = _BorderedKkt(blocks, n, m, hs, js)
+            want = fresh.system(hv, jv)
             np.testing.assert_array_equal(got.A, want.A)
             np.testing.assert_array_equal(got.S, want.S)
             np.testing.assert_array_equal(got.B, want.B)
             np.testing.assert_array_equal(kkt.cols, fresh.cols)
-        # the same CSR object, its pattern changed in place: a border row
-        # moves an entry to a variable it did not touch, and the split follows
-        h, j = sp.csr_matrix(H), sp.csr_matrix(J)
-        kkt.system(h, j)
-        row = np.flatnonzero(blocks[n:] < 0)[0]
-        free = np.setdiff1d(np.arange(n), j.indices[j.indptr[row]:j.indptr[row + 1]])
-        j.indices[j.indptr[row]] = free[0]
-        moved, fresh = kkt.system(h, j), _BorderedKkt(blocks, n, m)
-        expect = fresh.system(h, j.copy())
-        for name in ("A", "B", "S"):
-            np.testing.assert_array_equal(getattr(moved, name), getattr(expect, name))
-        np.testing.assert_array_equal(kkt.cols, fresh.cols)
-        bad = sp.csr_matrix(J)
-        bad.data[0] = np.nan
+        bad = j.copy()
+        bad[0] = np.nan
         with pytest.raises(_Breakdown, match="not finite"):
-            kkt.system(sp.csr_matrix(H), bad)
+            kkt.system(h, bad)
         a, b = np.flatnonzero(blocks[:n] == 0)[0], np.flatnonzero(blocks[:n] == 1)[0]
         cross = H.copy()
         cross[a, b] = cross[b, a] = 1.0
         with pytest.raises(ValueError, match="cells may meet only through the border"):
-            kkt.system(sp.coo_matrix(cross), sp.coo_matrix(J))
-        np.testing.assert_array_equal(kkt.system(sp.coo_matrix(H), sp.coo_matrix(J)).A, want.A)
+            _BorderedKkt(blocks, n, m, np.nonzero(cross), js)
+        np.testing.assert_array_equal(kkt.system(h, j).A, want.A)
 
     def test_cells_must_have_equal_sizes(self):
         with pytest.raises(ValueError, match="equal sizes"):
-            _BorderedKkt(np.array([0, 0, 1]), 2, 1)
+            _BorderedKkt(np.array([0, 0, 1]), 2, 1, dense(2, 2), dense(1, 2))
 
 
 def linked_cells(blocks):
@@ -546,15 +613,30 @@ def linked_cells(blocks):
         objective=lambda x: float((x[2] - 1.0) ** 2),
         gradient=lambda x: np.array([0.0, 0.0, 2.0 * (x[2] - 1.0)]),
         constraints=lambda x: np.array([x[0] - x[2], x[1] - x[2]]),
-        jacobian=lambda x: sp.csr_matrix(np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])),
+        jacobian=lambda x: np.array([1.0, -1.0, 1.0, -1.0]),
         lower=np.full(3, -np.inf),
         upper=np.full(3, np.inf),
-        hessian=lambda x, y, s: sp.diags([0.0, 0.0, 2.0 * s]),
+        hessian=lambda x, y, s: np.array([0.0, 0.0, 2.0 * s]),
+        jac_structure=(np.array([0, 0, 1, 1]), np.array([0, 2, 1, 2])),
+        hess_structure=(np.arange(3), np.arange(3)),
         blocks=blocks,
     )
 
 
 class TestStructuredSolve:
+    def test_cross_cell_hessian_rejected_before_any_callback(self):
+        # variables 0 and 1 sit in cells 0 and 1, and the declared Hessian
+        # links them: solve rejects the pattern before it reads any value
+        def unread(*args):
+            raise AssertionError("a callback ran")
+
+        p = linked_cells(np.array([0, 1, -1, 0, 1]))
+        for cb in ("objective", "gradient", "constraints", "jacobian", "hessian"):
+            setattr(p, cb, unread)
+        p.hess_structure = (np.array([0, 1, 2, 0]), np.array([0, 1, 2, 1]))
+        with pytest.raises(ValueError, match="variable 0 of cell 0 and variable 1 of cell 1"):
+            solve(p, np.zeros(3))
+
     def test_singular_cells_corrected_by_regularization(self):
         x0 = np.array([3.0, -2.0, 0.5])
         plain = solve(linked_cells(None), x0)
@@ -580,6 +662,19 @@ class TestHessianChecker:
             constraints=base.constraints, jacobian=base.jacobian,
             lower=base.lower, upper=base.upper,
             hessian=lambda x, y, s: 2.0 * base.hessian(x, y, s),
+            jac_structure=base.jac_structure, hess_structure=base.hess_structure,
+        )
+        assert check_hessian(p, np.array([0.3, -0.7]), np.array([1.5])) > 1e-2
+
+    def test_detects_undeclared_entry(self):
+        # the structure leaves out the off-diagonal entries -400 x0
+        base = rosenbrock_eq()
+        p = NlpProblem(
+            n=2, m=1, objective=base.objective, gradient=base.gradient,
+            constraints=base.constraints, jacobian=base.jacobian,
+            lower=base.lower, upper=base.upper,
+            hessian=lambda x, y, s: base.hessian(x, y, s)[[0, 3]],
+            jac_structure=base.jac_structure, hess_structure=(np.array([0, 1]), np.array([0, 1])),
         )
         assert check_hessian(p, np.array([0.3, -0.7]), np.array([1.5])) > 1e-2
 

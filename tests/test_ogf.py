@@ -1,10 +1,14 @@
+import ast
+import inspect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse._base as sp_base
 from scipy.interpolate import CubicSpline
 
+import gasflow.nlp as nlp
 from gasflow import configs, parse_network, solve_steady
 from gasflow.nlp import (
     NlpOptions,
@@ -325,19 +329,20 @@ class TestStructuredKkt:
         x = random_interior(problem, rng)
         y = rng.normal(size=problem.m)
         var, row = problem.blocks[: problem.n], problem.blocks[problem.n :]
-        H = problem.hessian(x, y, 1.0).tocoo()
-        J = problem.jacobian(x).tocoo()
-        for a, b in ((var[H.row], var[H.col]), (row[J.row], var[J.col])):
+        (h_row, h_col), (j_row, j_col) = problem.hess_structure, problem.jac_structure
+        assert problem.hessian(x, y, 1.0).shape == h_row.shape
+        assert problem.jacobian(x).shape == j_row.shape
+        for a, b in ((var[h_row], var[h_col]), (row[j_row], var[j_col])):
             assert not np.any((a >= 0) & (b >= 0) & (a != b))
         # the penalty curvature is banded in the spline coefficients and
         # touches nothing else: at most 7 entries per row, not K
         cols = layout.c_idx[cid]
-        in_c = np.isin(H.row, cols) | np.isin(H.col, cols)
-        assert np.all(np.isin(H.row[in_c], cols) & np.isin(H.col[in_c], cols))
-        assert np.abs(H.row[in_c] - H.col[in_c]).max() <= 3
+        in_c = np.isin(h_row, cols) | np.isin(h_col, cols)
+        assert np.all(np.isin(h_row[in_c], cols) & np.isin(h_col[in_c], cols))
+        assert np.abs(h_row[in_c] - h_col[in_c]).max() <= 3
         # each spline row touches its own cell's pressure and four coefficients
-        spline = np.isin(J.row, layout.spline_rows[cid])
-        assert np.bincount(J.row[spline] - layout.spline_rows[cid][0]).tolist() == [5] * layout.K
+        spline = np.isin(j_row, layout.spline_rows[cid])
+        assert np.bincount(j_row[spline] - layout.spline_rows[cid][0]).tolist() == [5] * layout.K
 
         # at the warm start the coefficients interpolate the cell values (the
         # spline rows vanish), and the budget row carries the penalty integral
@@ -374,9 +379,11 @@ class TestStructuredKkt:
         assert border.size == len(net.compressors) + len(layout.chance_nodes) * (2 * K + 2)
         x = random_interior(problem, np.random.default_rng(K))
         y = np.random.default_rng(K + 1).normal(size=problem.m)
-        kkt = _BorderedKkt(problem.blocks, problem.n, problem.m)
         # the split rejects any entry that links two cells
-        system = kkt.system(problem.hessian(x, y, 1.0), problem.jacobian(x))
+        kkt = _BorderedKkt(problem.blocks, problem.n, problem.m, problem.hess_structure,
+                           problem.jac_structure)
+        system = kkt.system(kkt.hess.sum(problem.hessian(x, y, 1.0)),
+                            kkt.jac.sum(problem.jacobian(x)))
         assert system.B.shape[1] == len(net.compressors) + len(layout.chance_nodes) <= 8
         size = kkt.cells.shape[1]
         cells = system.A + 1e2 * (kkt.cells < problem.n)[:, :, None] * np.eye(size)
@@ -393,6 +400,31 @@ class TestStructuredKkt:
         assert blocked.optimal and dense.optimal
         assert blocked.iterations == dense.iterations
         assert blocked.objective == pytest.approx(dense.objective, rel=1e-10)
+
+    def test_iteration_loop_builds_no_sparse_matrix(self, eight_node, monkeypatch):
+        # the callbacks return values on the declared pattern, and the solver
+        # scatters them without building a scipy.sparse object
+        tree = ast.parse(inspect.getsource(nlp))
+        imported = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for a in node.names]
+        imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not [name for name in imported if name.startswith("scipy.sparse")]
+        net = eight_node.with_node(replace(eight_node.node("J3"), demand_max=300.0))
+        unc = net.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, 16, node_id=unc.id)
+        problem, layout = assemble_chance_constrained(net, grid, PEN)
+        x0 = initial_point_chance_constrained(net, layout)
+        built = []
+        init = sp_base._spbase.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp_base._spbase, "__init__", counting)
+        sol = solve(problem, x0)
+        assert sol.optimal and sol.iterations > 1
+        assert built == []
 
     @pytest.mark.parametrize("case", ["eight_node", "single_pipe"])
     def test_band_labels_match_an_all_arrow_border(self, case):
@@ -422,8 +454,10 @@ class TestStructuredKkt:
         problem, layout = assemble_chance_constrained(eight_node, grid, PEN)
         x = initial_point_chance_constrained(eight_node, layout)
         y = np.random.default_rng(4).normal(size=problem.m) * 1e-2
-        kkt = _BorderedKkt(problem.blocks, problem.n, problem.m)
-        system = kkt.system(problem.hessian(x, y, 1.0), problem.jacobian(x))
+        kkt = _BorderedKkt(problem.blocks, problem.n, problem.m, problem.hess_structure,
+                           problem.jac_structure)
+        system = kkt.system(kkt.hess.sum(problem.hessian(x, y, 1.0)),
+                            kkt.jac.sum(problem.jacobian(x)))
         shift = np.r_[np.ones(problem.n), np.full(problem.m, -1e-8)]
         factor = _BorderedFactor(system, shift)
         assert factor.inertia == (problem.n, problem.m, 0)
