@@ -5,6 +5,12 @@ A primal-dual interior-point method with a monotone barrier schedule
 corrections, and an inertia-corrected symmetric-indefinite factorization of
 the KKT system.
 
+The barrier is ``mu * sum(w * log(s))`` over the bound slacks s, with one
+weight w per variable (``NlpProblem.barrier_weights``).  A variable that is a
+value on one cell of a quadrature takes the cell's weight, so the barrier is a
+quadrature too and the iteration count does not grow with the cell count
+(Weiser 2005; Ulbrich & Ulbrich 2009).  Complementarity is ``s z / w - mu``.
+
 The KKT system is factored in bordered-block form (Zavala, Laird & Biegler
 2008; Chiang, Petra & Zavala 2014).  ``NlpProblem.blocks`` labels every
 variable and constraint row either with its diagonal block, called a cell
@@ -112,6 +118,9 @@ class NlpProblem:
     entry between two band unknowns; a cell coupled to band unknowns in
     blocks that are not neighbours is rejected.  ``None`` factors the whole
     KKT matrix as one dense block.
+
+    ``barrier_weights`` gives each variable a finite positive weight w on the
+    log barrier of its bounds, ``mu * w * log(slack)``; ``None`` means ones.
     """
 
     n: int
@@ -127,6 +136,7 @@ class NlpProblem:
     hess_structure: tuple[np.ndarray, np.ndarray]
     name: str = ""
     blocks: np.ndarray | None = None
+    barrier_weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -143,6 +153,12 @@ class NlpProblem:
             self.blocks = np.asarray(self.blocks, dtype=np.intp)
             if self.blocks.shape != (self.n + self.m,):
                 raise ValueError("blocks must hold n + m labels")
+        if self.barrier_weights is not None:
+            w = self.barrier_weights = _vector("barrier_weights", self.barrier_weights, self.n)
+            bad = ~(np.isfinite(w) & (w > 0))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"barrier_weights must be finite and positive (variable {k}: {w[k]})")
         for field, shape in (("jac_structure", (self.m, self.n)), ("hess_structure", (self.n, self.n))):
             rows, cols = (np.asarray(a) for a in getattr(self, field))
             if rows.ndim != 1 or rows.shape != cols.shape or not {rows.dtype.kind, cols.dtype.kind} <= set("iu"):
@@ -558,11 +574,12 @@ class _Iterate:
         self.p = problem
         self.has_lo = np.isfinite(problem.lower)
         self.has_hi = np.isfinite(problem.upper)
+        self.w = np.ones(problem.n) if problem.barrier_weights is None else problem.barrier_weights
         self.x = _project_interior(_vector("x0", x0, problem.n), problem.lower, problem.upper, kappa=push)
         self.y = np.zeros(problem.m)
         sl_lo, sl_hi = self.slacks()
-        self.z_lo = np.where(self.has_lo, np.clip(mu0 / np.where(self.has_lo, sl_lo, 1.0), 1e-8, 1e8), 0.0)
-        self.z_hi = np.where(self.has_hi, np.clip(mu0 / np.where(self.has_hi, sl_hi, 1.0), 1e-8, 1e8), 0.0)
+        self.z_lo = np.where(self.has_lo, np.clip(mu0 * self.w / sl_lo, 1e-8, 1e8), 0.0)
+        self.z_hi = np.where(self.has_hi, np.clip(mu0 * self.w / sl_hi, 1e-8, 1e8), 0.0)
 
     def slacks(self):
         sl_lo = np.where(self.has_lo, self.x - self.p.lower, 1.0)
@@ -574,11 +591,14 @@ class _Iterate:
         sl_hi = (self.p.upper - x)[self.has_hi]
         if np.any(sl_lo <= 0) or np.any(sl_hi <= 0):
             return np.inf
-        return f - mu * (np.log(sl_lo).sum() + np.log(sl_hi).sum())
+        return f - mu * ((self.w[self.has_lo] * np.log(sl_lo)).sum()
+                         + (self.w[self.has_hi] * np.log(sl_hi)).sum())
 
 
-def _kkt_error(problem, x, y, z_lo, z_hi, g, c, jty, mu, has_lo, has_hi):
-    """Scaled KKT error in the style of Ipopt's E_mu; ``jty`` is ``J^T y``."""
+def _kkt_error(it: _Iterate, g, c, jty, mu):
+    """Scaled KKT error of the iterate in the style of Ipopt's E_mu; ``jty``
+    is ``J^T y``.  Complementarity is judged per unit barrier weight."""
+    problem, y, z_lo, z_hi, has_lo, has_hi = it.p, it.y, it.z_lo, it.z_hi, it.has_lo, it.has_hi
     n_b = int(has_lo.sum() + has_hi.sum())
     s_max = 100.0
     mult_sum = np.abs(y).sum() + z_lo[has_lo].sum() + z_hi[has_hi].sum()
@@ -590,10 +610,9 @@ def _kkt_error(problem, x, y, z_lo, z_hi, g, c, jty, mu, has_lo, has_hi):
     feas = np.abs(c).max() if problem.m else 0.0
     comp = 0.0
     if n_b:
-        sl_lo = np.where(has_lo, x - problem.lower, 1.0)
-        sl_hi = np.where(has_hi, problem.upper - x, 1.0)
-        comp_lo = np.abs(sl_lo * z_lo - mu)[has_lo]
-        comp_hi = np.abs(sl_hi * z_hi - mu)[has_hi]
+        sl_lo, sl_hi = it.slacks()
+        comp_lo = np.abs(sl_lo * z_lo / it.w - mu)[has_lo]
+        comp_hi = np.abs(sl_hi * z_hi / it.w - mu)[has_hi]
         parts = [p.max() for p in (comp_lo, comp_hi) if p.size]
         comp = max(parts) / s_c if parts else 0.0
     return max(stat, feas, comp), float(stat), float(feas), float(comp)
@@ -622,7 +641,7 @@ def solve(
     n, m = problem.n, problem.m
     kkt = _BorderedKkt(problem.blocks, n, m, problem.hess_structure, problem.jac_structure)
     it = _Iterate(problem, x0, MU0, push=1e-9 if duals0 is not None else 1e-2)
-    has_lo, has_hi = it.has_lo, it.has_hi
+    has_lo, has_hi, w = it.has_lo, it.has_hi, it.w
     if duals0 is not None:
         y0, zl0, zh0 = (_vector(f"duals0[{i}]", d, k) for i, (d, k) in enumerate(zip(duals0, (m, n, n))))
         it.y = y0.copy()
@@ -630,19 +649,19 @@ def solve(
         it.z_hi = np.where(has_hi, np.clip(zh0, 1e-12, 1e12), 0.0)
 
     f = float(problem.objective(it.x))
-    c = np.asarray(problem.constraints(it.x), dtype=float).reshape(m)
+    c = _vector("constraints", problem.constraints(it.x), m)
     if not np.isfinite(f):
         raise EvaluationError("objective is not finite at the start point")
     if m and not np.all(np.isfinite(c)):
         idx = int(np.flatnonzero(~np.isfinite(c))[0])
         raise EvaluationError(f"constraint {idx} is not finite at the start point", index=idx)
-    g = np.asarray(problem.gradient(it.x), dtype=float).reshape(n)
+    g = _vector("gradient", problem.gradient(it.x), n)
     J = kkt.jac.sum(problem.jacobian(it.x))
 
     if m and duals0 is None:
         it.y = _least_squares_multipliers(kkt, J, -(g - it.z_lo + it.z_hi))
 
-    e0, *_ = _kkt_error(problem, it.x, it.y, it.z_lo, it.z_hi, g, c, kkt.jac.rmatvec(J, it.y), 0.0, has_lo, has_hi)
+    e0, *_ = _kkt_error(it, g, c, kkt.jac.rmatvec(J, it.y), 0.0)
     mu = min(MU0, max(opts.tol / 11.0, e0 / 10.0))
     tau = max(TAU_MIN, 1.0 - mu)
 
@@ -662,9 +681,7 @@ def solve(
 
     for iteration in range(1, opts.max_iter + 1):
         jty = kkt.jac.rmatvec(J, it.y)
-        e_scaled, stat, feas, comp = _kkt_error(
-            problem, it.x, it.y, it.z_lo, it.z_hi, g, c, jty, 0.0, has_lo, has_hi
-        )
+        e_scaled, stat, feas, comp = _kkt_error(it, g, c, jty, 0.0)
         if best is None or e_scaled < best[0]:
             best = (e_scaled, it.x.copy(), it.y.copy(), it.z_lo.copy(), it.z_hi.copy(), f)
         if debug:
@@ -677,20 +694,16 @@ def solve(
             status = SolveStatus.OPTIMAL
             break
 
-        e_mu, *_ = _kkt_error(
-            problem, it.x, it.y, it.z_lo, it.z_hi, g, c, jty, mu, has_lo, has_hi
-        )
+        e_mu, *_ = _kkt_error(it, g, c, jty, mu)
         while e_mu <= KAPPA_EPS * mu and mu > opts.tol / 11.0:
             mu = max(opts.tol / 11.0, mu / 10.0)
             tau = max(TAU_MIN, 1.0 - mu)
             filter_entries.clear()
-            e_mu, *_ = _kkt_error(
-                problem, it.x, it.y, it.z_lo, it.z_hi, g, c, jty, mu, has_lo, has_hi
-            )
+            e_mu, *_ = _kkt_error(it, g, c, jty, mu)
 
         sl_lo, sl_hi = it.slacks()
         sigma = np.where(has_lo, it.z_lo / sl_lo, 0.0) + np.where(has_hi, it.z_hi / sl_hi, 0.0)
-        grad_phi = g - np.where(has_lo, mu / sl_lo, 0.0) + np.where(has_hi, mu / sl_hi, 0.0)
+        grad_phi = g - np.where(has_lo, mu * w / sl_lo, 0.0) + np.where(has_hi, mu * w / sl_hi, 0.0)
 
         H = kkt.hess.sum(problem.hessian(it.x, it.y, 1.0))
 
@@ -750,7 +763,7 @@ def solve(
 
         def trial_values(x_try):
             f_try = float(problem.objective(x_try))
-            c_try = np.asarray(problem.constraints(x_try), dtype=float).reshape(m)
+            c_try = _vector("constraints", problem.constraints(x_try), m)
             if not np.isfinite(f_try) or (m and not np.all(np.isfinite(c_try))):
                 return np.inf, np.inf, f_try, c_try
             theta_t = float(np.abs(c_try).sum()) if m else 0.0
@@ -832,8 +845,8 @@ def solve(
                     ((1 - G_THETA) * theta_k, phi_k - G_PHI * theta_k)
                 )
 
-        dz_lo = np.where(has_lo, mu / sl_lo - it.z_lo - (it.z_lo / sl_lo) * dx_used, 0.0)
-        dz_hi = np.where(has_hi, mu / sl_hi - it.z_hi + (it.z_hi / sl_hi) * dx_used, 0.0)
+        dz_lo = np.where(has_lo, mu * w / sl_lo - it.z_lo - (it.z_lo / sl_lo) * dx_used, 0.0)
+        dz_hi = np.where(has_hi, mu * w / sl_hi - it.z_hi + (it.z_hi / sl_hi) * dx_used, 0.0)
         alpha_z = 1.0
         for z, dz, mask in ((it.z_lo, dz_lo, has_lo), (it.z_hi, dz_hi, has_hi)):
             negd = mask & (dz < 0)
@@ -870,40 +883,34 @@ def solve(
         sl_lo, sl_hi = it.slacks()
         k_sig = 1e10
         it.z_lo = np.where(
-            has_lo, np.clip(it.z_lo, mu / (k_sig * sl_lo), k_sig * mu / sl_lo), 0.0
+            has_lo, np.clip(it.z_lo, mu * w / (k_sig * sl_lo), k_sig * mu * w / sl_lo), 0.0
         )
         it.z_hi = np.where(
-            has_hi, np.clip(it.z_hi, mu / (k_sig * sl_hi), k_sig * mu / sl_hi), 0.0
+            has_hi, np.clip(it.z_hi, mu * w / (k_sig * sl_hi), k_sig * mu * w / sl_hi), 0.0
         )
 
         f, c = f_new, c_new
-        g = np.asarray(problem.gradient(it.x), dtype=float).reshape(n)
+        g = _vector("gradient", problem.gradient(it.x), n)
         J = kkt.jac.sum(problem.jacobian(it.x))
     else:
         iteration = opts.max_iter
 
     if status is not SolveStatus.OPTIMAL and best is not None and best[0] < np.inf:
         _, bx, by, bzl, bzh, bf = best
-        e_now, *_ = _kkt_error(
-            problem, it.x, it.y, it.z_lo, it.z_hi, g, c, kkt.jac.rmatvec(J, it.y), 0.0, has_lo, has_hi
-        )
+        e_now, *_ = _kkt_error(it, g, c, kkt.jac.rmatvec(J, it.y), 0.0)
         if best[0] < e_now:
             it.x, it.y, it.z_lo, it.z_hi, f = bx, by, bzl, bzh, bf
-            c = np.asarray(problem.constraints(it.x), dtype=float).reshape(m)
-            g = np.asarray(problem.gradient(it.x), dtype=float).reshape(n)
+            c = _vector("constraints", problem.constraints(it.x), m)
+            g = _vector("gradient", problem.gradient(it.x), n)
             J = kkt.jac.sum(problem.jacobian(it.x))
 
     r_stat = g + kkt.jac.rmatvec(J, it.y) - it.z_lo + it.z_hi
     sl_lo, sl_hi = it.slacks()
-    comp_terms = []
-    if has_lo.any():
-        comp_terms.append(np.abs(sl_lo * it.z_lo)[has_lo].max())
-    if has_hi.any():
-        comp_terms.append(np.abs(sl_hi * it.z_hi)[has_hi].max())
+    comp_terms = np.abs(np.concatenate([(sl_lo * it.z_lo / w)[has_lo], (sl_hi * it.z_hi / w)[has_hi]]))
     residuals = {
         "stationarity": float(np.abs(r_stat).max()) if n else 0.0,
         "feasibility": float(np.abs(c).max()) if m else 0.0,
-        "complementarity": float(max(comp_terms)) if comp_terms else 0.0,
+        "complementarity": float(comp_terms.max(initial=0.0)),
     }
     return NlpSolution(
         x=it.x,
@@ -949,10 +956,11 @@ def check_derivatives(problem: NlpProblem, x: np.ndarray, step: float = 1e-6) ->
     declared structure reads as zero.
     """
     x = np.asarray(x, dtype=float)
-    g = np.asarray(problem.gradient(x), dtype=float).reshape(1, problem.n)
+    g = _vector("gradient", problem.gradient(x), problem.n)[None, :]
     J = _dense("jacobian", problem.jac_structure, problem.jacobian(x), (problem.m, problem.n))
     return max(_worst_difference(lambda z: np.array([problem.objective(z)]), x, g, step),
-               _worst_difference(lambda z: np.asarray(problem.constraints(z), dtype=float), x, J, step))
+               _worst_difference(lambda z: _vector("constraints", problem.constraints(z), problem.m),
+                                 x, J, step))
 
 
 def check_hessian(problem: NlpProblem, x: np.ndarray, y: np.ndarray, step: float = 1e-6) -> float:
@@ -970,7 +978,6 @@ def check_hessian(problem: NlpProblem, x: np.ndarray, y: np.ndarray, step: float
     jac = _Entries("jacobian", problem.jac_structure, n)
 
     def lagrangian_gradient(z):
-        g = np.asarray(problem.gradient(z), dtype=float).reshape(n)
-        return g + jac.rmatvec(jac.sum(problem.jacobian(z)), y)
+        return _vector("gradient", problem.gradient(z), n) + jac.rmatvec(jac.sum(problem.jacobian(z)), y)
 
     return _worst_difference(lagrangian_gradient, x, 0.5 * (H + H.T), step)

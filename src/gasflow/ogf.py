@@ -424,18 +424,24 @@ def _assemble(
             flow_curv, cross, cross, ratio_curv, kern.pipe_hessian(phi, y[pipe_rows], delta_nd),
             y_ratio, y_ratio, *budget)])
 
+    # the cell of each variable that lives on one: its states and recourse
+    # flows; -1 marks the compressor ratios and the chance variables.  The
+    # barrier weighs a cell variable by its cell's mass, as the SFV
+    # expectation does, and every other variable by 1
+    in_cell = np.full(n_var, -1)
+    in_cell[state] = cell
+    for cols in (qs_idx, *d_idx.values(), *s_idx.values()):
+        in_cell[cols] = cell[:, 0]
+    barrier_weights = np.where(in_cell >= 0, cell_mass[in_cell], 1.0)
     blocks = None
     if grid is not None:
-        # one cell per stochastic cell: its states, recourse flows and rows;
-        # the compressor ratios and the chance variables and rows are border
-        # (the deterministic problem is a single cell, with nothing to eliminate).
+        # one KKT cell per stochastic cell: its variables and rows; the
+        # compressor ratios and the chance variables and rows are border (the
+        # deterministic problem is a single cell, with nothing to eliminate).
         # In the border, spline coefficient k and spline row k of every chance
         # node share band position k; the ratios, t and the budget rows are
         # the arrow
-        blocks = np.full(n_var + n_con, -1, dtype=int)
-        blocks[state] = cell
-        for cols in (qs_idx, *d_idx.values(), *s_idx.values()):
-            blocks[cols] = cell[:, 0]
+        blocks = np.concatenate([in_cell, np.full(n_con, -1)])
         blocks[n_var + cell_rows] = cell
         for cid in chance_ids:
             blocks[c_idx[cid]] = blocks[n_var + spline_rows[cid]] = -2 - np.arange(K)
@@ -454,6 +460,7 @@ def _assemble(
         hess_structure=hess_structure,
         name="ogf-det" if grid is None else "ogf-cc",
         blocks=blocks,
+        barrier_weights=barrier_weights,
     )
     layout = CcLayout(
         net=net,

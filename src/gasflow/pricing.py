@@ -39,12 +39,9 @@ class PricingError(ValueError):
 
 
 # cell values whose spread is at most this times max(1, max |value|) are one
-# atom: on eight_node at K=50 and 100, quantities held at a bound spread by at
-# most 2.4e-7 by this measure (interior-point offsets), all others by at least
-# 0.05.  A nomination at its cap sits below it by the barrier parameter over
-# the cap's per-mass price, divided by the cell mass: that gap grows with K
-# (to 5e-4 kg/s at K=400), its product with the cell mass does not (at most
-# 1.3e-6 kg/s for K = 50 to 400), so that product is held to this tolerance
+# atom: on eight_node (gamma 2500, J3 caps 200, 300 and none) from K=50 to 800,
+# quantities held at a bound spread by at most 1.01e-8 by this measure
+# (interior-point offsets), all others by at least 2.1e-2
 CONSTANT_RTOL = 1e-6
 
 
@@ -118,12 +115,10 @@ def distribution_of(solution: CcSolution, quantity: str) -> ValueDistribution:
     part pairs the cell centers and per-cell values with the cell masses.
     The continuous part is the exact density of the cubic interpolant of the
     per-cell values at a random withdrawal, on equal bins over its range; on
-    a degenerate grid, or when the values spread by at most ``CONSTANT_RTOL``,
-    it is one atom of mass one at the mass-weighted mean.  A per-mass price
-    is one atom when its dual ``lambda_q`` spreads that little, and an
-    optimized nomination when every cell's gap to its cap, times the cell
-    mass, is that small.  Nothing is sampled, so the result does not depend
-    on any seed.
+    a degenerate grid, or when the values spread by at most ``CONSTANT_RTOL``
+    times ``max(1, max |value|)``, it is one atom of mass one at the
+    mass-weighted mean.  Nothing is sampled, so the result does not depend on
+    any seed.
     """
     grid = solution.layout.grid
     if grid is None:
@@ -135,17 +130,7 @@ def distribution_of(solution: CcSolution, quantity: str) -> ValueDistribution:
         mass=grid.cell_mass.copy(),
         kind="density",
     )
-    # a per-mass price is its dual divided by the cell mass (K times it on
-    # uniform cells), so its barrier offsets grow with K: judge the dual
-    kind, _, name = quantity.partition("@")
-    spread = solution.lambda_q[name] if kind == "lambda_q_per_mass" else values
-    tol = CONSTANT_RTOL * max(1.0, np.abs(spread).max())
-    # a nomination's gap to its cap grows with K; its gap times the cell mass
-    # does not
-    at_cap = kind == "d" and name in solution.d and np.all(
-        dist.mass * (solution.layout.net.node(name).demand_max - values) <= tol
-    )
-    if grid.degenerate or np.ptp(spread) <= tol or at_cap:
+    if grid.degenerate or np.ptp(values) <= CONSTANT_RTOL * max(1.0, np.abs(values).max()):
         dist.kind, dist.atom = "atom", (dist.mean, 1.0)
     else:
         dist.density = grid.value_density(values)

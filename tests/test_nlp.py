@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +185,16 @@ class TestSolverProperties:
             scaled.lambda_hi, scale * base.lambda_hi, rtol=1e-3, atol=1e-6
         )
 
+    def test_barrier_weights_keep_the_solution(self):
+        # a weight scales a bound's barrier term and its complementarity
+        # target, not the problem
+        for weights in ([1e-3, 1e-3], [1e-3, 50.0]):
+            sol = solve(replace(bounded_lp(), barrier_weights=np.array(weights)), np.array([1.0, 1.0]))
+            assert sol.status is SolveStatus.OPTIMAL
+            np.testing.assert_allclose(sol.x, [4.0, 1.0], atol=1e-7)
+            assert sol.lambda_eq[0] == pytest.approx(2.0, abs=1e-6)
+            assert sol.lambda_hi[0] == pytest.approx(1.0, abs=1e-6)
+
     def test_warm_start_converges_quickly(self):
         first = solve(rosenbrock_eq(), np.array([0.5, 0.5]))
         again = solve(rosenbrock_eq(), first.x)
@@ -307,13 +318,50 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=match):
             solve(problem(), np.array(x0), duals0=duals0)
 
-    @pytest.mark.parametrize("callback", ["jacobian", "hessian"])
-    def test_wrong_length_values_rejected(self, callback):
+    @pytest.mark.parametrize("callback, values, size", [
+        ("jacobian", np.zeros(3), 2),
+        ("hessian", np.zeros(3), 4),
+        ("gradient", np.zeros(3), 2),
+        ("constraints", np.zeros(2), 1),
+    ], ids=["jacobian", "hessian", "gradient", "constraints"])
+    def test_wrong_length_values_rejected(self, callback, values, size):
         p = bounded_lp()
-        setattr(p, callback, lambda *args: np.zeros(3))
-        size = p.jac_structure[0].size if callback == "jacobian" else p.hess_structure[0].size
+        setattr(p, callback, lambda *args: values)
+        with pytest.raises(ValueError, match=f"{callback}: expected {size} entries, got {values.size}"):
+            solve(p, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("callback, size", [("gradient", 2), ("constraints", 1)])
+    def test_wrong_length_after_the_start_rejected(self, callback, size):
+        # right at the start, wrong from the next call on: the accepted
+        # point's gradient, a trial point's constraints
+        p = bounded_lp()
+        first = iter([getattr(p, callback)])
+        setattr(p, callback, lambda x: next(first, lambda x: np.zeros(3))(x))
         with pytest.raises(ValueError, match=f"{callback}: expected {size} entries, got 3"):
             solve(p, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("check, callback, values, size", [
+        (check_derivatives, "gradient", np.zeros(3), 2),
+        (check_derivatives, "constraints", np.zeros(2), 1),
+        (check_hessian, "gradient", np.zeros(3), 2),
+    ], ids=["derivatives-gradient", "derivatives-constraints", "hessian-gradient"])
+    def test_wrong_length_values_rejected_by_checkers(self, check, callback, values, size):
+        p = bounded_lp()
+        setattr(p, callback, lambda x: values)
+        args = (np.array([1.7, 2.2]),) + ((np.ones(1),) if check is check_hessian else ())
+        with pytest.raises(ValueError, match=f"{callback}: expected {size} entries, got {values.size}"):
+            check(p, *args)
+
+    @pytest.mark.parametrize("weights, match", [
+        ([1.0], r"barrier_weights: expected 2 entries, got 1"),
+        ([1.0, 0.0], r"barrier_weights must be finite and positive \(variable 1: 0.0\)"),
+        ([-1.0, 1.0], r"barrier_weights must be finite and positive \(variable 0: -1.0\)"),
+        ([1.0, np.nan], r"barrier_weights must be finite and positive \(variable 1: nan\)"),
+        ([np.inf, np.inf], r"barrier_weights must be finite and positive \(variable 0: inf\)"),
+    ], ids=["length", "zero", "negative", "nan", "inf"])
+    def test_barrier_weights_checked_at_construction(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            replace(bounded_lp(), barrier_weights=np.array(weights))
 
 
 class TestDerivativeChecker:

@@ -145,6 +145,25 @@ class TestChanceConstrainedStructure:
         assert problem.m == K * (1 + 1 + nv + 1) + 1
         assert layout.chance_nodes == ["N3"]
 
+    def test_barrier_weights_are_cell_masses(self):
+        # the truncated normal's cells have unequal masses
+        net = configs.load("single_pipe_truncnormal")
+        unc = net.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
+        assert np.ptp(grid.cell_mass) > 0.0
+        problem, layout = assemble_chance_constrained(net, grid, PEN)
+        cell_cols = np.column_stack([layout.pi_idx[:, layout.pi_idx[0] >= 0], layout.phi_idx, layout.qs_idx,
+                                     *layout.d_idx.values(), *layout.s_idx.values()])
+        w = problem.barrier_weights
+        np.testing.assert_array_equal(w[cell_cols], np.broadcast_to(grid.cell_mass[:, None], cell_cols.shape))
+        rest = np.setdiff1d(np.arange(problem.n), cell_cols)
+        alpha_c_t = [*layout.alpha_idx.values(), *np.concatenate(list(layout.c_idx.values())),
+                     *layout.t_idx.values()]
+        np.testing.assert_array_equal(rest, np.sort(alpha_c_t))
+        np.testing.assert_array_equal(w[rest], 1.0)
+        det, _ = assemble_deterministic(net)
+        np.testing.assert_array_equal(det.barrier_weights, np.ones(det.n))
+
     def test_shared_alpha_single_variable(self, cc_single_pipe):
         assert set(cc_single_pipe.alpha) == {"C1"}
 
@@ -222,6 +241,25 @@ class TestChanceConstrainedStructure:
     def test_epsilon_override(self, single_pipe):
         sol = solve_chance_constrained(single_pipe, K=8, penalty=PEN, epsilon=0.11)
         assert sol.epsilon["N3"] == pytest.approx(0.11)
+
+
+class TestMeshIndependence:
+    def test_iterations_and_objective_settle_as_k_grows(self, eight_node):
+        # the barrier weighs each cell's variables by the cell's mass, so the
+        # iteration count does not grow with K, the objective converges, and
+        # a nomination held at its cap stays there
+        Ks = (50, 100, 200, 400)
+        sols = {}
+        for cap in (200.0, 300.0):
+            net = eight_node.with_node(replace(eight_node.node("J3"), demand_max=cap))
+            sols[cap] = [solve_chance_constrained(net, K=K, penalty=PEN) for K in Ks]
+            assert all(sol.optimal for sol in sols[cap])
+            iterations = [sol.iterations for sol in sols[cap]]
+            assert max(iterations) - min(iterations) <= 3, (cap, iterations)
+        steps = np.abs(np.diff([sol.objective for sol in sols[300.0]]))
+        assert np.all(np.diff(steps) < 0.0), steps
+        at_400 = sols[300.0][-1]
+        assert 300.0 - at_400.expected(at_400.d["J3"]) < 1e-6
 
 
 class TestDegenerateEquivalence:
