@@ -13,7 +13,8 @@ between pairs.  Then it makes one traced run per side and workload, runs the
 workloads' CLI invocations at one seed on both copies, and on the change
 twice, and compares their artifacts.  The result file holds, per workload and
 end-to-end metric, the median and quartiles of each side, the pairs in which
-the change was better, and every run; and per traced span that reports
+the change was better, and every run; the same for the CPU time of each
+``perfbench/run.py`` call per pass; and per traced span that reports
 iterations, how many of its calls took none.
 
 The script reads ``BENCHMARK.json`` and what ``perfbench`` prints and writes
@@ -30,6 +31,7 @@ import io
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -68,12 +70,15 @@ def export(repo: Path, treeish: str, dest: Path) -> None:
 
 
 def perfbench(copy: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """The result line of one ``perfbench/run.py`` process, with its manifest."""
+    """The result line of one ``perfbench/run.py`` process, with its manifest,
+    its passes and the user plus system CPU time of it and its children."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=copy, capture_output=True, text=True,
     )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"perfbench {workload} seed {seed} in {copy} exited "
@@ -81,6 +86,8 @@ def perfbench(copy: Path, workload: str, seed: int, seconds: int, trace: int) ->
     result = json.loads(lines[-1])
     summary = json.loads(lines[-2])
     result["manifest"] = summary["manifest"]
+    result["cpu_s"] = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    result["passes"] = len(json.loads((copy / summary["record"]).read_text())["passes"])
     if trace:
         result["calls_without_iterations"] = calls_without_iterations(copy, summary["record"])
     return result
@@ -120,6 +127,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
         "change_better_pairs": wins,
         "median_change": round(c["median"] / p["median"] - 1.0, 4),
         "parent_iqr": p["q3"] - p["q1"],
+        "change_iqr": c["q3"] - c["q1"],
         "runs": {"parent": parent, "change": change},
     }
 
@@ -129,8 +137,8 @@ def assemble(bench: dict, runs: dict, traced: dict, *, parent: str, change: str,
     """The ``BENCH_*.json`` record.
 
     ``runs[workload][side]`` lists the untraced result lines in pair order,
-    each with its ``seed`` and ``manifest``; ``traced[workload][side]`` is the
-    traced result line of each side."""
+    each with its ``seed``, ``manifest``, ``cpu_s`` and ``passes``;
+    ``traced[workload][side]`` is the traced result line of each side."""
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     workloads = {}
     for name, sides in runs.items():
@@ -143,6 +151,8 @@ def assemble(bench: dict, runs: dict, traced: dict, *, parent: str, change: str,
                                   direction)
                 for metric, direction in better.items()
             },
+            "cpu_s_per_pass": summarize(
+                *([r["cpu_s"] / r["passes"] for r in sides[s]] for s in SIDES), "lower"),
             "correct": {s: all(r["correct"] for r in sides[s]) for s in SIDES},
             "failed": {s: sum(r["failed"] for r in sides[s]) for s in SIDES},
             "attempted": {s: sum(r["attempted"] for r in sides[s]) for s in SIDES},
@@ -172,6 +182,8 @@ def assemble(bench: dict, runs: dict, traced: dict, *, parent: str, change: str,
         "pairs": (f"{n} per workload, seeds {first}-{first + n - 1}; "
                   "the side that ran first alternated between pairs"),
         "workloads": workloads,
+        "cpu_note": ("cpu_s_per_pass: user plus system CPU time of one perfbench/run.py "
+                     "call and its children (set-up probes included), over its passes"),
         "trace1_note": ("one traced run per side and workload at the seed shown; values are "
                         "medians over its traced passes, and the calls without iterations "
                         "are counted over all of them"),
@@ -216,32 +228,52 @@ def _fields(name: str, text: str) -> dict[str, list] | None:
     return fields
 
 
+def _abs_change(x: float, y: float) -> float:
+    """|x - y|, zero for two NaNs and NaN for one."""
+    return 0.0 if x == y or (x != x and y != y) else abs(x - y)
+
+
+def _named(field: str) -> bool:
+    """A field read first: an objective, a compressor ratio or a Monte-Carlo
+    estimate."""
+    parts = field.split(".")
+    return parts[-1] == "objective" or parts[0] == "alpha" or parts[-1].startswith("mc_")
+
+
 def compare_outputs(a: Path, b: Path) -> dict:
-    """Files of two output folders: how many are byte-identical, and per
-    differing file the largest relative move of each numeric field that moved."""
+    """Files of two output folders: how many are byte-identical; per differing
+    file and numeric field that moved, the largest absolute change next to the
+    field's scale (its largest magnitude on either side); and the same for
+    every objective, compressor ratio and Monte-Carlo field (``file:field``),
+    moved or not, so that no larger move elsewhere hides them."""
     names = sorted({p.relative_to(a).as_posix() for p in a.rglob("*") if p.is_file()}
                    | {p.relative_to(b).as_posix() for p in b.rglob("*") if p.is_file()})
-    same, moved = 0, {}
+    same, moved, named = 0, {}, {}
     for name in names:
         pa, pb = a / name, b / name
-        if pa.is_file() and pb.is_file() and pa.read_bytes() == pb.read_bytes():
-            same += 1
-            continue
+        identical = pa.is_file() and pb.is_file() and pa.read_bytes() == pb.read_bytes()
+        same += identical
         fa = _fields(name, pa.read_text()) if pa.is_file() else None
         fb = _fields(name, pb.read_text()) if pb.is_file() else None
         if fa is None or fb is None or fa.keys() != fb.keys() or any(
                 len(fa[k]) != len(fb[k]) for k in fa):
-            moved[name] = "differs in structure"
+            if not identical:
+                moved[name] = "differs in structure"
             continue
-        rel = {}
+        change = {}
         for k in fa:
-            pairs = [(x, y) for x, y in zip(fa[k], fb[k]) if x != y]
-            if any(isinstance(x, str) or isinstance(y, str) for x, y in pairs):
-                rel[k] = "text differs"
-            elif pairs:
-                rel[k] = max(abs(x - y) / max(abs(x), abs(y)) for x, y in pairs)
-        moved[name] = rel or "differs in layout only"
-    return {"compared": len(names), "byte_identical": same, "moved": moved}
+            if any(isinstance(x, str) for x in fa[k] + fb[k]):
+                if fa[k] != fb[k]:
+                    change[k] = "text differs"
+                continue
+            change[k] = {"abs_change": max((_abs_change(x, y) for x, y in zip(fa[k], fb[k])),
+                                           key=lambda v: (v != v, v)),
+                         "scale": max((abs(x) for x in fa[k] + fb[k] if x == x), default=0.0)}
+        named |= {f"{name}:{k}": v for k, v in change.items() if _named(k)}
+        if not identical:
+            moved[name] = {k: v for k, v in change.items()
+                           if v == "text differs" or v["abs_change"]} or "differs in layout only"
+    return {"compared": len(names), "byte_identical": same, "named": named, "moved": moved}
 
 
 def run_invocations(copy: Path, manifest: dict, seed: int, out: Path) -> None:

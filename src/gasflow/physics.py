@@ -110,8 +110,8 @@ class Kernel:
     leading batch axis of ``x``.  The NLP evaluates all rows on its K cells
     and reads the Jacobian at ``(jac_rows, jac_cols)``; the steady solve
     solves one state of the rows :meth:`square` keeps per ratio vector, and
-    first checks its start on their folded form, the same rows on the
-    caller's physical units with the friction coefficient ``kappa_flow``.
+    first checks its start with one product on their certification matrix,
+    the same rows on the caller's physical units.
     """
 
     def __init__(self, net: Network):
@@ -150,7 +150,6 @@ class Kernel:
         pattern = self.template[:, :-1] != 0.0
         pattern.reshape(-1)[self._slope] = True
         self.jac_rows, self.jac_cols = np.nonzero(pattern)
-        self.kappa_flow = self.kappa / flow**2  # kappa for flows in kg/s
         self.squares: dict[bytes, tuple[np.ndarray, ...]] = {}
 
     def affine(self, alpha) -> np.ndarray:
@@ -178,28 +177,33 @@ class Kernel:
         ``-q`` is the caller's.  ``A`` is stored by columns, so the transpose
         of its state block in :meth:`residual` is contiguous.
 
-        The folded form ``(M, c)`` writes the same rows on the caller's
-        physical vector ``v = [Pi (every node), phi, q (every node)]``: they
-        read ``v @ M + c`` plus ``kappa_flow * phi * |phi|`` on the pipe rows.
-        ``M`` is the state block of ``A`` with its columns divided by the
-        squared-pressure and flow scales, each non-slack withdrawal entering
-        its balance row as ``-1 / flow``; the slack's pressure and withdrawal
-        have zero rows.  ``c`` is the slack's pressure terms.
+        The certification matrix ``C`` writes the same rows on the caller's
+        physical vector ``u = [Pi (every node), phi, q (every node),
+        phi_p * |phi_p|, 1]``, with ``phi_p`` the pipe flows: they read
+        ``u @ C``.  Its rows are the state block of ``A`` with its columns
+        divided by the squared-pressure and flow scales, each non-slack
+        withdrawal entering its balance row as ``-1 / flow``; then the
+        friction coefficients for flows in kg/s on the pipe rows; last the
+        slack's pressure terms.  The slack's pressure and withdrawal have
+        zero rows.
 
-        The system ``(A, b_slack, M, c)`` is kept in ``squares`` under
+        The system ``(A, b_slack, C)`` is kept in ``squares`` under
         ``alpha.tobytes()``, the oldest of eight dropped first."""
         A = np.asfortranarray(self.affine(alpha).take(self.square_rows, axis=0))
         if len(self.squares) >= 8:
             del self.squares[next(iter(self.squares))]
         npc, nf = self.n_pipe + self.n_comp, self.nv - 1
+        flow = self.scaling.flow
         b_slack = self.pi_slack * A[:npc, -1]
-        M = np.zeros((2 * self.nv + self.ne, len(self.square_rows)))
-        M[self.free] = A[:, :nf].T / self.scaling.squared_pressure
-        M[self.nv : self.nv + self.ne] = A[:, nf:-1].T / self.scaling.flow
+        C = np.zeros((2 * self.nv + self.ne + self.n_pipe + 1, len(self.square_rows)))
+        C[self.free] = A[:, :nf].T / self.scaling.squared_pressure
+        C[self.nv : self.nv + self.ne] = A[:, nf:-1].T / flow
         # the non-slack balances follow the pipe and compressor rows in order
-        M[self.nv + self.ne + self.free, npc + np.arange(nf)] = -1.0 / self.scaling.flow
-        c = np.concatenate([b_slack, np.zeros(nf)])
-        system = self.squares[alpha.tobytes()] = (A, b_slack, M, c)
+        C[self.nv + self.ne + self.free, npc + np.arange(nf)] = -1.0 / flow
+        pipes = np.arange(self.n_pipe)
+        C[2 * self.nv + self.ne + pipes, pipes] = self.kappa / flow**2
+        C[-1, :npc] = b_slack
+        system = self.squares[alpha.tobytes()] = (A, b_slack, C)
         return system
 
     def residual(self, A, b, x, delta: float) -> np.ndarray:

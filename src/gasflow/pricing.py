@@ -239,7 +239,9 @@ def violation_probability(
     certifies every state to its tolerance.  A start that already meets it
     is returned unchanged: the same squared pressures and flows, the slack's
     set to its fixed value, with no Newton step.  A start or withdrawal that
-    is not finite fails its sample.  Samples do not depend on each other.
+    is not finite fails its sample.  Samples do not depend on each other;
+    their squared pressures fill one (samples, nodes) array, whose
+    chance-node columns are read once after the loop.
     Reports the mean quadratic penalty and the violation frequency per
     chance-relaxed node with standard errors.  Samples whose steady solve
     fails are counted separately, never silently dropped.
@@ -269,19 +271,19 @@ def violation_probability(
         cap = net.node(nid).supply_max
         q[:, idx[nid]] -= np.clip(grid.value_interpolator(values)(omega), 0.0, cap)
 
-    chance_idx = np.array([idx[cid] for cid in chance_ids], dtype=int)
-    pi_chance = np.full((mc_samples, len(chance_ids)), np.nan)
     ok = np.ones(mc_samples, dtype=bool)
     # every sample's start: the cubic interpolant of the solved cell states
     nv = len(net.nodes)
     start = grid.value_interpolator(np.hstack([solution.Pi, solution.phi]))(omega)
+    Pi = np.full((mc_samples, nv), np.nan)  # a failed sample's row stays NaN
     for i in range(mc_samples):
         try:
             st = solve_steady(net, alpha_vec, q[i], x0=(start[i, :nv], start[i, nv:]))
         except SteadySolveError:
             ok[i] = False
             continue
-        pi_chance[i] = st.Pi[chance_idx]
+        Pi[i] = st.Pi
+    pi_chance = Pi[:, [idx[cid] for cid in chance_ids]]
     pi_min2 = np.array([net.node(cid).pressure_min ** 2 for cid in chance_ids])
     shortfall = np.maximum((pi_min2 - pi_chance) / pi_sc, 0.0)
     penalties = dict(zip(chance_ids, (gamma * shortfall**2).T))

@@ -15,10 +15,12 @@ The solver is the physics oracle behind Monte-Carlo validation, called once
 per sample as the corrector of the SFV interpolant's start ``x0``, so it
 keeps the exact ``phi*|phi|`` friction term (its derivative ``2|phi|`` is
 continuous and needs no smoothing).  A start is first checked on the same
-rows folded into the caller's units (the kernel's ``M`` and ``c``): one
-already within ``tol`` is certified and returned as given, with no unit
-conversion and no Newton step; any other goes through the scaled set-up and
-Newton.
+rows written on the caller's units: one copy of the start, with the pipes'
+``phi*|phi|`` and a trailing one, times the kernel's certification matrix
+``C``.  One already within ``tol`` is certified and returned as given, its
+``Pi`` and ``phi`` views of that copy, with no unit conversion and no Newton
+step; any other goes through the scaled set-up and Newton.  Both exits derive
+the slack's injection from the returned flows by one formula.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from scipy.linalg.lapack import dgesv
 
 from gasflow.network import Network
 from gasflow.physics import _spanning_tree_flows, kernel
+
+_ONE = np.ones(1)  # the certification vector's last entry
 
 
 class SteadySolveError(RuntimeError):
@@ -48,7 +52,7 @@ class SteadyState:
 
     ``Pi`` is in node order (Pa^2), ``phi`` in edge order (kg/s, pipes then
     compressors, positive from -> to).  ``slack_injection`` is the inflow at
-    the slack node that balances the network (kg/s).
+    the slack node that balances the network (kg/s), derived from ``phi``.
     """
 
     net: Network
@@ -56,8 +60,13 @@ class SteadyState:
     phi: np.ndarray
     residual_norm: float
     iterations: int
-    slack_injection: float
     residual_history: list[float] | None = None
+
+    @property
+    def slack_injection(self) -> float:
+        """Minus the slack's balance row of the incidence times ``phi``."""
+        kern = kernel(self.net)
+        return float(-(kern.incidence[kern.slack] @ self.phi))
 
     @property
     def pressure(self) -> np.ndarray:
@@ -91,10 +100,11 @@ def solve_steady(
     q : mapping or array
         Nodal withdrawals in kg/s (positive = consumption).  The slack node's
         entry is ignored; its injection absorbs the imbalance.
-    x0 : optional (Pi, phi) start in physical units, Pi in node order and
-        phi in edge order.  A start whose rows are already within ``tol`` is
-        returned as given (copied, the slack's squared pressure set to its
-        fixed value) with ``iterations == 0``; the slack's entry is ignored.
+    x0 : optional (Pi, phi) start in physical units, two arrays: Pi in node
+        order and phi in edge order.  A start whose rows are already within
+        ``tol`` is returned as given (in one copy, the slack's squared
+        pressure set to its fixed value) with ``iterations == 0``; the
+        slack's entry is ignored.
     tol : nondimensional residual tolerance (the largest scaled row).
 
     Raises
@@ -135,7 +145,7 @@ def solve_steady(
                 f"compressor {c.id!r}: ratio {a} outside [1, {c.alpha_max}]", node=c.id
             )
         system = kern.square(alpha_vec)
-    A, b_slack, M, c = system
+    A, b_slack, C = system
 
     if q is None:
         q_vec = np.array([n.base_withdrawal for n in net.nodes])
@@ -153,29 +163,21 @@ def solve_steady(
     pi_scale = kern.scaling.squared_pressure
     Pi0 = phi0 = None
     if x0 is not None:
-        Pi0 = np.array(x0[0], dtype=float)
-        phi0 = np.array(x0[1], dtype=float)
+        Pi0, phi0 = x0
         _check_length("x0 squared pressures", Pi0, kern.nv, "node")
         _check_length("x0 flows", phi0, kern.ne, "edge")
-        # the start in the caller's units on the folded rows: one that meets
-        # the law is returned as given, the slack at its pressure
-        r = np.concatenate((Pi0, phi0, q_vec)) @ M
-        r += c
+        # the start in the caller's units on the certification rows: one
+        # that meets the law is returned as given, the slack at its pressure
         phi_p = phi0[: kern.n_pipe]
-        r[: kern.n_pipe] += kern.kappa_flow * phi_p * np.abs(phi_p)
-        rnorm = np.abs(r).max()
+        u = np.concatenate((Pi0, phi0, q_vec, phi_p * np.abs(phi_p), _ONE))
+        rnorm = np.maximum.reduce(np.abs(np.dot(u, C)))
         if rnorm <= tol:
-            Pi0[kern.slack] = pi_scale
-            _check_positive(net, Pi0)
-            return SteadyState(
-                net=net,
-                Pi=Pi0,
-                phi=phi0,
-                residual_norm=float(rnorm),
-                iterations=0,
-                slack_injection=float(-(kern.incidence[kern.slack] @ phi0)),
-                residual_history=[float(rnorm)],
-            )
+            Pi = u[: kern.nv]
+            Pi[kern.slack] = pi_scale
+            _check_positive(net, Pi)
+            rnorm = float(rnorm)
+            return SteadyState(net=net, Pi=Pi, phi=u[kern.nv : kern.nv + kern.ne],
+                               residual_norm=rnorm, iterations=0, residual_history=[rnorm])
 
     flow_sc = kern.scaling.flow
     q_nd = q_vec / flow_sc  # the slack's entry meets only the dropped row
@@ -189,8 +191,8 @@ def solve_steady(
         x = np.concatenate([np.full(nf, kern.pi_slack), _spanning_tree_flows(net, q_nd)])
     b = np.concatenate([b_slack, -q_nd[kern.free]])
 
-    # Newton starts from the scaled rows, not the folded ones: the two agree
-    # only to rounding, and a start from the folded rows moves the warm
+    # Newton starts from the scaled rows, not the certification rows: the two
+    # agree only to rounding, and a start from the latter moves the warm
     # starts' states, and with them the NLP's outputs, in the last bits
     r = kern.residual(A, b, x, 0.0)
     rnorm = np.abs(r).max()
@@ -236,7 +238,6 @@ def solve_steady(
         phi=phi * flow_sc,
         residual_norm=float(rnorm),
         iterations=iterations,
-        slack_injection=float(-(kern.incidence[kern.slack] @ phi) * flow_sc),
         residual_history=history,
     )
 
@@ -250,7 +251,7 @@ def _check_length(name: str, values: np.ndarray, n: int, per: str) -> None:
 
 def _check_positive(net: Network, Pi: np.ndarray) -> None:
     """Raise unless every squared pressure ``Pi`` (node order) is positive."""
-    if Pi.min() <= 0:
+    if np.minimum.reduce(Pi) <= 0:
         bad = net.nodes[int(np.argmin(Pi))].id
         raise SteadySolveError(
             f"negative squared pressure at node {bad!r}: operating point is infeasible",

@@ -17,9 +17,9 @@ MANIFEST = {"nproc": 2, "environment": {
     "scipy_blas": {"name": "scipy-openblas", "version": "0.3.30"}}}
 
 
-def result(seed, run_s, rate, failed=0):
+def result(seed, run_s, rate, failed=0, cpu_s=110.0, passes=50):
     return {"correct": True, "attempted": 1000, "failed": failed, "seed": seed,
-            "manifest": MANIFEST, "metrics": {
+            "manifest": MANIFEST, "cpu_s": cpu_s, "passes": passes, "metrics": {
                 "setup_s": {"value": 0.5, "unit": "s"},
                 "run_s": {"value": run_s, "unit": "s"},
                 "solve_s": {"value": 0.2, "unit": "s"},
@@ -33,10 +33,13 @@ def test_record_from_canned_results():
     change_run = [0.8, 1.3, 0.7, 0.9]
     parent_rate = [40e3, 42e3, 44e3, 41e3]
     change_rate = [60e3, 61e3, 43e3, 62e3]
+    parent_passes = [50, 40, 55, 50]  # CPU per pass: 2.2, 2.75, 2.0, 2.2 s
+    change_passes = [55, 110, 44, 50]  # 2.0, 1.0, 2.5, 2.2 s
     runs = {name: {
-        "parent": [result(111 + i, r, q) for i, (r, q) in enumerate(zip(parent_run, parent_rate))],
-        "change": [result(111 + i, r, q, failed=i) for i, (r, q)
-                   in enumerate(zip(change_run, change_rate))],
+        "parent": [result(111 + i, r, q, passes=n) for i, (r, q, n)
+                   in enumerate(zip(parent_run, parent_rate, parent_passes))],
+        "change": [result(111 + i, r, q, failed=i, passes=n) for i, (r, q, n)
+                   in enumerate(zip(change_run, change_rate, change_passes))],
     } for name in ("cc_eight_node", "eps_sweep")}
     zero = {"steady.mc": {"calls": 12000, "without_iterations": 12000}}
     traced = {name: {side: {"metrics": {"nlp.iterations": {"value": 42, "unit": "count"}},
@@ -70,6 +73,14 @@ def test_record_from_canned_results():
     rate = entry["trace0"]["mc_samples_per_s"]
     assert rate["change_better_pairs"] == 3  # higher is better; 43k lost to 44k
     assert set(entry["trace0"]) == {m["name"] for m in bench["end_to_end"]}
+    cpu = entry["cpu_s_per_pass"]
+    assert cpu["parent"] == {"median": pytest.approx(2.2), "q1": pytest.approx(2.15),
+                             "q3": pytest.approx(2.3375)}
+    assert cpu["change"]["median"] == pytest.approx(2.1)
+    assert cpu["parent_iqr"] == pytest.approx(0.1875)
+    assert cpu["change_iqr"] == pytest.approx(2.275 - 1.75)
+    assert cpu["change_better_pairs"] == 2  # 2.2 against 2.2 is no gain
+    assert "cpu_s_per_pass" in record["cpu_note"]
 
 
 def test_artifact_comparison(tmp_path):
@@ -86,6 +97,33 @@ def test_artifact_comparison(tmp_path):
     assert out["compared"] == 4 and out["byte_identical"] == 1
     moved = out["moved"]
     assert set(moved["run/violation.json"]) == {"mc_mean_penalty"}
-    assert moved["run/violation.json"]["mc_mean_penalty"] == pytest.approx(1e-15, rel=0.2)
+    penalty = moved["run/violation.json"]["mc_mean_penalty"]
+    assert penalty["abs_change"] == pytest.approx(0.25e-15, rel=0.2)
+    assert penalty["scale"] == 0.25 * (1 + 1e-15)
     assert moved["run/sweep.csv"] == {"status": "text differs"}
     assert moved["run/extra.txt"] == "differs in structure"
+
+
+def test_artifact_comparison_names_the_fields_read_first(tmp_path):
+    # a noise-floor price that moves by its whole size must not hide the
+    # objective, ratio and Monte-Carlo fields, moved or not
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, objective, price in ((a, -5200.0, 1e-12), (b, -5200.0 * (1 + 3e-8), -1e-12)):
+        (d / "run").mkdir(parents=True)
+        (d / "run" / "solution.json").write_text(json.dumps(
+            {"objective": objective, "alpha": {"C1": 1.25, "C2": 1.5},
+             "cells": {"lambda_q": {"J1": [price, 2.0, float("nan")]}}}))
+        (d / "run" / "sweep.csv").write_text(
+            "epsilon,mc_mean_penalty,mc_violation_probability\n0.05,0.125,0.5\n")
+    out = bench_pairs.compare_outputs(a, b)
+    assert out["byte_identical"] == 1
+    assert out["moved"] == {"run/solution.json": {
+        "objective": {"abs_change": pytest.approx(5200.0 * 3e-8), "scale": 5200.0 * (1 + 3e-8)},
+        "cells.lambda_q.J1": {"abs_change": 2e-12, "scale": 2.0}}}
+    named = out["named"]
+    assert set(named) == {"run/solution.json:objective", "run/solution.json:alpha.C1",
+                          "run/solution.json:alpha.C2", "run/sweep.csv:mc_mean_penalty",
+                          "run/sweep.csv:mc_violation_probability"}
+    assert named["run/solution.json:objective"] == out["moved"]["run/solution.json"]["objective"]
+    assert named["run/solution.json:alpha.C2"] == {"abs_change": 0.0, "scale": 1.5}
+    assert named["run/sweep.csv:mc_violation_probability"] == {"abs_change": 0.0, "scale": 0.5}

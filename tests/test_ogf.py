@@ -9,6 +9,7 @@ import scipy.sparse._base as sp_base
 from scipy.interpolate import CubicSpline
 
 import gasflow.nlp as nlp
+import gasflow.pricing as pricing
 from gasflow import configs, parse_network, solve_steady
 from gasflow.nlp import (
     NlpOptions,
@@ -27,6 +28,7 @@ from gasflow.ogf import (
     solve_chance_constrained,
     solve_deterministic,
 )
+from gasflow.pricing import violation_probability
 from gasflow.stochastic import UncertaintySpec, build_grid
 
 PEN = PenaltyConfig(gamma=2500.0, delta=1e-3)
@@ -597,6 +599,41 @@ class TestOptimizedSupply:
         interior = (s > 1e-6) & (s < 60.0 - 1e-6)
         ident = sol.lambda_q["M"][interior] - 5.0 * sol.cell_mass[interior]
         assert np.abs(ident).max() <= 1e-5
+
+    def test_monte_carlo_clips_the_supply_interpolant(self, monkeypatch):
+        # the cap binds over the top of the omega range and the supply is
+        # zero at its bottom: each sample withdraws at M its base less the
+        # supply interpolant clipped to [0, cap]
+        net = supply_relief_net()
+        net = net.with_node(replace(net.node("M"), supply_max=24.0))
+        net = net.with_node(
+            replace(
+                net.node("L"),
+                uncertainty=UncertaintySpec(dist="uniform", lo=-20.0, hi=20.0),
+                epsilon=0.5,
+            )
+        )
+        sol = solve_chance_constrained(net, K=16, penalty=PEN)
+        assert sol.optimal
+        s = sol.s["M"]
+        assert s[:4].max() < 1e-4 and s[-3:].min() > 24.0 - 1e-4
+
+        seen = []
+
+        def spy(net_, alpha, q, x0=None):
+            seen.append(q.copy())
+            return solve_steady(net_, alpha, q, x0=x0)
+
+        monkeypatch.setattr(pricing, "solve_steady", spy)
+        n = 400
+        [est] = violation_probability(sol, mc_samples=n, seed=5)
+        assert est.n_failed == 0 and len(seen) == n
+        grid = sol.layout.grid
+        omega = np.sort(grid.spec.ppf(np.random.default_rng(5).random(n)))
+        supply = grid.value_interpolator(s)(omega)
+        assert (supply > 24.0).any() and (supply < 24.0).any()
+        want = net.node("M").base_withdrawal - np.clip(supply, 0.0, 24.0)
+        np.testing.assert_array_equal(np.array(seen)[:, net.node_index["M"]], want)
 
 
 class TestPenaltyBlend:

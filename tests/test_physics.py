@@ -217,22 +217,21 @@ def test_kernel_is_cached_per_network():
 
 @pytest.mark.parametrize("name", ["eight_node", "single_pipe", "single_pipe_truncnormal"])
 def test_folded_rows_are_the_scaled_rows(name):
-    # the square system written on the caller's physical [Pi, phi, q] equals
-    # the scaled rows at the same state, for three ratio vectors and 200
-    # random physical states and withdrawals each
+    # the certification matrix on the caller's physical [Pi, phi, q,
+    # phi_p*|phi_p|, 1] gives the scaled rows at the same state, for three
+    # ratio vectors and 200 random physical states and withdrawals each
     net = configs.load(name)
     kern = kernel(net)
     pi_sc, flow = kern.scaling.squared_pressure, kern.scaling.flow
     rng = np.random.default_rng(18)
     alphas = [np.ones(kern.n_comp), kern.alpha_max, rng.uniform(1.0, kern.alpha_max)]
     for alpha in alphas:
-        A, b_slack, M, c = kern.square(alpha)
+        A, b_slack, C = kern.square(alpha)
         for _ in range(200):
             Pi = rng.uniform(0.6, 1.4, kern.nv) * pi_sc
             phi, q = rng.normal(size=kern.ne) * flow, rng.normal(size=kern.nv) * flow
             phi_p = phi[: kern.n_pipe]
-            folded = np.concatenate([Pi, phi, q]) @ M + c
-            folded[: kern.n_pipe] += kern.kappa_flow * phi_p * np.abs(phi_p)
+            folded = np.concatenate([Pi, phi, q, phi_p * np.abs(phi_p), [1.0]]) @ C
             x = np.concatenate([Pi[kern.free] / pi_sc, phi / flow])
             b = np.concatenate([b_slack, -q[kern.free] / flow])
             np.testing.assert_allclose(folded, kern.residual(A, b, x, 0.0), rtol=0, atol=1e-14)

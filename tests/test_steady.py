@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,28 @@ def small_tree_net():
                  "friction": 0.01},
                 {"id": "p2", "from": "A", "to": "C", "length": 1e4, "diameter": 0.9144,
                  "friction": 0.01},
+            ],
+            "compressors": [],
+        }
+    )
+
+
+def star_net():
+    # the slack feeds three loads through a pipe each
+    return parse_network(
+        {
+            "wave_speed": 377.0,
+            "nodes": [
+                {"id": "S", "kind": "slack", "slack_pressure": 5e6, "pressure_min": 1e6,
+                 "pressure_max": 7e6},
+            ] + [
+                {"id": n, "kind": "flow", "pressure_min": 1e6, "pressure_max": 7e6}
+                for n in "ABC"
+            ],
+            "pipes": [
+                {"id": f"p{n}", "from": "S", "to": n, "length": length, "diameter": 0.9144,
+                 "friction": 0.01}
+                for n, length in zip("ABC", (2e4, 3e4, 1.3e4))
             ],
             "compressors": [],
         }
@@ -212,6 +236,37 @@ class TestRatioCache:
         assert list(kernel(net).squares) == [a.tobytes() for a in ratios[2:]]
 
 
+class TestSlackInjection:
+    """The slack's injection is derived from the returned flows on both exits:
+    its outflows less its inflows."""
+
+    @staticmethod
+    def exact(net, phi):
+        slack = net.slack_node.id
+        return math.fsum((e.from_node == slack) * f - (e.to_node == slack) * f
+                         for e, f in zip(net.edges, phi))
+
+    @staticmethod
+    def both_exits(net, alpha, q):
+        st = solve_steady(net, alpha, q)
+        again = solve_steady(net, alpha, q, x0=(st.Pi, st.phi))
+        assert st.iterations > 0 and again.iterations == 0
+        return st, again
+
+    @pytest.mark.parametrize("name", ["eight_node", "single_pipe", "single_pipe_truncnormal"])
+    def test_bit_equal_where_the_slack_has_one_edge(self, name):
+        net = configs.load(name)
+        for st in self.both_exits(net, None, None):
+            assert st.slack_injection == self.exact(net, st.phi)
+
+    def test_within_one_ulp_where_the_slack_has_three_edges(self):
+        net = star_net()
+        q = {"A": 120.0, "B": 75.5, "C": 301.25}
+        for st in self.both_exits(net, None, q):
+            np.testing.assert_array_max_ulp(st.slack_injection, self.exact(net, st.phi), 1)
+            assert st.slack_injection == pytest.approx(sum(q.values()), rel=1e-10)
+
+
 class TestInputs:
     """Non-finite or wrongly sized inputs name what is wrong."""
 
@@ -273,6 +328,14 @@ class TestInputs:
         with pytest.raises(ValueError, match="x0 flows: expected 8 entries.*got 7"):
             solve_steady(net, np.array([1.1, 1.2, 1.05]), self.Q, x0=(st.Pi, st.phi[:-1]))
 
+    def test_start_parts_checked_apart(self, eight_node):
+        # one squared pressure too many and one flow too few have the right
+        # total length, so each part's own length must be checked
+        net, st = eight_node
+        Pi = np.append(st.Pi, st.Pi[0])
+        with pytest.raises(ValueError, match="x0 squared pressures: expected 8 entries.*got 9"):
+            solve_steady(net, np.array([1.1, 1.2, 1.05]), self.Q, x0=(Pi, st.phi[:-1]))
+
     def test_ratio_dict_without_a_compressor(self):
         net = configs.load("eight_node")
         with pytest.raises(SteadySolveError, match="C2") as err:
@@ -312,7 +375,7 @@ class TestCertifiedStart:
         np.testing.assert_array_equal(x0[1], phi0)
 
     def test_uncertified_start_steps_from_the_scaled_rows(self):
-        # the folded rows agree with the scaled ones only to rounding; Newton
+        # the certification rows agree with the scaled ones only to rounding; Newton
         # must start from the scaled residual, bit for bit, or warm starts move
         net = configs.load("eight_node")
         st = solve_steady(net, self.ALPHA, self.Q)
