@@ -15,7 +15,9 @@ twice, and compares their artifacts.  The result file holds, per workload and
 end-to-end metric, the median and quartiles of each side, the pairs in which
 the change was better, and every run; the same for the CPU time of each
 ``perfbench/run.py`` call per pass; and per traced span that reports
-iterations, how many of its calls took none.
+iterations, how many of its calls took none.  At its top, the traced work
+counts of both sides stand side by side, and any count that differs is
+named there.
 
 The script reads ``BENCHMARK.json`` and what ``perfbench`` prints and writes
 in its copies (result lines, records, trace files); it changes neither, and
@@ -45,6 +47,10 @@ PAIRS = 10  # per workload; fewer cannot tell a gain from the machine's drift
 FIRST_SEED = 111  # pair i runs seed FIRST_SEED + i on both sides
 TRACE_SEED = 301
 ARTIFACT_SEED = 1
+# traced counts of the work a run does: the same on both sides unless the
+# change alters the algorithm
+WORK_COUNTS = ("nlp.iterations", "nlp.factorizations", "ogf.callback_calls", "steady.mc_calls",
+               "steady.mc_newton_iters", "stochastic.build_grid_calls")
 
 
 def _git(repo: Path, *args: str, env: dict | None = None) -> str:
@@ -132,6 +138,20 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def work_counts(traced: dict) -> dict:
+    """Per workload, each of ``WORK_COUNTS`` in the traced run of each side
+    (``None`` where a side does not report it), and the ``workload:count``
+    names whose sides differ."""
+    counts = {
+        name: {c: {s: sides[s]["metrics"].get(c, {}).get("value") for s in SIDES}
+               for c in WORK_COUNTS}
+        for name, sides in traced.items()
+    }
+    differs = [f"{name}:{c}" for name, by_count in counts.items()
+               for c, v in by_count.items() if v["parent"] != v["change"]]
+    return {"differs": differs, "workloads": counts}
+
+
 def assemble(bench: dict, runs: dict, traced: dict, *, parent: str, change: str,
              artifacts: dict) -> dict:
     """The ``BENCH_*.json`` record.
@@ -181,6 +201,7 @@ def assemble(bench: dict, runs: dict, traced: dict, *, parent: str, change: str,
         "change": change,
         "pairs": (f"{n} per workload, seeds {first}-{first + n - 1}; "
                   "the side that ran first alternated between pairs"),
+        "work_counts": work_counts(traced),
         "workloads": workloads,
         "cpu_note": ("cpu_s_per_pass: user plus system CPU time of one perfbench/run.py "
                      "call and its children (set-up probes included), over its passes"),

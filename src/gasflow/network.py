@@ -16,10 +16,10 @@ import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from gasflow.stochastic import UncertaintySpec
 
@@ -219,7 +219,7 @@ class Network:
         if len(set(eids)) != len(eids):
             dup = sorted({i for i in eids if eids.count(i) > 1})[0]
             raise NetworkError(f"duplicate edge id {dup!r}", entity=dup)
-        index = {n.id: k for k, n in enumerate(self.nodes)}
+        index = self.node_index
         for e in self.edges:
             for end in (e.from_node, e.to_node):
                 if end not in index:
@@ -262,11 +262,11 @@ class Network:
     def edges(self) -> tuple[Pipe | Compressor, ...]:
         return self.pipes + self.compressors
 
-    @property
+    @cached_property
     def node_index(self) -> dict[str, int]:
         return {n.id: k for k, n in enumerate(self.nodes)}
 
-    @property
+    @cached_property
     def edge_index(self) -> dict[str, int]:
         return {e.id: k for k, e in enumerate(self.edges)}
 
@@ -299,20 +299,18 @@ class Network:
         return replace(self, nodes=nodes)
 
 
-def incidence(net: Network) -> sp.csc_matrix:
-    """Signed node-edge incidence matrix (|V| x |E|).
+def incidence(net: Network) -> np.ndarray:
+    """Signed node-edge incidence matrix, dense (|V| x |E|).
 
     Column k has -1 at the node edge k leaves and +1 at the node it enters,
     so ``A @ phi`` is the net inflow vector and column sums are zero.
     """
     idx = net.node_index
-    nv, ne = len(net.nodes), len(net.edges)
-    rows, cols, vals = [], [], []
+    A = np.zeros((len(net.nodes), len(net.edges)))
     for k, e in enumerate(net.edges):
-        rows += [idx[e.from_node], idx[e.to_node]]
-        cols += [k, k]
-        vals += [-1.0, 1.0]
-    return sp.csc_matrix((vals, (rows, cols)), shape=(nv, ne))
+        A[idx[e.from_node], k] = -1.0
+        A[idx[e.to_node], k] = 1.0
+    return A
 
 
 _NODE_KEYS = {

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
 
 from gasflow.network import Network, Node, NodeKind
 from gasflow.nlp import NlpOptions, NlpProblem, NlpSolution, SolveStatus, solve
@@ -277,10 +276,8 @@ def _assemble(
 
     # chance machinery: one grid serves every chance node
     if grid is not None:
-        Dc, Dg, rho = grid.Dc, grid.Dg, grid.rho  # Dc, Dg: equal entries per row
-        DgT = Dg.T
-        g_cols = Dg.indices.reshape(Dg.shape[0], -1)
-        g_vals = Dg.data.reshape(g_cols.shape)
+        Dc, Dg, rho = grid.Dc, grid.Dg, grid.rho
+        g_cols, g_vals = Dg.cols, Dg.vals
         # a negative weight would let the SFV expectation of a nonnegative
         # penalty fall below zero
         if rho.min() < 0.0:
@@ -378,8 +375,7 @@ def _assemble(
         + [(bal_rows[:, slack], qs_idx, -1.0)]
         + [block for cid in chance_ids for block in (
             (spline_rows[cid], pi_idx[:, idx[cid]], 1.0),
-            (spline_rows[cid][:, None], c_idx[cid][Dc.indices.reshape(K, -1)],
-             -Dc.data.reshape(K, -1)),
+            (spline_rows[cid][:, None], c_idx[cid][Dc.cols], -Dc.vals),
             (cc_rows[cid], t_idx[cid], 1.0 / gamma),
         )]
     )
@@ -387,7 +383,7 @@ def _assemble(
     def jacobian(x):
         alpha, Pi, _ = gather(x)
         cells = kern.jacobian(kern.affine(alpha), x[state], delta_nd)
-        budget = [-(DgT @ (rho * shortfall(x, cid)[1])) for cid in chance_ids]
+        budget = [-Dg.rmatvec(rho * shortfall(x, cid)[1]) for cid in chance_ids]
         return np.concatenate([cells[:, kern.jac_rows, kern.jac_cols].ravel(),
                                kern.ratio_jacobian(Pi).ravel(), *budget, jac_fixed])
 
@@ -597,26 +593,23 @@ class CcSolution:
 
     def to_json_dict(self, mc_estimates: dict[str, dict] | None = None) -> dict:
         net = self.layout.net
-        cells = []
-        for k in range(self.K):
-            cells.append(
-                {
-                    "omega": float(self.cell_omega[k]),
-                    "mass": float(self.cell_mass[k]),
-                    "pressures": {n.id: float(np.sqrt(self.Pi[k, j])) for j, n in enumerate(net.nodes)},
-                    "flows": {e.id: float(self.phi[k, i]) for i, e in enumerate(net.edges)},
-                    "lambda_q": {nid: float(v[k]) for nid, v in self.lambda_q.items()},
-                    "lambda_q_per_mass": {
-                        nid: float(v[k] / self.cell_mass[k])
-                        for nid, v in self.lambda_q.items()
-                    },
-                    "lambda_d": {nid: float(v[k]) for nid, v in self.lambda_d.items()},
-                    "withdrawals": {
-                        nid: float(self.withdrawal(nid)[k])
-                        for nid in list(self.d) + [n.id for n in net.uncertain_nodes]
-                    },
-                }
-            )
+        # each per-node series as one list, read by every cell
+        series = {
+            "pressures": dict(zip((n.id for n in net.nodes), np.sqrt(self.Pi).T.tolist())),
+            "flows": dict(zip((e.id for e in net.edges), self.phi.T.tolist())),
+            "lambda_q": {nid: v.tolist() for nid, v in self.lambda_q.items()},
+            "lambda_q_per_mass": {nid: (v / self.cell_mass).tolist()
+                                  for nid, v in self.lambda_q.items()},
+            "lambda_d": {nid: v.tolist() for nid, v in self.lambda_d.items()},
+            "withdrawals": {nid: self.withdrawal(nid).tolist()
+                            for nid in list(self.d) + [n.id for n in net.uncertain_nodes]},
+        }
+        cells = [
+            {"omega": omega, "mass": mass}
+            | {key: {nid: v[k] for nid, v in by_node.items()} for key, by_node in series.items()}
+            for k, (omega, mass) in enumerate(zip(self.cell_omega.tolist(),
+                                                  self.cell_mass.tolist()))
+        ]
         chance = []
         for nid in sorted(self.sfv_expectation):
             entry = {
@@ -812,7 +805,7 @@ def initial_point_chance_constrained(
     # spline coefficients through the cell values, and the budget slack there
     for cid, cols in layout.c_idx.items():
         node = net.node(cid)
-        x0[cols] = spsolve(grid.Dc.tocsc(), x0[layout.pi_idx[:, idx[cid]]])
+        x0[cols] = grid.Dc.solve(x0[layout.pi_idx[:, idx[cid]]])
         v, _, _ = layout.penalty.shape(node.pressure_min**2 / pi_sc - grid.Dg @ x0[cols])
         slack_t = node.epsilon - layout.penalty.gamma * float(grid.rho @ v)
         x0[layout.t_idx[cid]] = max(slack_t, 1e-3 * max(node.epsilon, 1e-8))

@@ -125,7 +125,7 @@ class Kernel:
         self.pi_slack = net.slack_node.slack_pressure**2 / pi_sc
         self.comp_from = np.array([idx[c.from_node] for c in net.compressors], dtype=int)
         self.alpha_max = np.array([c.alpha_max for c in net.compressors], dtype=float)
-        self.incidence = incidence(net).toarray()  # (nv, ne)
+        self.incidence = incidence(net)  # (nv, ne)
         self.n_rows = self.n_pipe + self.n_comp + self.nv
         self.n_state = self.nv - 1 + self.ne
         self.free = np.flatnonzero(np.arange(self.nv) != self.slack)  # state pressure order

@@ -4,34 +4,40 @@ A random withdrawal lives on a compact interval ``[lo, hi]`` with either a
 uniform or a truncated normal measure.  The interval is split into ``K``
 uniform cells; the physics is collocated at the cell centers, and a clamped
 cubic B-spline basis (``K + 3`` functions, partition of unity) carries the
-penalty expansion used by the chance constraint; two sparse factors carry
+penalty expansion used by the chance constraint; two banded factors carry
 cell values to its Greville points and one weight vector integrates values
-there, all built once with the grid.  All measure quantities (cell masses,
-basis integrals, means, quantiles, the law of an interpolated quantity) are
-computed in closed form, by Gauss-Legendre quadrature or by bisection on the
-monotone pieces of a cubic; no sampling enters the construction.
+there, all built once with the grid, in time and memory linear in ``K``.
+All measure quantities (cell masses, basis integrals, means, quantiles, the
+law of an interpolated quantity) are computed in closed form, by
+Gauss-Legendre quadrature or by bisection on the monotone pieces of a cubic;
+no sampling enters the construction.
 
 The splines are evaluated here in numpy: a vectorized Cox-de Boor recurrence
 for the B-spline bases, and the not-a-knot cell interpolant as power-form
 pieces whose slopes come from one banded solve.  Both follow the arithmetic
 of scipy's ``BSpline.design_matrix`` and ``CubicSpline`` operation for
 operation and give the same bits; the tests hold them to scipy as an oracle.
-Importing ``scipy.interpolate`` would also load ``scipy.optimize``,
-``scipy.fft`` and ``scipy.spatial``, none of which gasflow uses.
+A basis operator is a :class:`BandedRows`, at most four entries per row, and
+the normal law comes from the standard library's ``erf``, ``erfc`` and
+``NormalDist``, so that ``scipy.linalg`` is the only scipy subpackage loaded:
+``scipy.sparse`` and ``scipy.special`` cost resident memory in every process,
+and ``scipy.interpolate`` would also load ``scipy.optimize``, ``scipy.fft``
+and ``scipy.spatial``.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
-from scipy.special import ndtr, ndtri
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
+_erf, _erfc = np.frompyfunc(math.erf, 1, 1), np.frompyfunc(math.erfc, 1, 1)
+_inv_cdf = np.frompyfunc(statistics.NormalDist().inv_cdf, 1, 1)
 # equal bins of ``value_density``, of which ``_PAD_BINS`` at each end lie
 # outside the range of the interpolant and hold no mass
 _DENSITY_BINS = 513
@@ -109,8 +115,9 @@ class UncertaintySpec:
         if self.dist == "uniform":
             return self.lo + u * self.width
         base = ndtr(self._z(self.lo))
-        x = self.mean + self.std * ndtri(base + u * self._norm_mass)
-        return np.clip(x, self.lo, self.hi)
+        x = np.clip(self.mean + self.std * ndtri(base + u * self._norm_mass), self.lo, self.hi)
+        # the ends of the support are exact, whatever the quantile's rounding
+        return np.where(u == 0, self.lo, np.where(u == 1, self.hi, x))[()]
 
     def measure_mean(self) -> float:
         """Analytic mean of the measure."""
@@ -124,6 +131,23 @@ class UncertaintySpec:
         return self.mean + self.std * (phi_a - phi_b) / self._norm_mass
 
 
+def ndtr(z):
+    """Standard normal CDF in the arithmetic of cephes' ``ndtr``: ``erf``
+    near zero, ``erfc`` of the magnitude in the tails, reflected above."""
+    x = np.asarray(z, dtype=float) * _SQRT_HALF
+    tail = 0.5 * np.asarray(_erfc(np.abs(x)), dtype=float)
+    return np.where(np.abs(x) < _SQRT_HALF, 0.5 + 0.5 * np.asarray(_erf(x), dtype=float),
+                    np.where(x > 0, 1.0 - tail, tail))[()]
+
+
+def ndtri(p):
+    """Standard normal quantile: ``-inf`` at ``p <= 0`` and ``inf`` at ``p >= 1``."""
+    p = np.asarray(p, dtype=float)
+    inner = (p > 0) & (p < 1)
+    x = np.asarray(_inv_cdf(np.where(inner, p, 0.5)), dtype=float)
+    return np.where(inner, x, np.where(p <= 0, -np.inf, np.where(p >= 1, np.inf, np.nan)))[()]
+
+
 def _gauss_legendre_panels(breaks: np.ndarray, n_points: int):
     """Gauss-Legendre nodes/weights on each interval of ``breaks``."""
     xg, wg = np.polynomial.legendre.leggauss(n_points)
@@ -134,9 +158,59 @@ def _gauss_legendre_panels(breaks: np.ndarray, n_points: int):
     return nodes.ravel(), weights.ravel()
 
 
-def _design_matrix(t: np.ndarray, x: np.ndarray) -> sp.csr_array:
-    """Cubic B-spline basis on knots ``t`` at the points ``x``, in the layout
-    of ``BSpline.design_matrix``: four stored entries per row, zeros included.
+@dataclass(frozen=True)
+class BandedRows:
+    """An (n, n_cols) matrix whose row ``i`` holds ``vals[i]`` (w entries,
+    zeros included) at the columns ``first[i] + 0 ... w - 1``.
+
+    Its products sum in the order of scipy's CSR kernels and give their bits:
+    ``@`` sums each row from zero in column order, and :meth:`rmatvec`
+    accumulates the transposed product row by row.
+    """
+
+    first: np.ndarray
+    vals: np.ndarray
+    n_cols: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.first.size, self.n_cols
+
+    @property
+    def cols(self) -> np.ndarray:
+        """(n, w) column of each stored entry."""
+        return self.first[:, None] + np.arange(self.vals.shape[1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.first.size)
+        for j in range(self.vals.shape[1]):
+            out += self.vals[:, j] * x[self.first + j]
+        return out
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """The transposed product ``A^T @ v``."""
+        return np.bincount(self.cols.ravel(), weights=(self.vals * v[:, None]).ravel(),
+                           minlength=self.n_cols)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[np.arange(self.first.size)[:, None], self.cols] += self.vals
+        return out
+
+    def solve(self, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``A^-1 b``, or ``A^-T b``, for a square ``A``, by a banded LU."""
+        rows, cols = np.broadcast_arrays(np.arange(self.first.size)[:, None], self.cols)
+        if transpose:
+            rows, cols = cols, rows
+        lower, upper = int((rows - cols).max(initial=0)), int((cols - rows).max(initial=0))
+        ab = np.zeros((lower + upper + 1, self.n_cols))
+        ab[upper + rows - cols, cols] = self.vals
+        return sla.solve_banded((lower, upper), ab, b, check_finite=False)
+
+
+def _design_matrix(t: np.ndarray, x: np.ndarray) -> BandedRows:
+    """Cubic B-spline basis on knots ``t`` at the points ``x``: four entries
+    per row, zeros included, at the columns of ``BSpline.design_matrix``.
 
     The interval ``t[l] <= x < t[l + 1]`` is clipped to the base interval, so
     points outside it take the end polynomials.  The Cox-de Boor recurrence
@@ -155,9 +229,7 @@ def _design_matrix(t: np.ndarray, x: np.ndarray) -> sp.csr_array:
             w = prev[:, m - 1] / (right - left)
             h[:, m - 1] += w * (right - x)
             h[:, m] = w * (x - left)
-    indices = ((ell - 3).astype(np.int32)[:, None] + np.arange(4, dtype=np.int32)).ravel()
-    indptr = np.arange(0, 4 * x.size + 1, 4, dtype=np.int32)
-    return sp.csr_array((h.ravel(), indices, indptr), shape=(x.size, t.size - 4))
+    return BandedRows(ell - 3, h, t.size - 4)
 
 
 def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -225,14 +297,15 @@ class StochasticGrid:
     The not-a-knot cubic interpolant through the cell centers has K B-spline
     coefficients ``c``, with knots at the centers but the second and
     second-to-last: ``Dc`` (K, K) evaluates it at the centers and ``Dg``
-    (n_basis, K) at the Greville points, the end pieces extended, each with
-    four stored entries per row (zeros included).  ``rho = B^-T @
-    basis_integrals``, with ``B`` the basis at the Greville points: the
+    (n_basis, K) at the Greville points, the end pieces extended, each a
+    :class:`BandedRows` of four entries per row (zeros included).  ``rho =
+    B^-T @ basis_integrals``, with ``B`` the basis at the Greville points: the
     measure integral of the spline through values ``v`` there is ``rho @ v``.
 
     A degenerate grid (zero-width interval) carries a single constant basis
-    function, takes ``c`` as the cell values and their mean as its one value,
-    so downstream assembly needs no special cases.
+    function, takes ``c`` as the cell values (``Dc`` the identity, rows of one
+    entry) and their mean as its one value (``Dg`` one row of K entries), so
+    downstream assembly needs no special cases.
     """
 
     node_id: str
@@ -244,8 +317,8 @@ class StochasticGrid:
     spline_knots: np.ndarray
     greville: np.ndarray
     basis_integrals: np.ndarray
-    Dc: sp.csr_matrix | sp.csr_array
-    Dg: sp.csr_matrix | sp.csr_array
+    Dc: BandedRows
+    Dg: BandedRows
     rho: np.ndarray
 
     @property
@@ -342,7 +415,8 @@ def build_grid(spec: UncertaintySpec, K: int, node_id: str = "") -> StochasticGr
     Requires K >= 4 (the cubic interpolation through cell centers needs at
     least four points).  Cell masses come from closed-form CDF differences;
     basis integrals from Gauss-Legendre quadrature against the density;
-    ``rho`` from one sparse solve with the basis at the Greville points.
+    ``rho`` from one banded solve with the transposed basis at the Greville
+    points.
     """
     if K < 4:
         raise ValueError(f"need at least 4 stochastic cells, got {K}")
@@ -350,8 +424,9 @@ def build_grid(spec: UncertaintySpec, K: int, node_id: str = "") -> StochasticGr
         point = float(spec.lo)
         return StochasticGrid(node_id, spec, K, np.full(K + 1, point), np.full(K, point),
                               np.full(K, 1.0 / K), np.full(8, point), np.array([point]),
-                              np.array([1.0]), sp.identity(K, format="csr"),
-                              sp.csr_matrix(np.full((1, K), 1.0 / K)), np.array([1.0]))
+                              np.array([1.0]), BandedRows(np.arange(K), np.ones((K, 1)), K),
+                              BandedRows(np.zeros(1, dtype=int), np.full((1, K), 1.0 / K), K),
+                              np.array([1.0]))
     knots = np.linspace(spec.lo, spec.hi, K + 1)
     centers = 0.5 * (knots[:-1] + knots[1:])
     if spec.dist == "uniform":
@@ -362,20 +437,16 @@ def build_grid(spec: UncertaintySpec, K: int, node_id: str = "") -> StochasticGr
     t = np.concatenate([[spec.lo] * 3, knots, [spec.hi] * 3])
     greville = np.array([t[i + 1 : i + 4].mean() for i in range(K + 3)])
     integrals = _basis_integrals(spec, knots, t, 8)
-    B_T = _design_matrix(t, greville).T.tocsc()
-    B_T.eliminate_zeros()
+    rho = _design_matrix(t, greville).solve(integrals, transpose=True)
     tc = np.concatenate([[centers[0]] * 4, centers[2:-2], [centers[-1]] * 4])
     return StochasticGrid(node_id, spec, K, knots, centers, mass, t, greville, integrals,
-                          _design_matrix(tc, centers), _design_matrix(tc, greville),
-                          spsolve(B_T, integrals))
+                          _design_matrix(tc, centers), _design_matrix(tc, greville), rho)
 
 
 def _basis_integrals(spec: UncertaintySpec, knots: np.ndarray, t: np.ndarray,
                      points_per_interval: int) -> np.ndarray:
-    # a dense product: summing the same terms sparsely moves the integrals at
-    # roundoff
     nodes, weights = _gauss_legendre_panels(knots, points_per_interval)
-    return _design_matrix(t, nodes).toarray().T @ (weights * spec.pdf(nodes))
+    return _design_matrix(t, nodes).rmatvec(weights * spec.pdf(nodes))
 
 
 def measure_basis_integrals(grid: StochasticGrid, points_per_interval: int = 8) -> np.ndarray:

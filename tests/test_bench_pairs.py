@@ -83,6 +83,31 @@ def test_record_from_canned_results():
     assert "cpu_s_per_pass" in record["cpu_note"]
 
 
+def test_work_counts_side_by_side():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs = {"eps_sweep": {side: [result(111 + i, 1.0, 40e3) for i in range(2)]
+                          for side in ("parent", "change")}}
+    counts = {"nlp.iterations": 42, "nlp.factorizations": 42, "ogf.callback_calls": 208,
+              "steady.mc_calls": 12000, "steady.mc_newton_iters": 0,
+              "stochastic.build_grid_calls": 3}
+    moved = counts | {"nlp.iterations": 43}
+    del moved["steady.mc_newton_iters"]
+    traced = {"eps_sweep": {side: {"metrics": {k: {"value": v, "unit": "count"}
+                                               for k, v in (c | {"report_s": 0.1}).items()},
+                                   "calls_without_iterations": {}}
+                            for side, c in (("parent", counts), ("change", moved))}}
+    record = bench_pairs.assemble(bench, runs, traced, parent="abc1234", change="a change",
+                                  artifacts={})
+    block = record["work_counts"]
+    assert list(record).index("work_counts") < list(record).index("workloads")
+    assert block["differs"] == ["eps_sweep:nlp.iterations", "eps_sweep:steady.mc_newton_iters"]
+    sweep = block["workloads"]["eps_sweep"]
+    assert list(sweep) == list(bench_pairs.WORK_COUNTS)
+    assert sweep["nlp.iterations"] == {"parent": 42, "change": 43}
+    assert sweep["steady.mc_newton_iters"] == {"parent": 0, "change": None}
+    assert sweep["steady.mc_calls"] == {"parent": 12000, "change": 12000}
+
+
 def test_artifact_comparison(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d, penalty, status in ((a, 0.25, "optimal"), (b, 0.25 * (1 + 1e-15), "optimal")):

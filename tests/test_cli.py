@@ -88,11 +88,19 @@ class TestCliSurface:
         }
 
 
+# scipy subpackages that gasflow does without: each loaded one costs start-up
+# time and resident memory in every CLI process
+UNUSED_SCIPY = ("scipy.stats", "scipy.sparse", "scipy.special", "scipy.interpolate",
+                "scipy.optimize")
+
+
 def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about 0.4 s and 20 MiB at start-up, and nothing needs it
+    # scipy.stats costs about 0.4 s and 20 MiB at start-up, and nothing needs
+    # it; scipy.sparse and scipy.special about 7 MiB, and nothing needs them
     src = str(Path(gasflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, gasflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = ("import sys, gasflow.cli; "
+            f"print(sorted(m for m in sys.modules if m.startswith({UNUSED_SCIPY!r})))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip() == "[]"
@@ -100,7 +108,9 @@ def test_import_does_not_load_scipy_stats():
 
 def test_validate_loads_neither_scipy_interpolate_nor_optimize(single_pipe_path, tmp_path):
     # gasflow evaluates its own splines; scipy.interpolate would pull in
-    # scipy.optimize, scipy.fft and scipy.spatial, about 0.3 s at start-up
+    # scipy.optimize, scipy.fft and scipy.spatial, about 0.3 s at start-up.
+    # Its spline operators and normal CDF need neither scipy.sparse nor
+    # scipy.special
     src = str(Path(gasflow.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     argv = ["validate", "--network", str(single_pipe_path), "--cells", "8", "--mc-samples", "50",
@@ -108,7 +118,7 @@ def test_validate_loads_neither_scipy_interpolate_nor_optimize(single_pipe_path,
     code = (
         "import sys, gasflow.cli\n"
         f"assert gasflow.cli.main({argv!r}) == 0\n"
-        "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
+        f"print(sorted(m for m in sys.modules if m.startswith({UNUSED_SCIPY!r})))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120, check=True)

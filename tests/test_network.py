@@ -111,13 +111,13 @@ class TestKappa:
 class TestIncidence:
     def test_single_pipe_column(self):
         net = parse_network(minimal_doc())
-        A = incidence(net).toarray()
+        A = incidence(net)
         assert A.shape == (2, 1)
         assert A[0, 0] == -1.0 and A[1, 0] == 1.0
 
     def test_eight_node_matrix(self):
         net = configs.load("eight_node")
-        A = incidence(net).toarray()
+        A = incidence(net)
         assert A.shape == (8, 8)
         assert set(np.unique(A)) <= {-1.0, 0.0, 1.0}
         np.testing.assert_array_equal(A.sum(axis=0), np.zeros(8))
@@ -136,7 +136,7 @@ class TestIncidence:
 
     def test_row_sums_match_degrees(self):
         net = configs.load("eight_node")
-        A = incidence(net).toarray()
+        A = incidence(net)
         for j, node in enumerate(net.nodes):
             indeg = sum(1 for e in net.edges if e.to_node == node.id)
             outdeg = sum(1 for e in net.edges if e.from_node == node.id)
@@ -172,7 +172,7 @@ class TestIncidence:
             net = parse_network(
                 {"wave_speed": 377.0, "nodes": nodes, "pipes": pipes, "compressors": []}
             )
-            A = incidence(net).toarray()
+            A = incidence(net)
             np.testing.assert_array_equal(A.sum(axis=0), np.zeros(n - 1))
 
 

@@ -174,7 +174,7 @@ class TestChanceConstrainedStructure:
         net = sol.layout.net
         from gasflow import incidence
 
-        A = incidence(net).toarray()
+        A = incidence(net)
         for k in range(sol.K):
             inflow = A @ sol.phi[k]
             q = np.array([
@@ -187,7 +187,7 @@ class TestChanceConstrainedStructure:
         sol = cc_single_pipe
         from gasflow import incidence
 
-        A = incidence(sol.layout.net).toarray()
+        A = incidence(sol.layout.net)
         residual = np.zeros(len(sol.layout.net.nodes))
         for k in range(sol.K):
             q = np.array([

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.interpolate import BSpline, CubicSpline
-from scipy.sparse import csc_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import spsolve
 from scipy.special import erf
 
 from gasflow import UncertaintySpec, build_grid, configs, measure_basis_integrals
+from gasflow.stochastic import ndtr, ndtri
 
 UNIFORM = UncertaintySpec(dist="uniform", lo=200.0, hi=300.0)
 TNORM = UncertaintySpec(dist="truncated_normal", lo=200.0, hi=300.0, mean=250.0, std=50.0 / 3.0)
@@ -99,6 +102,31 @@ class TestSplineBasis:
         oracle = measure_basis_integrals(grid, points_per_interval=80)
         np.testing.assert_allclose(grid.basis_integrals, oracle, rtol=1e-8, atol=1e-14)
 
+    @pytest.mark.parametrize("config", ["eight_node", "single_pipe", "single_pipe_truncnormal"])
+    @pytest.mark.parametrize("K", [8, 50, 400])
+    def test_integrals_match_the_dense_product(self, config, K):
+        # the integrals accumulate the banded basis rows point by point; the
+        # oracle is the dense basis matrix at the quadrature points times the
+        # weighted density
+        spec = configs.load(config).uncertain_nodes[0].uncertainty
+        grid = build_grid(spec, K)
+        xg, wg = np.polynomial.legendre.leggauss(8)
+        a, b = grid.knots[:-1, None], grid.knots[1:, None]
+        nodes = (0.5 * (b - a) * xg + 0.5 * (a + b)).ravel()
+        weights = (0.5 * (b - a) * wg).ravel()
+        oracle = grid.basis_matrix(nodes).T @ (weights * spec.pdf(nodes))
+        np.testing.assert_allclose(grid.basis_integrals, oracle, rtol=0, atol=1e-16)
+
+    def test_grid_memory_is_linear_in_cells(self):
+        # no (points x basis) matrix: the K=3200 grid peaks at a few MiB
+        tracemalloc.start()
+        try:
+            build_grid(TNORM, 3200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_truncnormal_edge_smaller_than_center(self):
         grid = build_grid(TNORM, 16)
         oracle = measure_basis_integrals(grid, points_per_interval=80)
@@ -109,12 +137,13 @@ class TestSplineBasis:
     @pytest.mark.parametrize("K", [8, 50, 400])
     def test_interpolant_factors(self, spec, K):
         # the not-a-knot interpolant at the Greville points factors into two
-        # sparse matrices, and its measure integral has positive weights
+        # matrices of four entries per row, and its measure integral has
+        # positive weights
         grid = build_grid(spec, K)
         W = CubicSpline(grid.collocation_points, np.eye(K))(grid.greville)
         Dc, Dg = grid.Dc, grid.Dg
         assert Dc.shape == (K, K) and Dg.shape == (K + 3, K)
-        assert np.diff(Dc.indptr).max() <= 4 and np.diff(Dg.indptr).max() <= 4
+        assert Dc.vals.shape == (K, 4) and Dg.vals.shape == (K + 3, 4)
         assert np.abs(W - Dg.toarray() @ np.linalg.inv(Dc.toarray())).max() <= 1e-13
         rho = grid.rho
         assert np.all(rho > 0)
@@ -123,12 +152,15 @@ class TestSplineBasis:
     @pytest.mark.parametrize("config", ["eight_node", "single_pipe", "single_pipe_truncnormal"])
     @pytest.mark.parametrize("K", [4, 5, 6, 50, 100, 400])
     def test_rho_is_the_collocation_solve(self, config, K):
-        # the weights come from the sparse basis at the Greville points; the
-        # oracle solves with the dense one, converted to CSC
+        # the weights come from a banded LU of the basis at the Greville
+        # points; the oracle is scipy's sparse LU of the dense basis, which
+        # rounds differently
         unc = configs.load(config).uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, K, node_id=unc.id)
-        oracle = spsolve(csc_matrix(grid.basis_matrix(grid.greville).T), grid.basis_integrals)
-        assert_bitwise(grid.rho, oracle)
+        B = grid.basis_matrix(grid.greville)
+        oracle = spsolve(csc_matrix(B.T), grid.basis_integrals)
+        np.testing.assert_allclose(grid.rho, oracle, rtol=0, atol=1e-16)
+        np.testing.assert_allclose(B.T @ grid.rho, grid.basis_integrals, rtol=0, atol=1e-16)
 
     def test_cubic_reproduction(self):
         grid = build_grid(UNIFORM, 12)
@@ -192,11 +224,25 @@ class TestScipyOracle:
                     BSpline.design_matrix(grid.greville, t, 3, extrapolate=True))
         for got, want in zip((grid.Dc, grid.Dg), expected):
             assert got.shape == want.shape
-            assert_bitwise(got.data, want.data)
+            # four entries per row, zeros included, in the oracle's order
+            np.testing.assert_array_equal(want.indptr, np.arange(0, want.nnz + 1, 4))
+            assert_bitwise(got.vals.ravel(), want.data)
+            np.testing.assert_array_equal(got.cols.ravel(), want.indices)
             assert_bitwise(got.toarray(), want.toarray())
-            for attr in ("indptr", "indices"):
-                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
-                assert getattr(got, attr).dtype == getattr(want, attr).dtype
+
+    @pytest.mark.parametrize("K", [4, 8, 50, 400, 1600])
+    def test_products_match_csr(self, K):
+        # the callbacks' products with the factors give the bits of scipy's
+        # CSR kernels, the transposed one included
+        grid = build_grid(TNORM, K)
+        rng = np.random.default_rng(K)
+        for op in (grid.Dc, grid.Dg):
+            csr = csr_matrix((op.vals.ravel(), op.cols.ravel(),
+                              np.arange(0, op.vals.size + 1, op.vals.shape[1])), shape=op.shape)
+            for _ in range(20):
+                x, v = rng.normal(size=op.shape[1]), rng.normal(size=op.shape[0])
+                assert_bitwise(op @ x, csr @ x)
+                assert_bitwise(op.rmatvec(v), csr.T @ v)
 
     @pytest.mark.parametrize("spec", [UNIFORM, TNORM], ids=["uniform", "truncnormal"])
     @pytest.mark.parametrize("K", [4, 5, 8, 50, 400])
@@ -223,6 +269,30 @@ class TestScipyOracle:
         at = grid.value_interpolator(values)(grid.collocation_points)
         assert_bitwise(at, CubicSpline(grid.collocation_points, values)(grid.collocation_points))
         assert at[3] == 0.0 and not np.signbit(at[3])
+
+
+class TestNormalLaw:
+    def test_cdf_matches_scipy(self):
+        z = np.linspace(-10.0, 12.0, 4401)
+        np.testing.assert_allclose(ndtr(z), scipy.special.ndtr(z), rtol=1e-14, atol=0)
+
+    def test_quantile_matches_scipy(self):
+        p = np.concatenate([np.logspace(-300, -1, 300), np.linspace(0.01, 0.49, 49),
+                            np.linspace(0.51, 0.99, 49), 1.0 - np.logspace(-16, -1, 100)])
+        np.testing.assert_allclose(ndtri(p), scipy.special.ndtri(p), rtol=1e-14, atol=0)
+        assert ndtri(0.5) == 0.0
+        np.testing.assert_array_equal(ndtri([0.0, 1.0, -0.5, 1.5]), [-np.inf, np.inf, -np.inf, np.inf])
+
+    @pytest.mark.parametrize("spec", [
+        # the quantile of the upper mass rounds four ulps below hi
+        UncertaintySpec(dist="truncated_normal", lo=-50.0, hi=50.0, mean=0.0, std=50.0 / 3.0),
+        # ndtr(9) rounds to one, so the quantile's argument reaches one at u = 1
+        UncertaintySpec(dist="truncated_normal", lo=-1.0, hi=9.0, mean=0.0, std=1.0),
+    ], ids=["centered", "one_sided"])
+    def test_quantile_ends_are_the_support(self, spec):
+        assert ndtr(9.0) == 1.0
+        assert spec.ppf(0.0) == spec.lo and spec.ppf(1.0) == spec.hi
+        np.testing.assert_array_equal(spec.ppf(np.array([0.0, 1.0])), [spec.lo, spec.hi])
 
 
 class TestSampling:
