@@ -9,13 +9,17 @@ working tree as it stands (tracked and untracked files that ``.gitignore``
 does not exclude; the index is not touched).  In each of ten pairs it runs
 ``perfbench/run.py --trace 0`` once on each copy, one process at a time, for
 every workload of ``BENCHMARK.json``; the side that runs first alternates
-between pairs.  Then it makes one traced run per side and workload, runs the
+between pairs.  A short series of alternating pairs follows with BLAS at one
+thread (``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1`` in the child
+environment).  Then it makes one traced run per side and workload, runs the
 workloads' CLI invocations at one seed on both copies, and on the change
 twice, and compares their artifacts.  The result file holds, per workload and
 end-to-end metric, the median and quartiles of each side, the pairs in which
 the change was better, and every run; the same for the CPU time of each
-``perfbench/run.py`` call per pass; and per traced span that reports
-iterations, how many of its calls took none.  At its top, the traced work
+``perfbench/run.py`` call per pass; the same summaries for the one-thread
+series, which is evidence beside the default one (the benchmark's gate stays
+its wall-time metrics at the default thread count); and per traced span that
+reports iterations, how many of its calls took none.  At its top, the traced work
 counts of both sides stand side by side, and any count that differs is
 named there.
 
@@ -44,6 +48,8 @@ from pathlib import Path
 CLI = "import sys; sys.path.insert(0, 'src'); from gasflow.cli import main; sys.exit(main(sys.argv[1:]))"
 SIDES = ("parent", "change")
 PAIRS = 10  # per workload; fewer cannot tell a gain from the machine's drift
+BLAS1_PAIRS = 3  # per workload, with BLAS at one thread
+BLAS1_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 FIRST_SEED = 111  # pair i runs seed FIRST_SEED + i on both sides
 TRACE_SEED = 301
 ARTIFACT_SEED = 1
@@ -75,14 +81,16 @@ def export(repo: Path, treeish: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def perfbench(copy: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def perfbench(copy: Path, workload: str, seed: int, seconds: int, trace: int,
+              env: dict | None = None) -> dict:
     """The result line of one ``perfbench/run.py`` process, with its manifest,
-    its passes and the user plus system CPU time of it and its children."""
+    its passes and the user plus system CPU time of it and its children;
+    ``env`` adds to the environment the process inherits."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=copy, capture_output=True, text=True,
+        cwd=copy, capture_output=True, text=True, env=dict(os.environ, **(env or {})),
     )
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
@@ -138,6 +146,20 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def series(sides: dict, better: dict) -> dict:
+    """Each end-to-end metric over the pairs of one series (``trace0``), and
+    the CPU time per pass (``cpu_s_per_pass``)."""
+    return {
+        "trace0": {
+            metric: summarize(*([r["metrics"][metric]["value"] for r in sides[s]] for s in SIDES),
+                              direction)
+            for metric, direction in better.items()
+        },
+        "cpu_s_per_pass": summarize(
+            *([r["cpu_s"] / r["passes"] for r in sides[s]] for s in SIDES), "lower"),
+    }
+
+
 def work_counts(traced: dict) -> dict:
     """Per workload, each of ``WORK_COUNTS`` in the traced run of each side
     (``None`` where a side does not report it), and the ``workload:count``
@@ -153,11 +175,12 @@ def work_counts(traced: dict) -> dict:
 
 
 def assemble(bench: dict, runs: dict, traced: dict, *, parent: str, change: str,
-             artifacts: dict) -> dict:
+             artifacts: dict, blas1: dict | None = None) -> dict:
     """The ``BENCH_*.json`` record.
 
     ``runs[workload][side]`` lists the untraced result lines in pair order,
     each with its ``seed``, ``manifest``, ``cpu_s`` and ``passes``;
+    ``blas1[workload][side]`` the same for the series with BLAS at one thread;
     ``traced[workload][side]`` is the traced result line of each side."""
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     workloads = {}
@@ -165,14 +188,7 @@ def assemble(bench: dict, runs: dict, traced: dict, *, parent: str, change: str,
         n = len(sides["parent"])
         entry = {
             "seeds_trace0": [r["seed"] for r in sides["parent"]],
-            "trace0": {
-                metric: summarize([r["metrics"][metric]["value"] for r in sides["parent"]],
-                                  [r["metrics"][metric]["value"] for r in sides["change"]],
-                                  direction)
-                for metric, direction in better.items()
-            },
-            "cpu_s_per_pass": summarize(
-                *([r["cpu_s"] / r["passes"] for r in sides[s]] for s in SIDES), "lower"),
+            **series(sides, better),
             "correct": {s: all(r["correct"] for r in sides[s]) for s in SIDES},
             "failed": {s: sum(r["failed"] for r in sides[s]) for s in SIDES},
             "attempted": {s: sum(r["attempted"] for r in sides[s]) for s in SIDES},
@@ -183,6 +199,14 @@ def assemble(bench: dict, runs: dict, traced: dict, *, parent: str, change: str,
         entry["trace1_calls_without_iterations"] = {
             s: traced[name][s]["calls_without_iterations"] for s in SIDES
         }
+        if blas1:
+            one = blas1[name]
+            entry["blas1"] = {
+                "seeds": [r["seed"] for r in one["parent"]],
+                "thread_env": one["parent"][0]["manifest"]["thread_env"],
+                **series(one, better),
+                "failed": {s: sum(r["failed"] for r in one[s]) for s in SIDES},
+            }
         workloads[name] = entry
     manifest = next(iter(runs.values()))["parent"][0]["manifest"]
     env = manifest["environment"]
@@ -205,6 +229,9 @@ def assemble(bench: dict, runs: dict, traced: dict, *, parent: str, change: str,
         "workloads": workloads,
         "cpu_note": ("cpu_s_per_pass: user plus system CPU time of one perfbench/run.py "
                      "call and its children (set-up probes included), over its passes"),
+        "blas1_note": ("blas1: a short series of alternating pairs with OPENBLAS_NUM_THREADS=1 "
+                       "and OMP_NUM_THREADS=1, summarized like trace0; evidence only, the "
+                       "gate is trace0 at the default threads"),
         "trace1_note": ("one traced run per side and workload at the seed shown; values are "
                         "medians over its traced passes, and the calls without iterations "
                         "are counted over all of them"),
@@ -305,6 +332,24 @@ def run_invocations(copy: Path, manifest: dict, seed: int, out: Path) -> None:
                         "--out", str(dest)], cwd=copy, check=True, capture_output=True)
 
 
+def run_pairs(copies: dict, names: list[str], pairs: int, seconds: int,
+              env: dict | None = None) -> dict:
+    """Untraced result lines per workload and side, in pair order; pair i
+    runs seed ``FIRST_SEED + i`` on both sides, and the side that runs first
+    alternates."""
+    runs = {name: {s: [] for s in SIDES} for name in names}
+    for i in range(pairs):
+        seed = FIRST_SEED + i
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for name in names:
+            for side in order:
+                result = perfbench(copies[side], name, seed, seconds, 0, env=env)
+                runs[name][side].append(result | {"seed": seed})
+                print(f"pair {i + 1}/{pairs} {name} {side} {env or ''}: " + ", ".join(
+                    f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()), flush=True)
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git ref of the parent commit")
@@ -322,17 +367,8 @@ def main(argv=None) -> int:
     export(repo, parent_sha, copies["parent"])
     export(repo, worktree_tree(repo), copies["change"])
 
-    runs = {name: {s: [] for s in SIDES} for name in names}
-    for i in range(PAIRS):
-        seed = FIRST_SEED + i
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for name in names:
-            for side in order:
-                result = perfbench(copies[side], name, seed, seconds, 0)
-                runs[name][side].append(result | {"seed": seed})
-                print(f"pair {i + 1}/{PAIRS} {name} {side}: " + ", ".join(
-                    f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()), flush=True)
-
+    runs = run_pairs(copies, names, PAIRS, seconds)
+    blas1 = run_pairs(copies, names, BLAS1_PAIRS, seconds, env=BLAS1_ENV)
     traced = {name: {side: perfbench(copies[side], name, TRACE_SEED, seconds, 1)
                      for side in SIDES} for name in names}
 
@@ -350,7 +386,7 @@ def main(argv=None) -> int:
     }
 
     record = assemble(bench, runs, traced, parent=parent_sha, change=args.change,
-                      artifacts=artifacts)
+                      artifacts=artifacts, blas1=blas1)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     shutil.rmtree(work)
     return 0

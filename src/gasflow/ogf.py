@@ -39,7 +39,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from dataclasses import replace as dc_replace
 
 import numpy as np
 
@@ -128,6 +127,11 @@ class CcLayout:
     def deterministic(self) -> bool:
         return self.grid is None
 
+    def shortfall(self, x: np.ndarray, cid: str):
+        """Penalty value, slope and curvature at chance node ``cid``'s Greville points."""
+        pimin = self.net.node(cid).pressure_min**2 / self.scaling.squared_pressure
+        return self.penalty.shape(pimin - self.grid.Dg @ x[self.c_idx[cid]])
+
 
 def _chance_nodes(net: Network) -> list[Node]:
     out = []
@@ -163,6 +167,7 @@ def _assemble(
     grid: StochasticGrid | None,
     penalty: PenaltyConfig,
     loads: dict[str, float] | None = None,
+    epsilon: float | None = None,
 ) -> tuple[NlpProblem, CcLayout]:
     """Shared assembler; ``grid`` None builds the deterministic problem."""
     kern = kernel(net)
@@ -186,8 +191,10 @@ def _assemble(
         cell_mass = grid.cell_mass.copy()
         cell_omega = grid.collocation_points.copy()
         chance = _chance_nodes(net)
+        if epsilon is not None and not 0 <= epsilon < math.inf:
+            raise OgfError(f"epsilon override must be finite and >= 0 (got {epsilon})")
         for cn in chance:
-            if cn.epsilon is None:
+            if cn.epsilon is None and epsilon is None:
                 raise OgfError(
                     f"node {cn.id!r}: chance-relaxed minimum pressure requires epsilon"
                 )
@@ -285,8 +292,7 @@ def _assemble(
                 f"node {unc_node.id!r}: K={K} cells give the {grid.spec.dist} measure a "
                 f"negative Greville weight (smallest {rho.min():.3g}); use more cells"
             )
-    pimin_nd = {cid: net.node(cid).pressure_min**2 / pi_sc for cid in chance_ids}
-    epsilon = {cid: net.node(cid).epsilon for cid in chance_ids}
+    eps = {n.id: n.epsilon if epsilon is None else float(epsilon) for n in chance}
 
     # ---- bounds --------------------------------------------------------------
     lower = np.full(n_var, -np.inf)
@@ -309,6 +315,31 @@ def _assemble(
         upper[cols] = n.pressure_max**2 / pi_sc
     for cid in chance_ids:
         lower[t_idx[cid]] = 0.0
+
+    layout = CcLayout(
+        net=net,
+        scaling=scaling,
+        penalty=penalty,
+        grid=grid,
+        K=K,
+        cell_mass=cell_mass,
+        cell_omega=cell_omega,
+        alpha_idx=alpha_idx,
+        d_idx=d_idx,
+        s_idx=s_idx,
+        pi_idx=pi_idx,
+        phi_idx=phi_idx,
+        qs_idx=qs_idx,
+        c_idx=c_idx,
+        t_idx=t_idx,
+        bal_rows=bal_rows,
+        spline_rows=spline_rows,
+        cc_rows=cc_rows,
+        epsilon=eps,
+        f_scale=f_scale,
+        n=n_var,
+        base_withdrawal={n.id: float(base_q[j]) for j, n in enumerate(nodes)},
+    )
 
     # ---- evaluation helpers ---------------------------------------------------
     def gather(x):
@@ -350,10 +381,6 @@ def _assemble(
             g[cols] = price_s_nd[nid] * cell_mass
         return g
 
-    def shortfall(x, cid):
-        """Penalty value, slope and curvature at the Greville points."""
-        return penalty.shape(pimin_nd[cid] - Dg @ x[c_idx[cid]])
-
     def constraints(x):
         alpha, Pi, _ = gather(x)
         A = kern.affine(alpha)
@@ -361,8 +388,8 @@ def _assemble(
         c[cell_rows] = kern.residual(A, kern.offset(A, q_all(x)), x[state], delta_nd)
         for cid in chance_ids:
             c[spline_rows[cid]] = Pi[:, idx[cid]] - Dc @ x[c_idx[cid]]
-            v, _, _ = shortfall(x, cid)
-            c[cc_rows[cid]] = rho @ v + (x[t_idx[cid]] - epsilon[cid]) / gamma
+            v, _, _ = layout.shortfall(x, cid)
+            c[cc_rows[cid]] = rho @ v + (x[t_idx[cid]] - eps[cid]) / gamma
         return c
 
     # the entries of the kernel, the ratios and the budget rows vary; those
@@ -383,7 +410,7 @@ def _assemble(
     def jacobian(x):
         alpha, Pi, _ = gather(x)
         cells = kern.jacobian(kern.affine(alpha), x[state], delta_nd)
-        budget = [-Dg.rmatvec(rho * shortfall(x, cid)[1]) for cid in chance_ids]
+        budget = [-Dg.rmatvec(rho * layout.shortfall(x, cid)[1]) for cid in chance_ids]
         return np.concatenate([cells[:, kern.jac_rows, kern.jac_cols].ravel(),
                                kern.ratio_jacobian(Pi).ravel(), *budget, jac_fixed])
 
@@ -413,7 +440,7 @@ def _assemble(
         y_ratio = -y[comp_rows][mask]
         budget = []
         for cid in chance_ids:
-            _, _, ddv = shortfall(x, cid)
+            _, _, ddv = layout.shortfall(x, cid)
             curv = y[cc_rows[cid]] * rho * ddv
             budget.append(curv[:, None, None] * g_vals[:, :, None] * g_vals[:, None, :])
         return np.concatenate([v.ravel() for v in (
@@ -458,30 +485,6 @@ def _assemble(
         blocks=blocks,
         barrier_weights=barrier_weights,
     )
-    layout = CcLayout(
-        net=net,
-        scaling=scaling,
-        penalty=penalty,
-        grid=grid,
-        K=K,
-        cell_mass=cell_mass,
-        cell_omega=cell_omega,
-        alpha_idx=alpha_idx,
-        d_idx=d_idx,
-        s_idx=s_idx,
-        pi_idx=pi_idx,
-        phi_idx=phi_idx,
-        qs_idx=qs_idx,
-        c_idx=c_idx,
-        t_idx=t_idx,
-        bal_rows=bal_rows,
-        spline_rows=spline_rows,
-        cc_rows=cc_rows,
-        epsilon=epsilon,
-        f_scale=f_scale,
-        n=n_var,
-        base_withdrawal={n.id: float(base_q[j]) for j, n in enumerate(nodes)},
-    )
     return problem, layout
 
 
@@ -500,6 +503,7 @@ def assemble_chance_constrained(
     net: Network,
     grid: StochasticGrid,
     penalty: PenaltyConfig | None = None,
+    epsilon: float | None = None,
 ) -> tuple[NlpProblem, CcLayout]:
     """Chance-constrained optimal gas flow over the stochastic grid.
 
@@ -507,11 +511,12 @@ def assemble_chance_constrained(
     and ``grid`` must be built for it (its ``node_id``).  Nodes flagged with
     an epsilon keep their maximum-pressure boxes per cell but trade the
     minimum-pressure box for the expected-penalty budget; all other nodes
-    keep hard boxes in every cell.
+    keep hard boxes in every cell.  ``epsilon``, when given, replaces every
+    such node's violation level; ``layout.epsilon`` holds the levels used.
     """
     if grid is None:
         raise OgfError("chance-constrained assembly requires a stochastic grid")
-    return _assemble(net, grid, penalty or PenaltyConfig())
+    return _assemble(net, grid, penalty or PenaltyConfig(), epsilon=epsilon)
 
 
 @dataclass
@@ -666,9 +671,8 @@ def decode(solution: NlpSolution, layout: CcLayout) -> CcSolution:
     # curvature, from the spline coefficients
     gamma = layout.penalty.gamma
     sfv, lambda_cc = {}, {}
-    for cid, cols in layout.c_idx.items():
-        pimin = net.node(cid).pressure_min**2 / pi_sc
-        v, _, _ = layout.penalty.shape(pimin - layout.grid.Dg @ x[cols])
+    for cid in layout.c_idx:
+        v, _, _ = layout.shortfall(x, cid)
         sfv[cid] = float(gamma * (layout.grid.rho @ v))
         lambda_cc[cid] = float(y[layout.cc_rows[cid]] * f_sc / gamma)  # the row is divided by gamma
 
@@ -758,13 +762,11 @@ def solve_deterministic(
 
 
 def initial_point_chance_constrained(
-    net: Network,
-    layout: CcLayout,
-    options: NlpOptions | None = None,
+    layout: CcLayout, options: NlpOptions | None = None
 ) -> np.ndarray:
     """Warm start for the stochastic problem from the mean-load deterministic
     solution, refined per cell by the steady simulation where it converges."""
-    grid = layout.grid
+    net, grid = layout.net, layout.grid
     unc_id = grid.node_id
     loads = {unc_id: net.node(unc_id).base_withdrawal + grid.spec.measure_mean()}
     det = solve_deterministic(net, loads=loads, penalty=layout.penalty, options=options)
@@ -804,11 +806,11 @@ def initial_point_chance_constrained(
 
     # spline coefficients through the cell values, and the budget slack there
     for cid, cols in layout.c_idx.items():
-        node = net.node(cid)
         x0[cols] = grid.Dc.solve(x0[layout.pi_idx[:, idx[cid]]])
-        v, _, _ = layout.penalty.shape(node.pressure_min**2 / pi_sc - grid.Dg @ x0[cols])
-        slack_t = node.epsilon - layout.penalty.gamma * float(grid.rho @ v)
-        x0[layout.t_idx[cid]] = max(slack_t, 1e-3 * max(node.epsilon, 1e-8))
+        v, _, _ = layout.shortfall(x0, cid)
+        eps = layout.epsilon[cid]
+        slack_t = eps - layout.penalty.gamma * float(grid.rho @ v)
+        x0[layout.t_idx[cid]] = max(slack_t, 1e-3 * max(eps, 1e-8))
     return x0
 
 
@@ -823,30 +825,25 @@ def solve_chance_constrained(
     """Build the grid for the uncertain node, assemble, warm start and solve.
 
     ``epsilon`` overrides the acceptable violation level on every
-    chance-relaxed node.  ``x0`` may be a previous solution of a structurally
-    identical problem: its primal point and multipliers then warm start the
-    solve, e.g. along an epsilon sweep.  Otherwise, or when its size does not
-    match, the solve starts cold from :func:`initial_point_chance_constrained`.
+    chance-relaxed node; it is data of the assembly, and the network is not
+    rewritten.  ``x0`` may be a previous solution on an equal network with
+    the same ``K``: its grid then serves this solve, and its primal point and
+    multipliers warm start it, e.g. along an epsilon sweep.  Otherwise the
+    grid is built and the solve starts cold from
+    :func:`initial_point_chance_constrained`.
     """
-    penalty = penalty or PenaltyConfig()
     uncertain = net.uncertain_nodes
     if len(uncertain) != 1:
         raise OgfError(
             f"chance-constrained solve needs exactly one uncertain node, found {len(uncertain)}"
         )
-    if epsilon is not None:
-        for n in net.nodes:
-            if n.uncertainty is not None or n.epsilon is not None:
-                net = net.with_node(dc_replace(n, epsilon=float(epsilon)))
-    unc = net.uncertain_nodes[0]
-    if unc.epsilon is None:
-        raise OgfError(f"uncertain node {unc.id!r} has no epsilon")
-    grid = build_grid(unc.uncertainty, K, node_id=unc.id)
-    problem, layout = assemble_chance_constrained(net, grid, penalty)
-    prev = x0.nlp if x0 is not None else None
-    if prev is not None and prev.x.size == problem.n and prev.lambda_eq.size == problem.m:
-        duals0 = (prev.lambda_eq, prev.lambda_lo, prev.lambda_hi)
-        sol = solve(problem, prev.x, options, duals0=duals0)
+    warm = x0 is not None and x0.layout.net == net and x0.K == K
+    unc = uncertain[0]
+    grid = x0.layout.grid if warm else build_grid(unc.uncertainty, K, node_id=unc.id)
+    problem, layout = assemble_chance_constrained(net, grid, penalty, epsilon=epsilon)
+    if warm:
+        prev = x0.nlp
+        sol = solve(problem, prev.x, options, duals0=(prev.lambda_eq, prev.lambda_lo, prev.lambda_hi))
     else:
-        sol = solve(problem, initial_point_chance_constrained(net, layout, options=options), options)
+        sol = solve(problem, initial_point_chance_constrained(layout, options=options), options)
     return decode(sol, layout)

@@ -152,3 +152,40 @@ def test_artifact_comparison_names_the_fields_read_first(tmp_path):
     assert named["run/solution.json:objective"] == out["moved"]["run/solution.json"]["objective"]
     assert named["run/solution.json:alpha.C2"] == {"abs_change": 0.0, "scale": 1.5}
     assert named["run/sweep.csv:mc_violation_probability"] == {"abs_change": 0.0, "scale": 0.5}
+
+
+def test_one_thread_series_beside_the_default():
+    # the short series with BLAS at one thread is summarized like the default
+    # one, under its own key; the default series and its gate are unchanged
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    one_thread = dict(MANIFEST, thread_env={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+    runs = {"eps_sweep": {side: [result(111 + i, 1.0, 40e3) for i in range(4)]
+                          for side in ("parent", "change")}}
+    blas1 = {"eps_sweep": {
+        "parent": [result(111 + i, r, 40e3, cpu_s=c) | {"manifest": one_thread}
+                   for i, (r, c) in enumerate(zip([0.9, 1.1, 1.0], [100.0, 120.0, 110.0]))],
+        "change": [result(111 + i, r, 40e3, failed=1, cpu_s=c) | {"manifest": one_thread}
+                   for i, (r, c) in enumerate(zip([0.8, 1.2, 0.7], [90.0, 125.0, 100.0]))],
+    }}
+    traced = {"eps_sweep": {side: {"metrics": {}, "calls_without_iterations": {}}
+                            for side in ("parent", "change")}}
+    record = bench_pairs.assemble(bench, runs, traced, parent="abc1234", change="a change",
+                                  artifacts={}, blas1=blas1)
+    entry = record["workloads"]["eps_sweep"]
+    assert entry["trace0"]["run_s"]["runs"]["parent"] == [1.0] * 4
+    one = entry["blas1"]
+    assert one["seeds"] == [111, 112, 113]
+    assert one["thread_env"] == bench_pairs.BLAS1_ENV
+    assert one["failed"] == {"parent": 0, "change": 3}
+    assert set(one["trace0"]) == {m["name"] for m in bench["end_to_end"]}
+    run_s = one["trace0"]["run_s"]
+    assert run_s["parent"] == {"median": 1.0, "q1": pytest.approx(0.95),
+                               "q3": pytest.approx(1.05)}
+    assert run_s["change"]["median"] == 0.8
+    assert run_s["change_better_pairs"] == 2  # 1.2 lost to 1.1
+    assert run_s["parent_iqr"] == pytest.approx(0.1)
+    cpu = one["cpu_s_per_pass"]  # 50 passes each
+    assert cpu["parent"]["median"] == pytest.approx(2.2)
+    assert cpu["change"]["median"] == pytest.approx(2.0)
+    assert cpu["change_better_pairs"] == 2  # 2.5 lost to 2.4
+    assert "OPENBLAS_NUM_THREADS=1" in record["blas1_note"]

@@ -404,6 +404,16 @@ class TestArgumentHandling:
         assert main(["optimize", "--network", str(single_pipe_path), "--qmax", "J3"]) == 1
         assert "qmax" in capsys.readouterr().err
 
+    def test_steady_solve_failure_exits_one(self, tmp_path, capsys):
+        # no steady state carries 900 kg/s to N3 above zero squared pressure
+        doc = json.loads(configs.config_text("single_pipe"))
+        next(n for n in doc["nodes"] if n["id"] == "N3")["demand"] = 900.0
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--network", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: steady solve failed") and "'N3'" in err
+
     def test_missing_network_file(self, tmp_path, capsys):
         code = main(["simulate", "--network", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")])

@@ -249,6 +249,9 @@ class TestSolverProperties:
         with pytest.raises(EvaluationError) as err:
             solve(p, np.array([0.0]))
         assert err.value.index == 0
+        p = replace(p, objective=lambda x: np.inf, constraints=lambda x: np.zeros(1))
+        with pytest.raises(EvaluationError, match="objective is not finite at the start"):
+            solve(p, np.array([0.0]))
 
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError, match="lo < hi"):

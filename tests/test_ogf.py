@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.sparse._base as sp_base
 from scipy.interpolate import CubicSpline
 
 import gasflow.nlp as nlp
+import gasflow.ogf as ogf
 import gasflow.pricing as pricing
 from gasflow import configs, parse_network, solve_steady
 from gasflow.nlp import (
@@ -24,6 +26,7 @@ from gasflow.ogf import (
     PenaltyConfig,
     assemble_chance_constrained,
     assemble_deterministic,
+    decode,
     initial_point_chance_constrained,
     solve_chance_constrained,
     solve_deterministic,
@@ -388,7 +391,7 @@ class TestStructuredKkt:
         # spline rows vanish), and the budget row carries the penalty integral
         # at the not-a-knot interpolant of the cell pressures, here built by
         # CubicSpline and the spline basis instead of the assembly's factors
-        x0 = initial_point_chance_constrained(net, layout)
+        x0 = initial_point_chance_constrained(layout)
         pi_cells = x0[layout.pi_idx[:, net.node_index[cid]]]
         pimin = net.node(cid).pressure_min ** 2 / layout.scaling.squared_pressure
         W = CubicSpline(grid.collocation_points, np.eye(grid.K))(grid.greville)
@@ -434,7 +437,7 @@ class TestStructuredKkt:
         unc = net.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 16, node_id=unc.id)
         problem, layout = assemble_chance_constrained(net, grid, PEN)
-        x0 = initial_point_chance_constrained(net, layout)
+        x0 = initial_point_chance_constrained(layout)
         blocked = solve(problem, x0)
         dense = solve(replace(problem, blocks=None), x0)
         assert blocked.optimal and dense.optimal
@@ -453,7 +456,7 @@ class TestStructuredKkt:
         unc = net.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 16, node_id=unc.id)
         problem, layout = assemble_chance_constrained(net, grid, PEN)
-        x0 = initial_point_chance_constrained(net, layout)
+        x0 = initial_point_chance_constrained(layout)
         built = []
         init = sp_base._spbase.__init__
 
@@ -479,7 +482,7 @@ class TestStructuredKkt:
         grid = build_grid(unc.uncertainty, K, node_id=unc.id)
         problem, layout = assemble_chance_constrained(net, grid, PEN)
         assert np.count_nonzero(problem.blocks <= -2) == 2 * K
-        x0 = initial_point_chance_constrained(net, layout)
+        x0 = initial_point_chance_constrained(layout)
         band = solve(problem, x0)
         arrow = solve(replace(problem, blocks=np.maximum(problem.blocks, -1)), x0)
         assert band.status is arrow.status and band.optimal
@@ -492,7 +495,7 @@ class TestStructuredKkt:
         unc = eight_node.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 400, node_id=unc.id)
         problem, layout = assemble_chance_constrained(eight_node, grid, PEN)
-        x = initial_point_chance_constrained(eight_node, layout)
+        x = initial_point_chance_constrained(layout)
         y = np.random.default_rng(4).normal(size=problem.m) * 1e-2
         kkt = _BorderedKkt(problem.blocks, problem.n, problem.m, problem.hess_structure,
                            problem.jac_structure)
@@ -657,13 +660,31 @@ class TestAssemblyErrors:
         )
         with pytest.raises(OgfError, match="exactly one uncertain node"):
             solve_chance_constrained(net, K=8, penalty=PEN)
+        grid = build_grid(net.node("N3").uncertainty, 8, node_id="N3")
+        with pytest.raises(OgfError, match="exactly one uncertain node; found 2"):
+            assemble_chance_constrained(net, grid, PEN)
 
     def test_missing_epsilon_rejected(self, single_pipe):
         net = single_pipe.with_node(replace(single_pipe.node("N3"), epsilon=None))
         unc = net.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
-        with pytest.raises(OgfError, match="epsilon"):
+        with pytest.raises(OgfError, match="node 'N3': .* requires epsilon"):
             assemble_chance_constrained(net, grid, PEN)
+        with pytest.raises(OgfError, match="node 'N3': .* requires epsilon"):
+            solve_chance_constrained(net, K=8, penalty=PEN)
+        # an override supplies the level the node lacks
+        assert solve_chance_constrained(net, K=8, penalty=PEN, epsilon=0.05).epsilon == {"N3": 0.05}
+
+    def test_epsilon_on_the_slack_rejected(self, single_pipe):
+        net = single_pipe.with_node(replace(single_pipe.node("N1"), epsilon=0.1))
+        with pytest.raises(OgfError, match="node 'N1': chance relaxation requires a flow node"):
+            solve_chance_constrained(net, K=8, penalty=PEN)
+
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, math.inf])
+    def test_bad_epsilon_override_rejected(self, single_pipe, eps):
+        with pytest.raises(OgfError, match=re.escape(f"epsilon override must be finite and "
+                                                     f">= 0 (got {eps})")):
+            solve_chance_constrained(single_pipe, K=8, penalty=PEN, epsilon=eps)
 
     def test_grid_for_another_node_rejected(self, single_pipe):
         unc = single_pipe.uncertain_nodes[0]
@@ -707,7 +728,7 @@ class TestWarmStart:
         unc = single_pipe.uncertain_nodes[0]
         grid = build_grid(unc.uncertainty, 8, node_id=unc.id)
         problem, layout = assemble_chance_constrained(single_pipe, grid, PEN)
-        x0 = initial_point_chance_constrained(single_pipe, layout)
+        x0 = initial_point_chance_constrained(layout)
         assert np.all(x0 >= problem.lower - 1e-9)
         assert np.all(np.where(np.isfinite(problem.upper), x0 <= problem.upper + 1e-6, True))
 
@@ -718,3 +739,83 @@ class TestWarmStart:
         assert again.optimal
         assert again.iterations <= 3
         assert again.alpha["C1"] == pytest.approx(cc_single_pipe.alpha["C1"], abs=1e-8)
+
+
+SWEEP_EPS = (0.01, 0.05, 0.1)
+
+
+@pytest.fixture(scope="module")
+def eps_sweep(single_pipe):
+    """A three-point sweep on single_pipe at K=16, each point warm-started from
+    the last, and the grids it built."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(build_grid(*args, **kwargs))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ogf, "build_grid", counting)
+        sols, prev = [], None
+        for eps in SWEEP_EPS:
+            prev = solve_chance_constrained(single_pipe, K=16, penalty=PEN, epsilon=eps, x0=prev)
+            sols.append(prev)
+    return sols, built
+
+
+class TestEpsilonSweep:
+    """Epsilon is data of the assembly: a sweep keeps one network and one
+    grid, and each point warm-starts from the last."""
+
+    def test_one_grid_per_sweep(self, eps_sweep):
+        sols, built = eps_sweep
+        assert len(built) == 1
+        assert all(sol.optimal and sol.layout.grid is built[0] for sol in sols)
+
+    def test_network_kept_and_override_recorded(self, single_pipe, eps_sweep):
+        for eps, sol in zip(SWEEP_EPS, eps_sweep[0]):
+            assert sol.layout.net is single_pipe
+            assert sol.epsilon == {"N3": eps} == sol.layout.epsilon
+
+    def test_points_match_a_solve_by_hand(self, single_pipe, eps_sweep):
+        # each point is the solve of its own assembly on a fresh grid, started
+        # cold at the first point and from the last point's solution after it
+        unc = single_pipe.uncertain_nodes[0]
+        prev = None
+        for eps, sol in zip(SWEEP_EPS, eps_sweep[0]):
+            grid = build_grid(unc.uncertainty, 16, node_id=unc.id)
+            problem, layout = assemble_chance_constrained(single_pipe, grid, PEN, epsilon=eps)
+            if prev is None:
+                ref = solve(problem, initial_point_chance_constrained(layout))
+            else:
+                p = prev.nlp
+                ref = solve(problem, p.x, duals0=(p.lambda_eq, p.lambda_lo, p.lambda_hi))
+            ref = decode(ref, layout)
+            assert ref.iterations == sol.iterations
+            assert ref.objective == sol.objective and ref.alpha == sol.alpha
+            assert ref.sfv_expectation == sol.sfv_expectation
+            np.testing.assert_array_equal(ref.nlp.x, sol.nlp.x)
+            np.testing.assert_array_equal(ref.nlp.lambda_eq, sol.nlp.lambda_eq)
+            prev = sol
+
+    @pytest.mark.parametrize("other", ["single_pipe_truncnormal", "K=8"])
+    def test_another_structure_starts_cold(self, single_pipe, cc_single_pipe, other,
+                                           monkeypatch):
+        # the same sizes (truncnormal) or the same network (K=8) are not a
+        # match: the grid is rebuilt, the cold start runs, and the solve is
+        # the one made without x0
+        if other == "K=8":
+            x0 = solve_chance_constrained(single_pipe, K=8, penalty=PEN, epsilon=0.05)
+        else:
+            x0 = solve_chance_constrained(configs.load(other), K=16, penalty=PEN, epsilon=0.05)
+        calls = []
+        for name in ("build_grid", "initial_point_chance_constrained"):
+            def counting(*args, _real=getattr(ogf, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(ogf, name, counting)
+        sol = solve_chance_constrained(single_pipe, K=16, penalty=PEN, epsilon=0.05, x0=x0)
+        assert calls == ["build_grid", "initial_point_chance_constrained"]
+        assert sol.layout.grid is not x0.layout.grid
+        assert sol.iterations == cc_single_pipe.iterations
+        np.testing.assert_array_equal(sol.nlp.x, cc_single_pipe.nlp.x)

@@ -157,6 +157,20 @@ class TestDistributions:
             distribution_of(sp_solution, "entropy@N3")
         with pytest.raises(PricingError, match="optimized demand"):
             distribution_of(sp_solution, "lambda_d@N3")
+        for kind in ("lambda_q", "lambda_q_per_mass", "d"):
+            with pytest.raises(PricingError, match=f"{kind}.* unknown node 'NOPE'"):
+                distribution_of(sp_solution, f"{kind}@NOPE")
+        with pytest.raises(PricingError, match="bad selector None"):
+            distribution_of(sp_solution, None)
+
+    def test_withdrawal_of_a_node_without_optimized_demand(self, en_problem):
+        # d@ at the uncertain node is its per-cell withdrawal, base plus omega
+        net, sol, grid = en_problem
+        assert "J5" not in sol.d
+        dist = distribution_of(sol, "d@J5")
+        np.testing.assert_array_equal(
+            dist.support, sol.layout.base_withdrawal["J5"] + grid.collocation_points)
+        assert dist.kind == "density"
 
     def test_repeat_calls_are_identical(self, sp_solution):
         a = distribution_of(sp_solution, "pressure@N3")

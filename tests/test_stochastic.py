@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.special
+from scipy.integrate import quad
 from scipy.interpolate import BSpline, CubicSpline
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.linalg import spsolve
@@ -116,6 +117,23 @@ class TestSplineBasis:
         weights = (0.5 * (b - a) * wg).ravel()
         oracle = grid.basis_matrix(nodes).T @ (weights * spec.pdf(nodes))
         np.testing.assert_allclose(grid.basis_integrals, oracle, rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("config", ["eight_node", "single_pipe", "single_pipe_truncnormal"])
+    @pytest.mark.parametrize("K", [8, 50, 400])
+    def test_integrals_match_adaptive_quadrature(self, config, K):
+        # an oracle that shares no code with the grid: scipy's basis elements
+        # against the density, by adaptive quadrature, one call per knot span
+        spec = configs.load(config).uncertain_nodes[0].uncertainty
+        grid = build_grid(spec, K)
+        t = grid.spline_knots
+        oracle = np.zeros(K + 3)
+        for i in range(K + 3):
+            basis = BSpline.basis_element(t[i:i + 5], extrapolate=False)
+            for a, b in zip(t[i:i + 4], t[i + 1:i + 5]):
+                if a < b:
+                    oracle[i] += quad(lambda x: float(basis(x) * spec.pdf(x)), a, b,
+                                      epsabs=1e-16, epsrel=1e-12)[0]
+        np.testing.assert_allclose(grid.basis_integrals, oracle, rtol=0, atol=1e-15)
 
     def test_grid_memory_is_linear_in_cells(self):
         # no (points x basis) matrix: the K=3200 grid peaks at a few MiB
