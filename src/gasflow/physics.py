@@ -110,8 +110,9 @@ class Kernel:
     leading batch axis of ``x``.  The NLP evaluates all rows on its K cells
     and reads the Jacobian at ``(jac_rows, jac_cols)``; the steady solve
     solves one state of the rows :meth:`square` keeps per ratio vector, and
-    first checks its start with one product on their certification matrix,
-    the same rows on the caller's physical units.
+    first checks its start with one product on their signed certification
+    matrix, the same rows and their negatives on the caller's physical units,
+    whose largest entry is the largest absolute row.
     """
 
     def __init__(self, net: Network):
@@ -185,9 +186,11 @@ class Kernel:
         withdrawal entering its balance row as ``-1 / flow``; then the
         friction coefficients for flows in kg/s on the pipe rows; last the
         slack's pressure terms.  The slack's pressure and withdrawal have
-        zero rows.
+        zero rows.  It is stored signed, ``[C, -C]``: ``u`` times it is the
+        rows and then their negatives, so its largest entry is the largest
+        absolute row.
 
-        The system ``(A, b_slack, C)`` is kept in ``squares`` under
+        The system ``(A, b_slack, [C, -C])`` is kept in ``squares`` under
         ``alpha.tobytes()``, the oldest of eight dropped first."""
         A = np.asfortranarray(self.affine(alpha).take(self.square_rows, axis=0))
         if len(self.squares) >= 8:
@@ -203,7 +206,7 @@ class Kernel:
         pipes = np.arange(self.n_pipe)
         C[2 * self.nv + self.ne + pipes, pipes] = self.kappa / flow**2
         C[-1, :npc] = b_slack
-        system = self.squares[alpha.tobytes()] = (A, b_slack, C)
+        system = self.squares[alpha.tobytes()] = (A, b_slack, np.hstack((C, -C)))
         return system
 
     def residual(self, A, b, x, delta: float) -> np.ndarray:

@@ -233,13 +233,15 @@ def violation_probability(
     Samples the uncertain withdrawal by inverse CDF, in increasing order, and
     simulates the exact steady physics per sample (optimized nominations
     follow the cubic interpolant of their per-cell values, clipped to their
-    bounds).  Each sample starts from the cubic interpolant of the solved
-    cell states (squared pressures and flows) at its withdrawal, all samples
-    at once, and is corrected by ``solve_steady``'s damped Newton, which
-    certifies every state to its tolerance.  A start that already meets it
-    is returned unchanged: the same squared pressures and flows, the slack's
-    set to its fixed value, with no Newton step.  A start or withdrawal that
-    is not finite fails its sample.  Samples do not depend on each other;
+    bounds).  Each sample starts from the cubic interpolants of the solved
+    cell states at its withdrawal, one for the squared pressures and one for
+    the flows, each evaluated at all samples at once, and is corrected by
+    ``solve_steady``'s damped Newton, which certifies every state to its
+    tolerance.  A start that already meets it, by the largest entry of one
+    product with the kernel's signed certification matrix, is returned
+    unchanged: the same squared pressures and flows, the slack's set to its
+    fixed value, with no Newton step.  A start or withdrawal that is not
+    finite fails its sample.  Samples do not depend on each other;
     their squared pressures fill one (samples, nodes) array, whose
     chance-node columns are read once after the loop.
     Reports the mean quadratic penalty and the violation frequency per
@@ -272,13 +274,13 @@ def violation_probability(
         q[:, idx[nid]] -= np.clip(grid.value_interpolator(values)(omega), 0.0, cap)
 
     ok = np.ones(mc_samples, dtype=bool)
-    # every sample's start: the cubic interpolant of the solved cell states
-    nv = len(net.nodes)
-    start = grid.value_interpolator(np.hstack([solution.Pi, solution.phi]))(omega)
-    Pi = np.full((mc_samples, nv), np.nan)  # a failed sample's row stays NaN
+    # every sample's start: the cubic interpolants of the solved cell states
+    start_pi = grid.value_interpolator(solution.Pi)(omega)
+    start_phi = grid.value_interpolator(solution.phi)(omega)
+    Pi = np.full((mc_samples, len(net.nodes)), np.nan)  # a failed sample's row stays NaN
     for i in range(mc_samples):
         try:
-            st = solve_steady(net, alpha_vec, q[i], x0=(start[i, :nv], start[i, nv:]))
+            st = solve_steady(net, alpha_vec, q[i], x0=(start_pi[i], start_phi[i]))
         except SteadySolveError:
             ok[i] = False
             continue

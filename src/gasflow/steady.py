@@ -16,11 +16,14 @@ per sample as the corrector of the SFV interpolant's start ``x0``, so it
 keeps the exact ``phi*|phi|`` friction term (its derivative ``2|phi|`` is
 continuous and needs no smoothing).  A start is first checked on the same
 rows written on the caller's units: one copy of the start, with the pipes'
-``phi*|phi|`` and a trailing one, times the kernel's certification matrix
-``C``.  One already within ``tol`` is certified and returned as given, its
+``phi*|phi|`` and a trailing one, times the kernel's signed certification
+matrix ``[C, -C]``, whose largest entry is the largest absolute row with no
+``abs``.  One already within ``tol`` is certified and returned as given, its
 ``Pi`` and ``phi`` views of that copy, with no unit conversion and no Newton
-step; any other goes through the scaled set-up and Newton.  Both exits derive
-the slack's injection from the returned flows by one formula.
+step; any other goes through the scaled set-up and Newton.  Both exits check
+shapes and the squared pressures' sign inline and call the checkers only to
+raise, and derive the slack's injection from the returned flows by one
+formula.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class SteadySolveError(RuntimeError):
         self.node = node
 
 
-@dataclass
+@dataclass(slots=True)
 class SteadyState:
     """Physical solution of the steady flow equations.
 
@@ -145,7 +148,7 @@ def solve_steady(
                 f"compressor {c.id!r}: ratio {a} outside [1, {c.alpha_max}]", node=c.id
             )
         system = kern.square(alpha_vec)
-    A, b_slack, C = system
+    A, b_slack, signed = system
 
     if q is None:
         q_vec = np.array([n.base_withdrawal for n in net.nodes])
@@ -158,26 +161,29 @@ def solve_steady(
         q_vec = np.array([q.get(n.id, 0.0) for n in net.nodes], dtype=float)
     else:
         q_vec = np.asarray(q, dtype=float)
-        _check_length("q", q_vec, kern.nv, "node")
+        if q_vec.shape != (kern.nv,):
+            _check_length("q", q_vec, kern.nv, "node")
 
     pi_scale = kern.scaling.squared_pressure
     Pi0 = phi0 = None
     if x0 is not None:
         Pi0, phi0 = x0
-        _check_length("x0 squared pressures", Pi0, kern.nv, "node")
-        _check_length("x0 flows", phi0, kern.ne, "edge")
-        # the start in the caller's units on the certification rows: one
-        # that meets the law is returned as given, the slack at its pressure
+        if Pi0.shape != (kern.nv,):
+            _check_length("x0 squared pressures", Pi0, kern.nv, "node")
+        if phi0.shape != (kern.ne,):
+            _check_length("x0 flows", phi0, kern.ne, "edge")
+        # the start in the caller's units on the signed certification rows:
+        # one that meets the law is returned as given, the slack at its pressure
         phi_p = phi0[: kern.n_pipe]
         u = np.concatenate((Pi0, phi0, q_vec, phi_p * np.abs(phi_p), _ONE))
-        rnorm = np.maximum.reduce(np.abs(np.dot(u, C)))
+        rnorm = np.maximum.reduce(np.dot(u, signed))
         if rnorm <= tol:
             Pi = u[: kern.nv]
             Pi[kern.slack] = pi_scale
-            _check_positive(net, Pi)
+            if np.minimum.reduce(Pi) <= 0:
+                _check_positive(net, Pi)
             rnorm = float(rnorm)
-            return SteadyState(net=net, Pi=Pi, phi=u[kern.nv : kern.nv + kern.ne],
-                               residual_norm=rnorm, iterations=0, residual_history=[rnorm])
+            return SteadyState(net, Pi, u[kern.nv : kern.nv + kern.ne], rnorm, 0, [rnorm])
 
     flow_sc = kern.scaling.flow
     q_nd = q_vec / flow_sc  # the slack's entry meets only the dropped row
@@ -229,17 +235,10 @@ def solve_steady(
         )
     pi_full = np.empty(kern.nv)
     pi_full[kern.free], pi_full[kern.slack] = x[:nf], kern.pi_slack
-    phi = x[nf:]
-    _check_positive(net, pi_full)
-
-    return SteadyState(
-        net=net,
-        Pi=pi_full * pi_scale,
-        phi=phi * flow_sc,
-        residual_norm=float(rnorm),
-        iterations=iterations,
-        residual_history=history,
-    )
+    if np.minimum.reduce(pi_full) <= 0:
+        _check_positive(net, pi_full)
+    return SteadyState(net, pi_full * pi_scale, x[nf:] * flow_sc, float(rnorm), iterations,
+                       history)
 
 
 def _check_length(name: str, values: np.ndarray, n: int, per: str) -> None:

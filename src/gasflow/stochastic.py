@@ -278,10 +278,10 @@ class PiecewiseCubic:
         w = np.asarray(w, dtype=float)
         i = np.clip(np.searchsorted(self.x, w, side="right") - 1, 0, self.x.size - 2)
         s = (w - self.x[i]).reshape(w.shape + (1,) * (self.c.ndim - 2))
-        c = self.c[:, i]
-        # scipy's PPoly order: a sum from 0.0 over ascending powers of s
-        z = s * s
-        return 0.0 + c[3] + c[2] * s + c[1] * z + c[0] * (z * s)
+        # scipy's PPoly order: a sum from 0.0 over ascending powers of s,
+        # each coefficient gathered when its term is added
+        c, z = self.c, s * s
+        return 0.0 + c[3, i] + c[2, i] * s + c[1, i] * z + c[0, i] * (z * s)
 
 
 @dataclass(frozen=True)

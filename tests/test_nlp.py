@@ -441,6 +441,90 @@ class TestNumericalBreakdown:
         assert np.all(np.isfinite(sol.x))
 
 
+class TestLeastSquaresMultipliers:
+    """The start's multiplier estimate and its two zero fallbacks, each
+    reached through ``solve`` on a small analytic problem."""
+
+    @staticmethod
+    def estimates(monkeypatch):
+        """Record every estimate ``solve`` takes from the real function."""
+        real, seen = nlp._least_squares_multipliers, []
+
+        def spy(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(nlp, "_least_squares_multipliers", spy)
+        return seen
+
+    @staticmethod
+    def sum_rows(rows, f=lambda t: t, df=lambda t: 1.0):
+        # min x1^2 + x2^2 s.t. f(x1 + x2) = f(5), the row repeated ``rows``
+        # times; the rows' Hessian term is left out, so f must be linear
+        # wherever a step is taken
+        free = np.full(2, np.inf)
+        return NlpProblem(
+            n=2, m=rows, objective=lambda x: float(x @ x), gradient=lambda x: 2.0 * x,
+            constraints=lambda x: np.full(rows, f(x[0] + x[1]) - f(5.0)),
+            jacobian=lambda x: np.full(2 * rows, df(x[0] + x[1])),
+            lower=-free, upper=free, hessian=lambda x, y, s: 2.0 * s * np.eye(2).ravel(),
+            jac_structure=dense(rows, 2), hess_structure=dense(2, 2),
+        )
+
+    def test_a_full_rank_start_takes_the_estimate(self, monkeypatch):
+        # at (1, 2) the gradient (2, 4) is best met by -3 times the row (1, 1)
+        seen = self.estimates(monkeypatch)
+        sol = solve(self.sum_rows(1), np.array([1.0, 2.0]))
+        assert sol.status is SolveStatus.OPTIMAL
+        np.testing.assert_allclose(seen[0], [-3.0], rtol=1e-12)
+        np.testing.assert_allclose(sol.lambda_eq, [-5.0], rtol=1e-8)
+
+    def test_a_duplicated_row_gives_zero(self, monkeypatch):
+        # the repeated row makes [[I, J^T], [J, 0]] singular: its inertia has
+        # a zero eigenvalue, the estimate falls back to zero, and the solve
+        # still splits the multiplier -5 over the two rows
+        seen = self.estimates(monkeypatch)
+        sol = solve(self.sum_rows(2), np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(seen[0], np.zeros(2))
+        assert sol.status is SolveStatus.OPTIMAL
+        np.testing.assert_allclose(sol.x, [2.5, 2.5], rtol=1e-8)
+        assert sol.lambda_eq.sum() == pytest.approx(-5.0, rel=1e-8)
+
+    @pytest.mark.parametrize("slope", [999.0, 1001.0])
+    def test_an_estimate_above_1e3_gives_zero(self, slope, monkeypatch):
+        # min slope * x1 + x2^2 s.t. x1 = 1: the estimate is -slope, kept up
+        # to 1e3 in magnitude and zero above; both solves end at -slope
+        seen = self.estimates(monkeypatch)
+        free = np.full(2, np.inf)
+        problem = NlpProblem(
+            n=2, m=1, objective=lambda x: float(slope * x[0] + x[1] ** 2),
+            gradient=lambda x: np.array([slope, 2.0 * x[1]]),
+            constraints=lambda x: np.array([x[0] - 1.0]), jacobian=lambda x: np.array([1.0]),
+            lower=-free, upper=free, hessian=lambda x, y, s: np.array([0.0, 2.0 * s]),
+            jac_structure=(np.array([0]), np.array([0])),
+            hess_structure=(np.array([0, 1]), np.array([0, 1])),
+        )
+        sol = solve(problem, np.zeros(2))
+        np.testing.assert_array_equal(seen[0], [-slope] if slope < 1e3 else [0.0])
+        assert sol.status is SolveStatus.OPTIMAL
+        np.testing.assert_allclose(sol.lambda_eq, [-slope], rtol=1e-8)
+
+    def test_a_non_finite_jacobian_gives_zero(self, monkeypatch):
+        # at (1, -1) the cube root of x1 + x2 has an infinite slope: the
+        # estimate's KKT matrix breaks down, it falls back to zero (the
+        # gradient (2, -2) is not), and the solve's first factorization
+        # reports the same breakdown, with no step taken
+        seen = self.estimates(monkeypatch)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            problem = self.sum_rows(1, np.cbrt, lambda t: np.cbrt(t) ** -2 / 3.0)
+            sol = solve(problem, np.array([1.0, -1.0]))
+        np.testing.assert_array_equal(seen[0], np.zeros(1))
+        assert sol.status is SolveStatus.NUMERICAL
+        assert sol.diagnostic.startswith("KKT factorization failed at iteration 1: KKT entry")
+        assert sol.diagnostic.endswith("is not finite")
+        np.testing.assert_array_equal(sol.x, [1.0, -1.0])
+
+
 def random_bordered(rng, cells=4, cell_vars=3, cell_rows=2, border_vars=3, border_rows=2, couple=None):
     """Random labels, Hessian, Jacobian and diagonal shift of a bordered-block
     KKT matrix: indefinite cells and border rows; no entry links two cells.

@@ -9,6 +9,7 @@ import pytest
 
 from gasflow import configs
 from gasflow.physics import kernel
+from gasflow.steady import solve_steady
 
 NETWORKS = ("eight_node", "single_pipe")
 # the exact law of the simulation oracle and a smoothing wide enough to matter
@@ -215,23 +216,58 @@ def test_kernel_is_cached_per_network():
     assert changed == net
 
 
-@pytest.mark.parametrize("name", ["eight_node", "single_pipe", "single_pipe_truncnormal"])
+CONFIGS = ("eight_node", "single_pipe", "single_pipe_truncnormal")
+
+
+def physical_vector(kern, Pi, phi, q):
+    """The certification rows' input ``[Pi, phi, q, phi_p*|phi_p|, 1]``."""
+    phi_p = phi[: kern.n_pipe]
+    return np.concatenate([Pi, phi, q, phi_p * np.abs(phi_p), [1.0]])
+
+
+@pytest.mark.parametrize("name", CONFIGS)
 def test_folded_rows_are_the_scaled_rows(name):
-    # the certification matrix on the caller's physical [Pi, phi, q,
-    # phi_p*|phi_p|, 1] gives the scaled rows at the same state, for three
-    # ratio vectors and 200 random physical states and withdrawals each
+    # the signed certification matrix [C, -C] on the caller's physical
+    # [Pi, phi, q, phi_p*|phi_p|, 1] gives the scaled rows at the same state,
+    # then their negatives, for three ratio vectors and 200 random physical
+    # states and withdrawals each
     net = configs.load(name)
     kern = kernel(net)
     pi_sc, flow = kern.scaling.squared_pressure, kern.scaling.flow
+    n = len(kern.square_rows)
     rng = np.random.default_rng(18)
     alphas = [np.ones(kern.n_comp), kern.alpha_max, rng.uniform(1.0, kern.alpha_max)]
     for alpha in alphas:
-        A, b_slack, C = kern.square(alpha)
+        A, b_slack, signed = kern.square(alpha)
+        assert signed.shape == (2 * kern.nv + kern.ne + kern.n_pipe + 1, 2 * n)
         for _ in range(200):
             Pi = rng.uniform(0.6, 1.4, kern.nv) * pi_sc
             phi, q = rng.normal(size=kern.ne) * flow, rng.normal(size=kern.nv) * flow
-            phi_p = phi[: kern.n_pipe]
-            folded = np.concatenate([Pi, phi, q, phi_p * np.abs(phi_p), [1.0]]) @ C
+            folded = physical_vector(kern, Pi, phi, q) @ signed
             x = np.concatenate([Pi[kern.free] / pi_sc, phi / flow])
             b = np.concatenate([b_slack, -q[kern.free] / flow])
-            np.testing.assert_allclose(folded, kern.residual(A, b, x, 0.0), rtol=0, atol=1e-14)
+            r = kern.residual(A, b, x, 0.0)
+            np.testing.assert_allclose(folded[:n], r, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(folded[n:], -r, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_signed_rows_give_the_largest_absolute_row(name):
+    # the certified exit reads max|r| as the largest entry of u @ [C, -C],
+    # with no abs; on starts near the law (solved states moved by up to 1e-9
+    # relative, residuals near the tolerance) it is max|u @ C| bit for bit
+    net = configs.load(name)
+    kern = kernel(net)
+    rng = np.random.default_rng(26)
+    alphas = [np.ones(kern.n_comp), rng.uniform(1.0, kern.alpha_max)]
+    for alpha in alphas:
+        signed = kern.square(alpha)[2]
+        C = signed[:, : len(kern.square_rows)]
+        for _ in range(300):
+            q = np.array([nd.base_withdrawal for nd in net.nodes])
+            q *= rng.uniform(0.8, 1.2, kern.nv)
+            st = solve_steady(net, alpha, q)
+            Pi = st.Pi * (1.0 + rng.uniform(-1e-9, 1e-9, kern.nv))
+            phi = st.phi * (1.0 + rng.uniform(-1e-9, 1e-9, kern.ne))
+            u = physical_vector(kern, Pi, phi, q)
+            assert np.maximum.reduce(u @ signed) == np.abs(u @ C).max()

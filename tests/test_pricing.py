@@ -431,6 +431,32 @@ class TestViolationProbability:
         meets = np.abs(kern.residual(A, b, x, 0.0)).max(axis=1) <= 1e-10
         np.testing.assert_array_equal(np.array([c[2] for c in captured]) == 0, meets)
 
+    @pytest.mark.parametrize("which", ["eight_node", "single_pipe"])
+    def test_starts_are_the_columns_of_one_interpolant(self, which, en_problem, sp_solution,
+                                                      monkeypatch):
+        # the squared pressures and flows are interpolated as two arrays; each
+        # sample's start is bit for bit the columns of the interpolant of the
+        # stacked cell states
+        import gasflow.pricing as pricing
+
+        sol = en_problem[1] if which == "eight_node" else sp_solution
+        real_solve = pricing.solve_steady
+        starts = []
+
+        def capture(net, alpha, q, x0=None):
+            starts.append(x0)
+            return real_solve(net, alpha, q, x0=x0)
+
+        monkeypatch.setattr(pricing, "solve_steady", capture)
+        violation_probability(sol, mc_samples=400, seed=9)
+        grid, nv = sol.layout.grid, len(sol.layout.net.nodes)
+        omega = np.sort(grid.spec.ppf(np.random.default_rng(9).random(400)))
+        stacked = grid.value_interpolator(np.hstack([sol.Pi, sol.phi]))(omega)
+        for part, want in ((0, stacked[:, :nv]), (1, stacked[:, nv:])):
+            got = np.array([x0[part] for x0 in starts])
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
     def test_poisoned_start_is_a_failed_sample(self, sp_solution, monkeypatch):
         # a NaN in a start must fail that sample, not pass it as converged
         import gasflow.pricing as pricing
@@ -498,3 +524,47 @@ class TestViolationProbability:
         est = violation_probability(sp_solution, mc_samples=100, seed=0)[0]
         assert est.n_failed == 20
         assert np.isfinite(est.mc_mean_penalty)
+
+
+class TestEnvelope:
+    """The budget's shadow price is the marginal cost it is read as: by the
+    envelope theorem, ``lambda_cc = -dObj/depsilon`` at a regular optimum,
+    here against central differences of cold re-solves, without the solver's
+    multipliers on the right-hand side.
+
+    The tolerance of each case comes from the step and the measured error.
+    The central difference of ``Obj`` at step h is ``-lambda_cc - h^2/6 *
+    lambda_cc''`` plus the solves' objective error divided by h.
+    ``lambda_cc''``, from the multipliers at epsilon +- h, is about 2.1e3 and
+    3.4e2 on single_pipe (epsilon 0.05 and 0.1) and 8.6e4 and 1.1e4 on
+    eight_node; times h^2/6 = 1.7e-9 that is 3.5e-6, 5.7e-7, 1.4e-4 and
+    1.9e-5 absolute.
+    - single_pipe: measured 1.7e-5 and 1.4e-5 relative (6.9e-5 and 3.6e-5
+      absolute, lambda_cc 3.97 and 2.50), so the objective error dominates:
+      about 7e-9 on |Obj| = 3.0e3 per solve.  Bound 5e-5 relative, three
+      times the larger.
+    - eight_node at J3=300: measured 7.7e-7 and 5.4e-8 relative (lambda_cc
+      149.7 and 94.3), within the truncation term (9.6e-7 and 2.0e-7
+      relative).  Bound 3e-6 relative, three times the larger truncation.
+    """
+
+    H = 1e-4
+
+    @pytest.mark.parametrize("name, cells, epsilon, rtol", [
+        ("single_pipe", 100, 0.05, 5e-5),
+        ("single_pipe", 100, 0.1, 5e-5),
+        ("eight_node", 50, 0.05, 3e-6),
+        ("eight_node", 50, 0.1, 3e-6),
+    ])
+    def test_budget_price_is_minus_the_objective_slope(self, name, cells, epsilon, rtol):
+        net = configs.load(name)
+        if name == "eight_node":
+            net = net.with_node(replace(net.node("J3"), demand_max=300.0))
+        pen = PenaltyConfig(gamma=2500.0)
+        at, up, down = (solve_chance_constrained(net, K=cells, penalty=pen, epsilon=e)
+                        for e in (epsilon, epsilon + self.H, epsilon - self.H))
+        assert at.optimal and up.optimal and down.optimal
+        (cid,) = at.lambda_cc
+        slope = (up.objective - down.objective) / (2.0 * self.H)
+        assert at.lambda_cc[cid] > 0.0
+        assert at.lambda_cc[cid] == pytest.approx(-slope, rel=rtol)

@@ -10,7 +10,7 @@ from gasflow import (
     solve_steady,
 )
 from gasflow import configs
-from gasflow.physics import kernel
+from gasflow.physics import Kernel, kernel
 
 
 def two_node_net(p_slack=5.0e6, length=2.0e4):
@@ -152,6 +152,30 @@ class TestNewtonBehavior:
         assert pairs, f"no tail pairs observed in {hist}"
         for a, b in pairs:
             assert b <= 50.0 * a * a
+
+    def test_far_start_halves_a_step_and_certifies(self, monkeypatch):
+        # every node at the slack's squared pressure and the pipes' flows at
+        # -4 and 2 times the solved 250 kg/s: one full Newton step fails the
+        # Armijo test and is halved once (one residual for the start, one
+        # per tried step)
+        net = configs.load("single_pipe")
+        calls = []
+        residual = Kernel.residual
+
+        def counted(self, *args):
+            calls.append(args)
+            return residual(self, *args)
+
+        monkeypatch.setattr(Kernel, "residual", counted)
+        pi0 = np.full(3, net.slack_node.slack_pressure**2)
+        st = solve_steady(net, x0=(pi0, np.array([-1000.0, 500.0])))
+        assert st.iterations == 3
+        assert len(calls) == st.iterations + 2
+        assert st.residual_norm <= 1e-10 and np.all(st.Pi > 0)
+        cold = solve_steady(net)
+        np.testing.assert_allclose(st.Pi, cold.Pi, rtol=1e-12)
+        np.testing.assert_allclose(st.phi, cold.phi, rtol=1e-12)
+        assert solve_steady(net, x0=(st.Pi, st.phi)).iterations == 0
 
     def test_nonconvergence_reports_residual(self):
         # start far from the solution so one iteration cannot finish

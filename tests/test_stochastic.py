@@ -277,6 +277,22 @@ class TestScipyOracle:
         assert_bitwise(f.c, oracle.c)
         assert_bitwise(f(x), oracle(x))
 
+    @pytest.mark.parametrize("K", [4, 5, 50, 400, 1600])
+    @pytest.mark.parametrize("tail", [(), (3,), (3, 2)], ids=["K", "K-m", "K-m-p"])
+    def test_gather_per_coefficient_is_the_gathered_block(self, K, tail):
+        # each coefficient row is gathered as its term is added; the sum is
+        # bit for bit the one of the (4, points, ...) block gathered at once
+        grid = build_grid(TNORM, K)
+        rng = np.random.default_rng(K)
+        values = rng.normal(size=(K,) + tail)
+        values[0], values[1] = 0.0, -0.0
+        f = grid.value_interpolator(values)
+        for w in (oracle_points(grid, rng), rng.uniform(190.0, 310.0, (7, 5))):
+            i = np.clip(np.searchsorted(f.x, w, side="right") - 1, 0, f.x.size - 2)
+            s = (w - f.x[i]).reshape(w.shape + (1,) * len(tail))
+            c, z = f.c[:, i], s * s
+            assert_bitwise(f(w), 0.0 + c[3] + c[2] * s + c[1] * z + c[0] * (z * s))
+
     def test_negative_zero_value_evaluates_to_positive_zero(self):
         # a cubic with value -0.0 and negative derivatives at a center: there
         # every term of the sum is -0.0, and the sum starts from +0.0
