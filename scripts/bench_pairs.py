@@ -15,13 +15,13 @@ environment).  Then it makes one traced run per side and workload, runs the
 workloads' CLI invocations at one seed on both copies, and on the change
 twice, and compares their artifacts.  The result file holds, per workload and
 end-to-end metric, the median and quartiles of each side, the pairs in which
-the change was better, and every run; the same for the CPU time of each
-``perfbench/run.py`` call per pass; the same summaries for the one-thread
-series, which is evidence beside the default one (the benchmark's gate stays
-its wall-time metrics at the default thread count); and per traced span that
-reports iterations, how many of its calls took none.  At its top, the traced work
-counts of both sides stand side by side, and any count that differs is
-named there.
+the change was better, and every run; the same for the CPU time and the
+minor page faults of each ``perfbench/run.py`` call per pass; the same
+summaries for the one-thread series, which is evidence beside the default one
+(the benchmark's gate stays its wall-time metrics at the default thread
+count); and per traced span that reports iterations, how many of its calls
+took none.  At its top, the traced work counts of both sides stand side by
+side, and any count that differs is named there.
 
 The script reads ``BENCHMARK.json`` and what ``perfbench`` prints and writes
 in its copies (result lines, records, trace files); it changes neither, and
@@ -84,8 +84,9 @@ def export(repo: Path, treeish: str, dest: Path) -> None:
 def perfbench(copy: Path, workload: str, seed: int, seconds: int, trace: int,
               env: dict | None = None) -> dict:
     """The result line of one ``perfbench/run.py`` process, with its manifest,
-    its passes and the user plus system CPU time of it and its children;
-    ``env`` adds to the environment the process inherits."""
+    its passes, and the user plus system CPU time and the minor page faults
+    of it and its children; ``env`` adds to the environment the process
+    inherits."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -101,6 +102,7 @@ def perfbench(copy: Path, workload: str, seed: int, seconds: int, trace: int,
     summary = json.loads(lines[-2])
     result["manifest"] = summary["manifest"]
     result["cpu_s"] = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    result["minflt"] = after.ru_minflt - before.ru_minflt
     result["passes"] = len(json.loads((copy / summary["record"]).read_text())["passes"])
     if trace:
         result["calls_without_iterations"] = calls_without_iterations(copy, summary["record"])
@@ -147,8 +149,9 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def series(sides: dict, better: dict) -> dict:
-    """Each end-to-end metric over the pairs of one series (``trace0``), and
-    the CPU time per pass (``cpu_s_per_pass``)."""
+    """Each end-to-end metric over the pairs of one series (``trace0``), the
+    CPU time per pass (``cpu_s_per_pass``) and the minor page faults per
+    pass (``minflt_per_pass``)."""
     return {
         "trace0": {
             metric: summarize(*([r["metrics"][metric]["value"] for r in sides[s]] for s in SIDES),
@@ -157,6 +160,8 @@ def series(sides: dict, better: dict) -> dict:
         },
         "cpu_s_per_pass": summarize(
             *([r["cpu_s"] / r["passes"] for r in sides[s]] for s in SIDES), "lower"),
+        "minflt_per_pass": summarize(
+            *([r["minflt"] / r["passes"] for r in sides[s]] for s in SIDES), "lower"),
     }
 
 
@@ -179,7 +184,7 @@ def assemble(bench: dict, runs: dict, traced: dict, *, parent: str, change: str,
     """The ``BENCH_*.json`` record.
 
     ``runs[workload][side]`` lists the untraced result lines in pair order,
-    each with its ``seed``, ``manifest``, ``cpu_s`` and ``passes``;
+    each with its ``seed``, ``manifest``, ``cpu_s``, ``minflt`` and ``passes``;
     ``blas1[workload][side]`` the same for the series with BLAS at one thread;
     ``traced[workload][side]`` is the traced result line of each side."""
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -228,7 +233,9 @@ def assemble(bench: dict, runs: dict, traced: dict, *, parent: str, change: str,
         "work_counts": work_counts(traced),
         "workloads": workloads,
         "cpu_note": ("cpu_s_per_pass: user plus system CPU time of one perfbench/run.py "
-                     "call and its children (set-up probes included), over its passes"),
+                     "call and its children (set-up probes included), over its passes; "
+                     "minflt_per_pass: their minor page faults (RUSAGE_CHILDREN ru_minflt), "
+                     "over the same passes"),
         "blas1_note": ("blas1: a short series of alternating pairs with OPENBLAS_NUM_THREADS=1 "
                        "and OMP_NUM_THREADS=1, summarized like trace0; evidence only, the "
                        "gate is trace0 at the default threads"),

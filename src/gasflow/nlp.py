@@ -31,8 +31,12 @@ border variable with its own defining row.  That row belongs to the border
 when its cell's own rows already fix the cell's variables, because each cell
 block must be regular.  A problem declares its Jacobian and Hessian structure
 once (Ipopt's TNLP contract), so the KKT pattern is split before any callback
-runs and each iteration only scatters values.  Without labels everything is
-arrow, and the whole KKT matrix gets one dense factorization.  A
+runs and each iteration only scatters values.  The split also allocates the
+solve's one KKT workspace: the cell blocks, panels and border, and the
+factor's copies of them, which every iteration and every inertia retry
+overwrite in place (a system stays valid until the next ``system()`` call on
+its split, and a factor until the next factorization).  Without labels every
+unknown is in one cell, and the whole KKT matrix gets one ``dsytrf``.  A
 factorization that cannot be repaired (non-finite entries, or inertia
 correction run past its cap) ends the solve with status ``NUMERICAL`` and a
 diagnostic.
@@ -116,8 +120,8 @@ class NlpProblem:
     consecutive positions, each of at least ``BAND_ROWS`` rows (or the whole
     band) and at least as wide as the farthest reach of a Hessian or Jacobian
     entry between two band unknowns; a cell coupled to band unknowns in
-    blocks that are not neighbours is rejected.  ``None`` factors the whole
-    KKT matrix as one dense block.
+    blocks that are not neighbours is rejected.  ``None`` puts every unknown
+    in one cell, so the whole KKT matrix is one Bunch-Kaufman factorization.
 
     ``barrier_weights`` gives each variable a finite positive weight w on the
     log barrier of its bounds, ``mu * w * log(slack)``; ``None`` means ones.
@@ -192,7 +196,7 @@ class NlpSolution:
     iterations: int
     objective: float
     mu: float
-    diagnostic: str = ""  # why a NUMERICAL solve stopped
+    diagnostic: str = ""  # why the solve stopped, for every status but OPTIMAL
 
     @property
     def optimal(self) -> bool:
@@ -235,7 +239,7 @@ class _BorderedKkt:
 
     ``blocks`` labels each unknown (the n variables, then the m constraint
     rows) with its cell (>= 0), the arrow (-1) or the band (<= -2); ``None``
-    puts everything in the arrow.  All cells must have the same size.  One
+    puts everything in cell 0.  All cells must have the same size.  One
     rule fixes the structure: an entry may link a cell only to itself or to
     the border.  A Jacobian or Hessian entry between two cells raises
     ``ValueError``.  Cell k's couplings form a dense (t, size) panel whose row
@@ -253,7 +257,7 @@ class _BorderedKkt:
     """
 
     def __init__(self, blocks, n: int, m: int, hess_structure, jac_structure):
-        labels = np.full(n + m, -1, dtype=np.intp) if blocks is None else np.asarray(blocks)
+        labels = np.zeros(n + m, dtype=np.intp) if blocks is None else np.asarray(blocks)
         in_cell = np.flatnonzero(labels >= 0)
         n_cells = int(labels.max()) + 1 if in_cell.size else 0
         sizes = np.bincount(labels[in_cell], minlength=n_cells)
@@ -344,21 +348,35 @@ class _BorderedKkt:
         at = self._home(i, j)
         self.schur_at = np.where(real & (at >= 0), at, self._s_size).ravel()
 
+        # the one workspace of a solve: the system's cell blocks, panels and
+        # border, whose positions outside the pattern stay zero and whose
+        # padding is set here, and the factor's copies of them and its band
+        # panels
+        A, B, S = self._values = (np.zeros((n_cells, size, size)),
+                                  np.zeros(self.cols.shape + (size,)), np.zeros(self._s_size))
+        S[self.pad_at] = 1.0
+        self._lu = np.empty_like(A)
+        self._piv = np.empty((n_cells, size), dtype=np.int32)
+        self._X = np.empty_like(B)
+        self._S = np.empty_like(S)
+        self._band_piv = np.empty((p, b), dtype=np.int32)
+        self._Y = np.empty_like(self.border_blocks(S)[1])
+
     def system(self, H, J) -> "_KktSystem":
         """Scatter the KKT matrix of Hessian ``H`` (symmetrized here) and
         Jacobian ``J``, summed by ``self.hess.sum`` and ``self.jac.sum``, into
-        cell blocks, cell-border couplings and the border."""
+        cell blocks, cell-border couplings and the border.
+
+        The system and every factorization of it live in this instance's
+        workspace: they stay valid until the next call, and a factorization
+        also until the next factorization."""
         v = np.bincount(self._slot, np.concatenate([0.5 * H, 0.5 * H, J, J]), minlength=self._r.size)
         if not np.all(np.isfinite(v)):
             k = int(np.flatnonzero(~np.isfinite(v))[0])
             raise _Breakdown(f"KKT entry ({self._r[k]}, {self._c[k]}) is not finite")
-        n_cells, size = self.cells.shape
-        A = np.zeros((n_cells, size, size))
+        A, B, S = self._values
         A.flat[self._a_at] = v[self._a_of]
-        S = np.zeros(self._s_size)
         S[self._s_at] = v[self._s_of]
-        S[self.pad_at] = 1.0
-        B = np.zeros(self.cols.shape + (size,))
         B.flat[self._b_at] = v[self._edge]
         return _KktSystem(self, A, B, S)
 
@@ -426,16 +444,19 @@ class _BorderedFactor:
     that ``dsytrf`` factors in place; ``dsytrs`` solves in place on the
     Fortran views of the panels ``X = B A^-1`` and of the right-hand sides.
     A band block and its panel ``Y`` to the next block and the arrow are
-    treated the same way."""
+    treated the same way.
+
+    The factors live in the workspace of ``system.kkt``: they stay valid
+    until the next factorization or ``system()`` call on it."""
 
     def __init__(self, system: _KktSystem, shift: np.ndarray):
         kkt = system.kkt
         n_cells, size = kkt.cells.shape
         self.system = system
         diag = np.arange(size)
-        self.lu = system.A.copy()
+        self.lu, self.piv = kkt._lu, kkt._piv
+        np.copyto(self.lu, system.A)
         self.lu[:, diag, diag] += shift[kkt.cells]
-        self.piv = np.empty((n_cells, size), dtype=np.int32)
         for k in range(n_cells):
             self.piv[k] = dsytrf(self.lu[k].T, lower=1, overwrite_a=1)[1]
         cells = _blocks_inertia(self.lu, self.piv)
@@ -443,9 +464,11 @@ class _BorderedFactor:
             self.inertia = cells
             return
 
-        S = system.S.copy()
+        S = kkt._S
+        np.copyto(S, system.S)
         S[kkt.diag_at] += shift[kkt.border]
-        self.X = system.B.copy()
+        self.X = kkt._X
+        np.copyto(self.X, system.B)
         for k in range(n_cells):
             dsytrs(self.lu[k].T, self.piv[k], self.X[k].T, lower=1, overwrite_b=1)
         # each cell's (t, t) block B X^T goes to its border columns
@@ -455,8 +478,7 @@ class _BorderedFactor:
         # next block and the next panel's arrow rows
         self.band_lu, P, R = kkt.border_blocks(S)
         b, p = kkt.block, self.band_lu.shape[0]
-        self.band_piv = np.empty((p, b), dtype=np.int32)
-        self.Y = np.empty_like(P)
+        self.band_piv, self.Y = kkt._band_piv, kkt._Y
         for q in range(p):
             self.band_piv[q], info = dsytrf(self.band_lu[q].T, lower=1, overwrite_a=1)[1:]
             if info:  # an exactly zero pivot
@@ -538,12 +560,9 @@ def _least_squares_multipliers(kkt: _BorderedKkt, J: np.ndarray, rhs: np.ndarray
     ``[[I, J^T], [J, 0]] [w; y] = [rhs; 0]`` (Waechter & Biegler 2006, sec. 3.6).
     Zero when J is rank deficient or the estimate exceeds 1e3."""
     n, m = kkt.n, kkt.m
-    try:
-        factor = _BorderedFactor(
-            kkt.system(np.zeros(kkt.hess.rows.size), J), np.concatenate([np.ones(n), np.zeros(m)])
-        )
-    except _Breakdown:
-        return np.zeros(m)
+    factor = _BorderedFactor(
+        kkt.system(np.zeros(kkt.hess.rows.size), J), np.concatenate([np.ones(n), np.zeros(m)])
+    )
     if factor.inertia != (n, m, 0):
         return np.zeros(m)
     y = factor.solve(np.concatenate([rhs, np.zeros(m)]))[n:]
@@ -632,10 +651,14 @@ def solve(
 
     Returns an :class:`NlpSolution`; status ``OPTIMAL`` guarantees the scaled
     KKT residuals are below ``options.tol`` with correctly signed bound
-    multipliers.  ``MAX_ITER`` returns the best iterate found;
-    ``INFEASIBLE`` indicates the equality residual stalled well above
-    tolerance; ``NUMERICAL`` means the KKT matrix could not be factored with
-    the right inertia, and ``NlpSolution.diagnostic`` says why.
+    multipliers.  Any other status returns the best iterate found, and
+    ``NlpSolution.diagnostic`` says why the solve stopped: ``MAX_ITER`` at
+    the iteration cap, or after three line searches in a row failed near
+    feasibility; ``INFEASIBLE`` after three such failures with the equality
+    residual well above tolerance; ``NUMERICAL`` when the KKT matrix could
+    not be factored with the right inertia.  A non-finite objective,
+    constraint, gradient or Jacobian at the start point raises
+    :class:`EvaluationError`.
     """
     opts = options or NlpOptions()
     n, m = problem.n, problem.m
@@ -656,7 +679,15 @@ def solve(
         idx = int(np.flatnonzero(~np.isfinite(c))[0])
         raise EvaluationError(f"constraint {idx} is not finite at the start point", index=idx)
     g = _vector("gradient", problem.gradient(it.x), n)
+    if not np.all(np.isfinite(g)):
+        k = int(np.flatnonzero(~np.isfinite(g))[0])
+        raise EvaluationError(f"gradient in variable {k} is not finite at the start point")
     J = kkt.jac.sum(problem.jacobian(it.x))
+    if not np.all(np.isfinite(J)):
+        k = int(np.flatnonzero(~np.isfinite(J))[0])
+        row = int(kkt.jac.rows[k])
+        raise EvaluationError(f"Jacobian of constraint {row} in variable {kkt.jac.cols[k]} is "
+                              "not finite at the start point", index=row)
 
     if m and duals0 is None:
         it.y = _least_squares_multipliers(kkt, J, -(g - it.z_lo + it.z_hi))
@@ -862,10 +893,12 @@ def solve(
         if not accepted:
             consecutive_failures += 1
             if consecutive_failures >= 3:
-                if feas > 1e3 * opts.tol:
-                    status = SolveStatus.INFEASIBLE
-                else:
-                    status = SolveStatus.MAX_ITER
+                status = SolveStatus.INFEASIBLE if feas > 1e3 * opts.tol else SolveStatus.MAX_ITER
+                diagnostic = (
+                    f"line search failed three times in a row at iteration {iteration}; scaled "
+                    f"residuals: stationarity {stat:.2e}, feasibility {feas:.2e}, "
+                    f"complementarity {comp:.2e}"
+                )
                 break
             # retreat: raise the barrier and retry from the same point
             mu = min(MU0, max(mu * 100.0, 1e-6))
@@ -895,14 +928,17 @@ def solve(
     else:
         iteration = opts.max_iter
 
-    if status is not SolveStatus.OPTIMAL and best is not None and best[0] < np.inf:
-        _, bx, by, bzl, bzh, bf = best
-        e_now, *_ = _kkt_error(it, g, c, kkt.jac.rmatvec(J, it.y), 0.0)
-        if best[0] < e_now:
-            it.x, it.y, it.z_lo, it.z_hi, f = bx, by, bzl, bzh, bf
+    if status is not SolveStatus.OPTIMAL:
+        if not diagnostic:  # the loop ran out
+            diagnostic = f"iteration limit reached (max_iter={opts.max_iter})"
+        error, *_ = _kkt_error(it, g, c, kkt.jac.rmatvec(J, it.y), 0.0)
+        if best is not None and best[0] < error:
+            error, it.x, it.y, it.z_lo, it.z_hi, f = best
             c = _vector("constraints", problem.constraints(it.x), m)
             g = _vector("gradient", problem.gradient(it.x), n)
             J = kkt.jac.sum(problem.jacobian(it.x))
+            diagnostic += "; returned the best earlier iterate"
+        diagnostic += f"; scaled KKT error {error:.2e} (tol {opts.tol:.1e})"
 
     r_stat = g + kkt.jac.rmatvec(J, it.y) - it.z_lo + it.z_hi
     sl_lo, sl_hi = it.slacks()

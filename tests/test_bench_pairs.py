@@ -17,9 +17,10 @@ MANIFEST = {"nproc": 2, "environment": {
     "scipy_blas": {"name": "scipy-openblas", "version": "0.3.30"}}}
 
 
-def result(seed, run_s, rate, failed=0, cpu_s=110.0, passes=50):
+def result(seed, run_s, rate, failed=0, cpu_s=110.0, passes=50, minflt=50_000):
     return {"correct": True, "attempted": 1000, "failed": failed, "seed": seed,
-            "manifest": MANIFEST, "cpu_s": cpu_s, "passes": passes, "metrics": {
+            "manifest": MANIFEST, "cpu_s": cpu_s, "minflt": minflt, "passes": passes,
+            "metrics": {
                 "setup_s": {"value": 0.5, "unit": "s"},
                 "run_s": {"value": run_s, "unit": "s"},
                 "solve_s": {"value": 0.2, "unit": "s"},
@@ -35,11 +36,13 @@ def test_record_from_canned_results():
     change_rate = [60e3, 61e3, 43e3, 62e3]
     parent_passes = [50, 40, 55, 50]  # CPU per pass: 2.2, 2.75, 2.0, 2.2 s
     change_passes = [55, 110, 44, 50]  # 2.0, 1.0, 2.5, 2.2 s
+    parent_faults = [200_000, 160_000, 220_000, 200_000]  # per pass: 4,000 each
+    change_faults = [22_000, 44_000, 17_600, 25_000]  # 400, 400, 400, 500
     runs = {name: {
-        "parent": [result(111 + i, r, q, passes=n) for i, (r, q, n)
-                   in enumerate(zip(parent_run, parent_rate, parent_passes))],
-        "change": [result(111 + i, r, q, failed=i, passes=n) for i, (r, q, n)
-                   in enumerate(zip(change_run, change_rate, change_passes))],
+        "parent": [result(111 + i, r, q, passes=n, minflt=f) for i, (r, q, n, f)
+                   in enumerate(zip(parent_run, parent_rate, parent_passes, parent_faults))],
+        "change": [result(111 + i, r, q, failed=i, passes=n, minflt=f) for i, (r, q, n, f)
+                   in enumerate(zip(change_run, change_rate, change_passes, change_faults))],
     } for name in ("cc_eight_node", "eps_sweep")}
     zero = {"steady.mc": {"calls": 12000, "without_iterations": 12000}}
     traced = {name: {side: {"metrics": {"nlp.iterations": {"value": 42, "unit": "count"}},
@@ -81,6 +84,11 @@ def test_record_from_canned_results():
     assert cpu["change_iqr"] == pytest.approx(2.275 - 1.75)
     assert cpu["change_better_pairs"] == 2  # 2.2 against 2.2 is no gain
     assert "cpu_s_per_pass" in record["cpu_note"]
+    faults = entry["minflt_per_pass"]
+    assert faults["runs"] == {"parent": [4000.0] * 4, "change": [400.0, 400.0, 400.0, 500.0]}
+    assert faults["parent"]["median"] == 4000.0 and faults["change"]["median"] == 400.0
+    assert faults["change_better_pairs"] == 4
+    assert "minflt_per_pass" in record["cpu_note"] and "ru_minflt" in record["cpu_note"]
 
 
 def test_work_counts_side_by_side():
@@ -188,4 +196,5 @@ def test_one_thread_series_beside_the_default():
     assert cpu["parent"]["median"] == pytest.approx(2.2)
     assert cpu["change"]["median"] == pytest.approx(2.0)
     assert cpu["change_better_pairs"] == 2  # 2.5 lost to 2.4
+    assert one["minflt_per_pass"]["runs"]["parent"] == [1000.0] * 3  # 50,000 over 50
     assert "OPENBLAS_NUM_THREADS=1" in record["blas1_note"]

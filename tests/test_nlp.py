@@ -1,4 +1,5 @@
 import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -213,6 +214,15 @@ class TestSolverProperties:
         assert sol.status is SolveStatus.MAX_ITER
         assert np.all(np.isfinite(sol.x))
         assert set(sol.kkt_residuals) == {"stationarity", "feasibility", "complementarity"}
+        # the diagnostic names the cap and the scaled KKT error of the
+        # returned iterate; with no bounds and a multiplier below 100 nothing
+        # is scaled, so that is its largest residual, to the 3 digits shown
+        said = re.fullmatch(r"iteration limit reached \(max_iter=2\)(; returned the best earlier "
+                            r"iterate)?; scaled KKT error (\S+) \(tol 1\.0e-08\)", sol.diagnostic)
+        assert said, sol.diagnostic
+        assert abs(sol.lambda_eq[0]) < 100.0
+        assert float(said[2]) == pytest.approx(max(sol.kkt_residuals.values()), rel=5e-3)
+        assert solve(rosenbrock_eq(), np.array([0.5, 0.5])).diagnostic == ""
 
     def test_infeasible_not_reported_optimal(self):
         p = NlpProblem(
@@ -442,8 +452,8 @@ class TestNumericalBreakdown:
 
 
 class TestLeastSquaresMultipliers:
-    """The start's multiplier estimate and its two zero fallbacks, each
-    reached through ``solve`` on a small analytic problem."""
+    """The start's multiplier estimate, its zero fallback and its cut at 1e3,
+    each reached through ``solve`` on a small analytic problem."""
 
     @staticmethod
     def estimates(monkeypatch):
@@ -509,20 +519,22 @@ class TestLeastSquaresMultipliers:
         assert sol.status is SolveStatus.OPTIMAL
         np.testing.assert_allclose(sol.lambda_eq, [-slope], rtol=1e-8)
 
-    def test_a_non_finite_jacobian_gives_zero(self, monkeypatch):
-        # at (1, -1) the cube root of x1 + x2 has an infinite slope: the
-        # estimate's KKT matrix breaks down, it falls back to zero (the
-        # gradient (2, -2) is not), and the solve's first factorization
-        # reports the same breakdown, with no step taken
+    def test_a_non_finite_jacobian_is_an_input_error(self, monkeypatch):
+        # at (1, -1) the cube root of x1 + x2 has an infinite slope: like a
+        # non-finite constraint, it is rejected before any estimate or step,
+        # naming the row and the variable; so is a non-finite gradient
         seen = self.estimates(monkeypatch)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore"):
             problem = self.sum_rows(1, np.cbrt, lambda t: np.cbrt(t) ** -2 / 3.0)
-            sol = solve(problem, np.array([1.0, -1.0]))
-        np.testing.assert_array_equal(seen[0], np.zeros(1))
-        assert sol.status is SolveStatus.NUMERICAL
-        assert sol.diagnostic.startswith("KKT factorization failed at iteration 1: KKT entry")
-        assert sol.diagnostic.endswith("is not finite")
-        np.testing.assert_array_equal(sol.x, [1.0, -1.0])
+            with pytest.raises(EvaluationError, match=r"Jacobian of constraint 0 in variable 0 "
+                                                      "is not finite at the start point") as err:
+                solve(problem, np.array([1.0, -1.0]))
+        assert err.value.index == 0
+        problem = replace(self.sum_rows(1), gradient=lambda x: np.array([2.0 * x[0], np.nan]))
+        with pytest.raises(EvaluationError, match="gradient in variable 1 is not finite") as err:
+            solve(problem, np.array([1.0, 2.0]))
+        assert err.value.index is None
+        assert seen == []
 
 
 def random_bordered(rng, cells=4, cell_vars=3, cell_rows=2, border_vars=3, border_rows=2, couple=None):
@@ -733,6 +745,71 @@ class TestBorderedKkt:
         with pytest.raises(ValueError, match="cells may meet only through the border"):
             _BorderedKkt(blocks, n, m, np.nonzero(cross), js)
         np.testing.assert_array_equal(kkt.system(h, j).A, want.A)
+
+    def test_factorizations_share_the_workspace(self, monkeypatch):
+        # two factorizations of one system write the same storage, and
+        # neither changes the system they copy
+        monkeypatch.setattr(nlp, "BAND_ROWS", 4)
+        rng = np.random.default_rng(7)
+        blocks, H, J, shift = random_banded(rng, cells=6, band=(22, 19))
+        kkt, system = bordered(blocks, H, J)
+        kept = [a.copy() for a in (system.A, system.B, system.S)]
+        first = _BorderedFactor(system, shift)
+        second = _BorderedFactor(system, shift + 1.0)
+        for name in ("lu", "piv", "X", "band_lu", "band_piv", "Y"):
+            assert np.shares_memory(getattr(first, name), getattr(second, name)), name
+        for now, before in zip((system.A, system.B, system.S), kept):
+            np.testing.assert_array_equal(now, before)
+        again = kkt.system(*(coo(M)[1] for M in (H, J)))
+        assert all(a is b for a, b in zip((again.A, again.B, again.S), (system.A, system.B, system.S)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reused_storage_solves_as_fresh_storage(self, seed, monkeypatch):
+        # one system factored at several shifts, each factor solved before
+        # the next overwrites it, gives the bits of a fresh split per shift
+        # and the dense solution
+        monkeypatch.setattr(nlp, "BAND_ROWS", 4)
+        rng = np.random.default_rng(300 + seed)
+        blocks, H, J, shift = random_banded(rng, cells=6, band=(22, 19))
+        kkt, system = bordered(blocks, H, J)
+        rhs = rng.normal(size=shift.size)
+        for scale in (1.0, 2.0, 0.5, 1.0):
+            reused = _BorderedFactor(system, scale * shift)
+            fresh = _BorderedFactor(bordered(blocks, H, J)[1], scale * shift)
+            assert reused.inertia == fresh.inertia
+            step = reused.solve(rhs)
+            np.testing.assert_array_equal(step, fresh.solve(rhs))
+            np.testing.assert_allclose(step, np.linalg.solve(kkt_matrix(H, J, scale * shift), rhs),
+                                       rtol=1e-7, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unlabelled_problem_is_one_cell(self, seed, monkeypatch, capfd):
+        # without labels the whole KKT matrix is cell 0 and the border is
+        # empty; scipy's ldl still runs once per factorization, on the empty
+        # arrow, and nothing hands LAPACK an empty argument
+        rng = np.random.default_rng(400 + seed)
+        _, H, J, shift = random_bordered(rng)
+        n, m = J.shape[1], J.shape[0]
+        kkt, system = bordered(None, H, J)
+        assert kkt.cells.shape == (1, n + m) and kkt.border.size == 0
+        np.testing.assert_array_equal(kkt.cells[0], np.arange(n + m))
+        assert system.B.shape == (1, 0, n + m) and system.S.size == 0
+        arrows = []
+        real = nlp.sla.ldl
+
+        def ldl(a, *args, **kwargs):
+            arrows.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(nlp, "sla", type("Sla", (), {"ldl": staticmethod(ldl)}))
+        M = kkt_matrix(H, J, shift)
+        eig = np.linalg.eigvalsh(M)
+        factor = _BorderedFactor(system, shift)
+        assert factor.inertia == (int(np.sum(eig > 0)), int(np.sum(eig < 0)), 0)
+        rhs = rng.normal(size=n + m)
+        np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(M, rhs), rtol=1e-7, atol=1e-9)
+        assert arrows == [(0, 0)]
+        assert capfd.readouterr() == ("", "")
 
     def test_cells_must_have_equal_sizes(self):
         with pytest.raises(ValueError, match="equal sizes"):

@@ -15,6 +15,7 @@ import gasflow.pricing as pricing
 from gasflow import configs, parse_network, solve_steady
 from gasflow.nlp import (
     NlpOptions,
+    SolveStatus,
     _BorderedFactor,
     _BorderedKkt,
     check_derivatives,
@@ -819,3 +820,25 @@ class TestEpsilonSweep:
         assert sol.layout.grid is not x0.layout.grid
         assert sol.iterations == cc_single_pipe.iterations
         np.testing.assert_array_equal(sol.nlp.x, cc_single_pipe.nlp.x)
+
+
+class TestFeasibilityBoundary:
+    def test_line_search_stall_says_so(self, single_pipe):
+        # at N3's base load of 338 kg/s no ratio meets the 0.05 budget, and
+        # the solve ends after three failed line searches in a row, not at
+        # the iteration cap; the status stays MAX_ITER (feasibility is near
+        # tolerance), and the diagnostic gives the iteration and the residuals
+        net = single_pipe.with_node(replace(single_pipe.node("N3"), demand=338.0))
+        sol = solve_chance_constrained(net, K=32, penalty=PenaltyConfig(gamma=2500.0),
+                                       epsilon=0.05)
+        assert sol.status is SolveStatus.MAX_ITER
+        assert sol.iterations < NlpOptions().max_iter
+        said = re.fullmatch(
+            r"line search failed three times in a row at iteration (\d+); scaled residuals: "
+            r"stationarity (\S+), feasibility (\S+), complementarity (\S+)"
+            r"(; returned the best earlier iterate)?; scaled KKT error (\S+) \(tol 1\.0e-08\)",
+            sol.nlp.diagnostic)
+        assert said, sol.nlp.diagnostic
+        assert int(said[1]) == sol.iterations
+        assert 1e-8 < float(said[3]) <= 1e3 * 1e-8  # why the status is not INFEASIBLE
+        assert float(said[6]) > 1e-8

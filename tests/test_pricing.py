@@ -546,9 +546,23 @@ class TestEnvelope:
     - eight_node at J3=300: measured 7.7e-7 and 5.4e-8 relative (lambda_cc
       149.7 and 94.3), within the truncation term (9.6e-7 and 2.0e-7
       relative).  Bound 3e-6 relative, three times the larger truncation.
+
+    The prices likewise: a node's ``lambda_q`` summed over the cells, less
+    the node's bid where it has one (the objective subtracts the bid times
+    the fixed demand), is ``dObj/dw`` for its fixed withdrawal w, here
+    against central differences at step ``HQ`` = 1e-3 on eight_node K=50.  The
+    truncation term ``h^2/6 * Lambda''``, with ``Lambda''`` from the summed
+    prices at w +- h (at most 4.1e-3, for J5), is at most 7e-10 absolute, so
+    the solves' objective error dominates.  Measured: J7 at J3=300 9.0e-8
+    relative (0.71593), J7, J2 and J5 with no cap 9.1e-8, 6.0e-8 and 2.9e-7
+    (10.464, 2.7121 and 14.012 after the bid), J5 at J3=300 6.1e-8 (-8.9463
+    after the bid); the largest, 4.1e-6 absolute, is an objective error of
+    at least 4.1e-9 per solve on |Obj| = 1.2e4.  Bound 1e-6 relative, about
+    three times the largest.
     """
 
     H = 1e-4
+    HQ = 1e-3
 
     @pytest.mark.parametrize("name, cells, epsilon, rtol", [
         ("single_pipe", 100, 0.05, 5e-5),
@@ -568,3 +582,28 @@ class TestEnvelope:
         slope = (up.objective - down.objective) / (2.0 * self.H)
         assert at.lambda_cc[cid] > 0.0
         assert at.lambda_cc[cid] == pytest.approx(-slope, rel=rtol)
+
+    @pytest.mark.parametrize("cap, node, bid", [
+        (300.0, "J7", 0.0),
+        (np.inf, "J7", 0.0),
+        (np.inf, "J2", 0.0),
+        (300.0, "J5", 15.0),
+        (np.inf, "J5", 15.0),
+    ])
+    def test_summed_price_is_the_objective_slope(self, cap, node, bid):
+        net = configs.load("eight_node")
+        net = net.with_node(replace(net.node("J3"), demand_max=cap))
+        assert net.node(node).demand_price == bid
+        w = net.node(node).base_withdrawal
+
+        def withdrawing(v):
+            # a negative withdrawal is a supply
+            return net.with_node(replace(net.node(node), demand=max(v, 0.0), supply=max(-v, 0.0)))
+
+        pen = PenaltyConfig(gamma=2500.0)
+        at, up, down = (solve_chance_constrained(withdrawing(v), K=50, penalty=pen)
+                        for v in (w, w + self.HQ, w - self.HQ))
+        assert at.optimal and up.optimal and down.optimal
+        slope = (up.objective - down.objective) / (2.0 * self.HQ)
+        assert abs(slope) > 0.5
+        assert at.lambda_q[node].sum() - bid == pytest.approx(slope, rel=1e-6)
