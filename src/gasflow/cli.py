@@ -129,6 +129,12 @@ def _failed(solution: CcSolution) -> bool:
     return solution.status in (SolveStatus.INFEASIBLE, SolveStatus.NUMERICAL)
 
 
+def _say_why(solution: CcSolution, where: str = ""):
+    """Print the solver's diagnostic to stderr when the solve is not optimal."""
+    if not solution.optimal:
+        print(f"solver {solution.status.value}{where}: {solution.nlp.diagnostic}", file=sys.stderr)
+
+
 def _cc_artifacts(config: RunConfig, solution: CcSolution, out: Path):
     if _failed(solution):
         _json_dump(out / "solution.json", solution.to_json_dict())
@@ -162,7 +168,9 @@ def run(config: RunConfig) -> int:
     """Execute one mode and write its artifacts; returns the process exit code.
 
     In ``opt-cc`` mode a list of ``epsilons`` runs a sweep instead of one
-    solve.  Input errors print ``error: ...`` to stderr and return 1.
+    solve.  Input errors print ``error: ...`` to stderr and return 1.  A
+    solve that does not end optimal, a sweep row included, prints its status
+    and the solver's diagnostic to stderr.
     """
     try:
         out = Path(config.out_dir)
@@ -193,6 +201,7 @@ def run(config: RunConfig) -> int:
                 print("warning: uncertainty ignored, deterministic solve at mean load",
                       file=sys.stderr)
             solution = solve_deterministic(net, loads=_mean_loads(net), penalty=penalty)
+            _say_why(solution)
             _json_dump(out / "solution.json", solution.to_json_dict())
             print(
                 f"opt-det status={solution.status.value} objective={solution.objective:.6f}"
@@ -205,6 +214,7 @@ def run(config: RunConfig) -> int:
         solution = solve_chance_constrained(
             net, K=config.cells, penalty=penalty, epsilon=config.epsilon
         )
+        _say_why(solution)
         _cc_artifacts(config, solution, out)
         slack = _chance_slack(solution)
         print(
@@ -247,6 +257,7 @@ def _sweep(net: Network, penalty: PenaltyConfig, config: RunConfig, out: Path) -
             solution = solve_chance_constrained(
                 net, K=config.cells, penalty=penalty, epsilon=eps, x0=x_prev
             )
+            _say_why(solution, f" at epsilon={eps!r}")
             chance = None
             if not _failed(solution):
                 x_prev = solution  # a failed point never seeds the next one

@@ -2,8 +2,11 @@
 
 A primal-dual interior-point method with a monotone barrier schedule
 (mu -> mu/10 on progress), a filter line search with second-order
-corrections, and an inertia-corrected symmetric-indefinite factorization of
-the KKT system.
+corrections, and a symmetric-indefinite factorization of the KKT system whose
+regularization is accepted by the curvature of the step it gives (Chiang &
+Zavala 2016): a factor with no zero pivot is solved once, and its step ``dx``
+is kept when ``dx^T (H + Sigma + delta_w I) dx >= 1e-12 dx^T dx``; otherwise
+``delta_w`` rises and the matrix is factored again.
 
 The barrier is ``mu * sum(w * log(s))`` over the bound slacks s, with one
 weight w per variable (``NlpProblem.barrier_weights``).  A variable that is a
@@ -23,8 +26,8 @@ all cells.  The Schur complement is a block-tridiagonal band plus an arrow
 (Golub & Van Loan, sec. 4.5): ``dsytrf`` factors each band block, which is
 eliminated into the next block and into the arrow, and ``scipy.linalg.ldl``
 factors only what is left of the arrow, so the border costs time linear in
-its band.  The inertia is the sum of the cell, band-block and arrow
-inertias (Haynsworth additivity), so inertia correction stays exact.  Cells
+its band.  A zero pivot in a cell, a band block or the arrow marks the
+matrix singular, which also sets the constraint regularization.  Cells
 meet only through the border: a Hessian or Jacobian entry that links two
 cells is rejected, so a problem writes any quantity that couples cells as a
 border variable with its own defining row.  That row belongs to the border
@@ -33,13 +36,13 @@ block must be regular.  A problem declares its Jacobian and Hessian structure
 once (Ipopt's TNLP contract), so the KKT pattern is split before any callback
 runs and each iteration only scatters values.  The split also allocates the
 solve's one KKT workspace: the cell blocks, panels and border, and the
-factor's copies of them, which every iteration and every inertia retry
-overwrite in place (a system stays valid until the next ``system()`` call on
-its split, and a factor until the next factorization).  Without labels every
+factor's copies of them, which every iteration and every regularization
+retry overwrite in place (a system stays valid until the next ``system()``
+call on its split, and a factor until the next factorization).  Without labels every
 unknown is in one cell, and the whole KKT matrix gets one ``dsytrf``.  A
-factorization that cannot be repaired (non-finite entries, or inertia
-correction run past its cap) ends the solve with status ``NUMERICAL`` and a
-diagnostic.
+factorization that cannot be repaired (non-finite entries, or ``delta_w``
+raised past its cap of 1e40) ends the solve with status ``NUMERICAL`` and a
+diagnostic that names the iteration and ``delta_w``.
 
 Returns equality and bound multipliers under the convention
 
@@ -328,7 +331,6 @@ class _BorderedKkt:
         self._s_of, self._s_at = both[at >= 0], at[at >= 0]
         self.diag_at = self._home(np.arange(width), np.arange(width))
         pad = np.arange(nband, p * b)
-        self.pad_at = pad * b + pad % b
 
         # each cell's (t, t) Schur block goes to its homes; padding rows and
         # the transposed halves go to one slot past the end
@@ -354,7 +356,7 @@ class _BorderedKkt:
         # panels
         A, B, S = self._values = (np.zeros((n_cells, size, size)),
                                   np.zeros(self.cols.shape + (size,)), np.zeros(self._s_size))
-        S[self.pad_at] = 1.0
+        S[pad * b + pad % b] = 1.0
         self._lu = np.empty_like(A)
         self._piv = np.empty((n_cells, size), dtype=np.int32)
         self._X = np.empty_like(B)
@@ -415,30 +417,17 @@ class _KktSystem:
     S: np.ndarray  # the border's entries, flat; kkt.border_blocks gives the band and the arrow
 
 
-def _pivot_inertia(d1: np.ndarray, n2: int) -> tuple[int, int, int]:
-    """Inertia of a Bunch-Kaufman D from its 1x1 pivots ``d1`` and its count
-    of 2x2 pivots, which that pivoting always picks indefinite."""
-    pos = int(np.count_nonzero(d1 > 0))
-    neg = int(np.count_nonzero(d1 < 0))
-    return pos + n2, neg + n2, d1.size - pos - neg
-
-
-def _blocks_inertia(lu: np.ndarray, piv: np.ndarray) -> tuple[int, int, int]:
-    """Inertia of (k, s, s) blocks factored in place by ``dsytrf``."""
-    diag = np.arange(lu.shape[1])
-    one = piv > 0  # LAPACK marks both rows of a 2x2 pivot negative
-    return _pivot_inertia(lu[:, diag, diag][one], int(np.count_nonzero(~one)) // 2)
-
-
 class _BorderedFactor:
     """Bunch-Kaufman factors of every cell (LAPACK ``dsytrf``) and of the
     border's Schur complement, which is a block-tridiagonal band plus a small
     arrow (Golub & Van Loan, sec. 4.5): ``dsytrf`` factors each band block
     and the block is eliminated into the next block and into the arrow, whose
-    remaining complement ``scipy.linalg.ldl`` factors.  The inertia is the sum
-    of theirs (Haynsworth).  When a cell or a band block has a zero pivot the
-    rest is left unfactored and the zero is reported.  ``shift`` (length
-    n + m) is added to the diagonal.
+    remaining complement ``scipy.linalg.ldl`` factors.  ``singular`` is True
+    when a pivot is exactly zero: ``dsytrf``'s ``info`` of a cell or a band
+    block, after which the rest is left unfactored, or a 1x1 pivot of the
+    arrow (a Bunch-Kaufman 2x2 pivot is never singular).  Only a factor that
+    is not singular can solve.  ``shift`` (length n + m) is added to the
+    diagonal.
 
     A cell block is symmetric, so its transpose is a Fortran-ordered view
     that ``dsytrf`` factors in place; ``dsytrs`` solves in place on the
@@ -457,12 +446,11 @@ class _BorderedFactor:
         self.lu, self.piv = kkt._lu, kkt._piv
         np.copyto(self.lu, system.A)
         self.lu[:, diag, diag] += shift[kkt.cells]
+        self.singular = True
         for k in range(n_cells):
-            self.piv[k] = dsytrf(self.lu[k].T, lower=1, overwrite_a=1)[1]
-        cells = _blocks_inertia(self.lu, self.piv)
-        if cells[2]:
-            self.inertia = cells
-            return
+            self.piv[k], info = dsytrf(self.lu[k].T, lower=1, overwrite_a=1)[1:]
+            if info:  # an exactly zero pivot
+                return
 
         S = kkt._S
         np.copyto(S, system.S)
@@ -481,9 +469,7 @@ class _BorderedFactor:
         self.band_piv, self.Y = kkt._band_piv, kkt._Y
         for q in range(p):
             self.band_piv[q], info = dsytrf(self.band_lu[q].T, lower=1, overwrite_a=1)[1:]
-            if info:  # an exactly zero pivot
-                band = _blocks_inertia(self.band_lu[: q + 1], self.band_piv[: q + 1])
-                self.inertia = (cells[0] + band[0], cells[1] + band[1], band[2])
+            if info:
                 return
             self.Y[q] = P[q]
             dsytrs(self.band_lu[q].T, self.band_piv[q], self.Y[q].T, lower=1, overwrite_b=1)
@@ -491,8 +477,6 @@ class _BorderedFactor:
                 update = self.Y[q] @ P[q, :b].T
                 self.band_lu[q + 1] -= update[:b]
                 P[q + 1, b:] -= update[b:]
-        band = _blocks_inertia(self.band_lu, self.band_piv)
-        band = (band[0] - kkt.pad_at.size, band[1], band[2])  # a padding row is a pivot of 1
         R -= np.tensordot(self.Y[:, b:], P[:, b:], axes=([0, 2], [0, 2]))
         lu, D, self.perm = sla.ldl(R, lower=True, overwrite_a=True, check_finite=False)
         self.L = np.asfortranarray(lu[self.perm])
@@ -502,8 +486,7 @@ class _BorderedFactor:
         i, j = self.first, self.first + 1
         self.d1 = np.diag(D)[self.single]
         self.d2 = (D[i, i], D[j, i], D[j, j])
-        arrow = _pivot_inertia(self.d1, self.first.size)
-        self.inertia = tuple(sum(parts) for parts in zip(cells, band, arrow))
+        self.singular = not self.d1.all()
 
     def _border_solve(self, b: np.ndarray) -> np.ndarray:
         if not b.size:
@@ -558,12 +541,13 @@ class _BorderedFactor:
 def _least_squares_multipliers(kkt: _BorderedKkt, J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Multipliers minimizing ``|rhs - J^T y|`` from one solve of
     ``[[I, J^T], [J, 0]] [w; y] = [rhs; 0]`` (Waechter & Biegler 2006, sec. 3.6).
-    Zero when J is rank deficient or the estimate exceeds 1e3."""
+    Zero when that matrix has a zero pivot (J is rank deficient) or the
+    estimate exceeds 1e3."""
     n, m = kkt.n, kkt.m
     factor = _BorderedFactor(
         kkt.system(np.zeros(kkt.hess.rows.size), J), np.concatenate([np.ones(n), np.zeros(m)])
     )
-    if factor.inertia != (n, m, 0):
+    if factor.singular:
         return np.zeros(m)
     y = factor.solve(np.concatenate([rhs, np.zeros(m)]))[n:]
     return y if np.abs(y).max() <= 1e3 else np.zeros(m)
@@ -655,10 +639,10 @@ def solve(
     ``NlpSolution.diagnostic`` says why the solve stopped: ``MAX_ITER`` at
     the iteration cap, or after three line searches in a row failed near
     feasibility; ``INFEASIBLE`` after three such failures with the equality
-    residual well above tolerance; ``NUMERICAL`` when the KKT matrix could
-    not be factored with the right inertia.  A non-finite objective,
-    constraint, gradient or Jacobian at the start point raises
-    :class:`EvaluationError`.
+    residual well above tolerance; ``NUMERICAL`` when the KKT matrix holds a
+    non-finite entry, or when ``delta_w`` rises past 1e40 without a step of
+    positive curvature.  A non-finite objective, constraint, gradient or
+    Jacobian at the start point raises :class:`EvaluationError`.
     """
     opts = options or NlpOptions()
     n, m = problem.n, problem.m
@@ -740,7 +724,9 @@ def solve(
 
         rhs = np.concatenate([-(grad_phi + jty), -c])
 
-        # inertia-corrected factorization
+        # regularized factorization: a factor without a zero pivot is solved,
+        # and its step kept if it has positive curvature; a zero pivot also
+        # regularizes the constraint block
         delta_w = 0.0
         delta_c = 0.0
         try:
@@ -749,30 +735,29 @@ def solve(
             status = SolveStatus.NUMERICAL
             diagnostic = f"KKT factorization failed at iteration {iteration}: {exc}"
             break
-        while True:
+        while delta_w <= 1e40:
             factor = _BorderedFactor(system, np.concatenate([sigma + delta_w, np.full(m, -delta_c)]))
-            if factor.inertia == (n, m, 0):
-                break
-            if factor.inertia[2] > 0 and delta_c == 0.0:
+            if not factor.singular:
+                step = factor.solve(rhs)
+                dx = step[:n]
+                curvature = H @ (dx[kkt.hess.rows] * dx[kkt.hess.cols]) + (sigma + delta_w) @ (dx * dx)
+                if curvature >= 1e-12 * (dx @ dx):
+                    break
+            elif delta_c == 0.0:
                 delta_c = 1e-8 * max(mu, 1e-8) ** 0.25
             if delta_w == 0.0:
                 delta_w = 1e-4 if delta_w_last == 0.0 else max(1e-20, delta_w_last / 3.0)
             else:
                 delta_w *= 8.0 if delta_w_last != 0.0 else 100.0
-            if delta_w > 1e40:
-                break
-        if factor.inertia != (n, m, 0):
+        else:  # delta_w passed its cap
             status = SolveStatus.NUMERICAL
             diagnostic = (
-                f"inertia correction failed at iteration {iteration}: delta_w reached "
-                f"{delta_w:.1e} with inertia (pos, neg, zero) = {factor.inertia}, "
-                f"want {(n, m, 0)}"
+                f"regularization failed at iteration {iteration}: delta_w reached "
+                f"{delta_w:.1e} without a step of positive curvature"
             )
             break
         delta_w_last = delta_w if delta_w > 0 else delta_w_last
-
-        step = factor.solve(rhs)
-        dx, dy = step[:n], step[n:]
+        dy = step[n:]
 
         # fraction-to-boundary step limits
         def ftb_primal(d):

@@ -207,6 +207,26 @@ class TestModes:
         assert row["mc_mean_penalty"] == row["mc_violation_probability"] == ""
         assert calls == []
 
+    def test_solver_diagnostic_on_stderr(self, tmp_path, capsys):
+        # at a 338 kg/s load no ratio meets the 0.05 budget and the solve
+        # stalls in its line search: the run and the sweep row say why on
+        # stderr, and stdout and the exit code are as before
+        doc = json.loads(configs.config_text("single_pipe"))
+        doc["nodes"][2]["demand"] = 338.0
+        network = tmp_path / "stalled.json"
+        network.write_text(json.dumps(doc))
+        common = ["--network", str(network), "--cells", "32", "--gamma", "2500",
+                  "--mc-samples", "50"]
+        assert main(["optimize", "--mode", "cc", *common, "--epsilon", "0.05",
+                     "--out", str(tmp_path / "o")]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("opt-cc status=max_iter ")
+        assert err.startswith("solver max_iter: line search failed three times in a row")
+        assert main(["sweep", *common, "--epsilons", "0.05", "--out", str(tmp_path / "s")]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("sweep rows=1 ")
+        assert err.startswith("solver max_iter at epsilon=0.05: line search failed three times")
+
     def test_non_finite_values_written_as_null(self, tmp_path):
         _json_dump(tmp_path / "x.json", {"a": [1.0, math.nan], "b": {"c": -math.inf}, "d": 2})
         text = (tmp_path / "x.json").read_text()

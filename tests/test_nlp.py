@@ -451,6 +451,50 @@ class TestNumericalBreakdown:
         assert np.all(np.isfinite(sol.x))
 
 
+def concave(scale, lo, hi):
+    # min -scale * x^2 on [lo, hi]: the curvature is negative everywhere
+    return NlpProblem(
+        n=1,
+        m=0,
+        objective=lambda x: float(-scale * x[0] ** 2),
+        gradient=lambda x: np.array([-2.0 * scale * x[0]]),
+        constraints=lambda x: np.zeros(0),
+        jacobian=lambda x: np.zeros(0),
+        lower=np.array([lo]),
+        upper=np.array([hi]),
+        hessian=lambda x, y, s: np.array([-2.0 * scale * s]),
+        jac_structure=dense(0, 1),
+        hess_structure=dense(1, 1),
+    )
+
+
+class TestCurvatureRule:
+    """A regularization is kept when the step it gives has positive
+    curvature.  The shipped problems are convex in their steps; a concave
+    objective is not, so the unregularized Newton step runs uphill."""
+
+    @pytest.mark.parametrize("x0, at", [(0.5, 2.0), (0.9, 2.0), (-0.2, -1.0)])
+    def test_concave_objective_ends_on_a_bound(self, x0, at):
+        # min -x^2 on [-1, 2]: a start right of 0 ends at the global minimum
+        # x = 2 (upper multiplier 4), one left of 0 at the local one x = -1
+        # (lower multiplier 2); the other bound's multiplier is mu / slack
+        sol = solve(concave(1.0, -1.0, 2.0), np.array([x0]))
+        assert sol.status is SolveStatus.OPTIMAL
+        np.testing.assert_allclose(sol.x, [at], atol=1e-8)
+        active, other = (sol.lambda_hi, sol.lambda_lo) if at > 0 else (sol.lambda_lo, sol.lambda_hi)
+        np.testing.assert_allclose(active, [2.0 * abs(at)], rtol=1e-8)
+        assert 0.0 < other[0] < 1e-8
+
+    def test_regularization_cap_gives_numerical_status(self):
+        # min -1e45 x^2 on [-1, 1]: delta_w would have to pass 2e45 to give
+        # the step positive curvature, so it runs past its cap of 1e40
+        sol = solve(concave(1e45, -1.0, 1.0), np.array([0.3]))
+        assert sol.status is SolveStatus.NUMERICAL
+        assert sol.iterations == 1
+        assert "at iteration 1: delta_w reached 1.0e+42" in sol.diagnostic
+        np.testing.assert_array_equal(sol.x, [0.3])
+
+
 class TestLeastSquaresMultipliers:
     """The start's multiplier estimate, its zero fallback and its cut at 1e3,
     each reached through ``solve`` on a small analytic problem."""
@@ -490,8 +534,8 @@ class TestLeastSquaresMultipliers:
         np.testing.assert_allclose(sol.lambda_eq, [-5.0], rtol=1e-8)
 
     def test_a_duplicated_row_gives_zero(self, monkeypatch):
-        # the repeated row makes [[I, J^T], [J, 0]] singular: its inertia has
-        # a zero eigenvalue, the estimate falls back to zero, and the solve
+        # the repeated row makes [[I, J^T], [J, 0]] singular: its factor has
+        # a zero pivot, the estimate falls back to zero, and the solve
         # still splits the multiplier -5 over the two rows
         seen = self.estimates(monkeypatch)
         sol = solve(self.sum_rows(2), np.array([1.0, 2.0]))
@@ -580,18 +624,17 @@ def bordered(labels, H, J):
 
 
 def assert_matches_dense(rng, blocks, H, J, shift):
-    """The bordered factorization, with the labels and without, has the
-    inertia of ``eigvalsh`` and solves as ``np.linalg.solve`` does."""
+    """The bordered factorization, with the labels and without, of a matrix
+    ``eigvalsh`` finds regular has no zero pivot and solves as
+    ``np.linalg.solve`` does."""
     n, m = J.shape[1], J.shape[0]
     M = kkt_matrix(H, J, shift)
     eig = np.linalg.eigvalsh(M)
-    tol = 1e-10 * np.abs(eig).max()
-    assert np.abs(eig).min() > tol
-    expect = (int(np.sum(eig > tol)), int(np.sum(eig < -tol)), 0)
+    assert np.abs(eig).min() > 1e-10 * np.abs(eig).max()
     rhs = rng.normal(size=n + m)
     for labels in (blocks, None):
         factor = _BorderedFactor(bordered(labels, H, J)[1], shift)
-        assert factor.inertia == expect
+        assert not factor.singular
         np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(M, rhs), rtol=1e-7, atol=1e-9)
 
 
@@ -677,9 +720,9 @@ class TestBorderedKkt:
         blocks = np.array([-2, -3, -4, -5, -1, -1])
         kkt, system = bordered(blocks, H, J)
         assert kkt.block == 2
-        assert _BorderedFactor(system, np.zeros(6)).inertia[2] > 0
+        assert _BorderedFactor(system, np.zeros(6)).singular
         shift = np.r_[np.full(5, 1e-4), -1e-8]
-        assert _BorderedFactor(system, shift).inertia == (5, 1, 0)
+        assert not _BorderedFactor(system, shift).singular
         assert_matches_dense(np.random.default_rng(0), blocks, H, J, shift)
 
     def test_band_entry_outside_the_envelope_rejected(self, monkeypatch):
@@ -708,8 +751,8 @@ class TestBorderedKkt:
         H = np.diag([0.0, 0.0, 2.0])
         J = np.array([[1.0, 1.0, -1.0]])
         system = bordered(np.array([0, 1, -1, -1]), H, J)[1]
-        assert _BorderedFactor(system, np.zeros(4)).inertia[2] > 0
-        assert _BorderedFactor(system, np.r_[np.full(3, 1e-4), -1e-8]).inertia == (3, 1, 0)
+        assert _BorderedFactor(system, np.zeros(4)).singular
+        assert not _BorderedFactor(system, np.r_[np.full(3, 1e-4), -1e-8]).singular
 
     def test_jacobian_linking_two_cells_rejected(self):
         # row 1 belongs to cell 1 but also uses variable 0 of cell 0
@@ -776,7 +819,7 @@ class TestBorderedKkt:
         for scale in (1.0, 2.0, 0.5, 1.0):
             reused = _BorderedFactor(system, scale * shift)
             fresh = _BorderedFactor(bordered(blocks, H, J)[1], scale * shift)
-            assert reused.inertia == fresh.inertia
+            assert not reused.singular and not fresh.singular
             step = reused.solve(rhs)
             np.testing.assert_array_equal(step, fresh.solve(rhs))
             np.testing.assert_allclose(step, np.linalg.solve(kkt_matrix(H, J, scale * shift), rhs),
@@ -803,9 +846,8 @@ class TestBorderedKkt:
 
         monkeypatch.setattr(nlp, "sla", type("Sla", (), {"ldl": staticmethod(ldl)}))
         M = kkt_matrix(H, J, shift)
-        eig = np.linalg.eigvalsh(M)
         factor = _BorderedFactor(system, shift)
-        assert factor.inertia == (int(np.sum(eig > 0)), int(np.sum(eig < 0)), 0)
+        assert not factor.singular
         rhs = rng.normal(size=n + m)
         np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(M, rhs), rtol=1e-7, atol=1e-9)
         assert arrows == [(0, 0)]

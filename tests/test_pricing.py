@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from gasflow import configs
-from gasflow.nlp import NlpOptions, SolveStatus
-from gasflow.ogf import PenaltyConfig, solve_chance_constrained
+from gasflow.nlp import NlpOptions, SolveStatus, solve
+from gasflow.ogf import (
+    PenaltyConfig,
+    assemble_chance_constrained,
+    decode,
+    initial_point_chance_constrained,
+    solve_chance_constrained,
+)
 from gasflow.pricing import (
     CONSTANT_RTOL,
     PricingError,
@@ -559,6 +565,25 @@ class TestEnvelope:
     after the bid); the largest, 4.1e-6 absolute, is an objective error of
     at least 4.1e-9 per solve on |Obj| = 1.2e4.  Bound 1e-6 relative, about
     three times the largest.
+
+    Each cell's price alone: ``lambda_q[node][k]`` is ``dObj/dw_k`` for a
+    withdrawal w_k added in cell k only, which enters one row, that node's
+    balance in cell k, whose constant is ``-w_k / flow``.  A test-only copy of
+    the problem moves that constant, and cold re-solves from the same start
+    give the central difference at ``HQ``: ``lambda + h^2/6 * lambda''`` plus
+    the difference of the two solves' objective errors over 2h.
+    - Truncation: ``lambda''``, from the cell's prices at w_k +- h, is at
+      most 5.9e-3 (J5, cell 44, J3=300), so h^2/6 * lambda'' <= 1e-9.
+    - Rounding: the two objectives (|Obj| 7.2e3 and 1.2e4) are known to a
+      spacing each, so the slope resolves ``np.spacing(|Obj|) / h`` = 9.1e-10
+      and 1.8e-9.  Below that the objectives are bit-equal: J7 in cells 5 and
+      25 and J2 at J3=300 have |lambda| <= 2.9e-10 and a slope of exactly 0.
+    - Solver error: both re-solves take the same iterations from the same
+      start, so their errors nearly cancel.  Measured 7.1e-9 to 2.6e-7
+      relative where |lambda| >= 8.7e-3 (the largest, 1.1e-7 absolute, is J5
+      in cell 44 at J3=300, 0.4239).
+    Bound: 1e-6 relative, about four times the largest, or the slope's
+    resolution, whichever is larger.
     """
 
     H = 1e-4
@@ -607,3 +632,38 @@ class TestEnvelope:
         slope = (up.objective - down.objective) / (2.0 * self.HQ)
         assert abs(slope) > 0.5
         assert at.lambda_q[node].sum() - bid == pytest.approx(slope, rel=1e-6)
+
+    @pytest.fixture(scope="class", params=[300.0, np.inf], ids=["J3=300", "J3=inf"])
+    def eight_node_k50(self, request):
+        """eight_node K=50 at a J3 cap: its problem, layout, cold start and solution."""
+        net = configs.load("eight_node")
+        net = net.with_node(replace(net.node("J3"), demand_max=request.param))
+        unc = net.uncertain_nodes[0]
+        grid = build_grid(unc.uncertainty, 50, node_id=unc.id)
+        problem, layout = assemble_chance_constrained(net, grid, PEN)
+        x0 = initial_point_chance_constrained(layout)
+        return problem, layout, x0, decode(solve(problem, x0), layout)
+
+    @pytest.mark.parametrize("node", ["J7", "J2", "J5"])
+    def test_cell_price_is_the_objective_slope(self, eight_node_k50, node):
+        problem, layout, x0, at = eight_node_k50
+        assert at.optimal
+        j = layout.net.node_index[node]
+
+        def objective(k, extra):
+            # ``extra`` kg/s more withdrawal at the node in cell k only
+            row = layout.bal_rows[k, j]
+
+            def constraints(x):
+                c = problem.constraints(x)
+                c[row] -= extra / layout.scaling.flow
+                return c
+
+            sol = solve(replace(problem, constraints=constraints), x0)
+            assert sol.optimal
+            return decode(sol, layout).objective
+
+        resolution = np.spacing(abs(at.objective)) / self.HQ
+        for k in (5, 25, 44):
+            slope = (objective(k, self.HQ) - objective(k, -self.HQ)) / (2.0 * self.HQ)
+            assert slope == pytest.approx(at.lambda_q[node][k], rel=1e-6, abs=resolution)
