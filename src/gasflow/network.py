@@ -238,8 +238,7 @@ class Network:
         self._check_connected()
 
     def _check_connected(self):
-        if not self.nodes:
-            raise NetworkError("network has no nodes")
+        # the slack node exists, so nodes[0] does
         adj: dict[str, set[str]] = {n.id: set() for n in self.nodes}
         for e in self.edges:
             adj[e.from_node].add(e.to_node)

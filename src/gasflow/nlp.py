@@ -22,17 +22,17 @@ variable and constraint row either with its diagonal block, called a cell
 LAPACK's Bunch-Kaufman ``dsytrf`` in place and eliminated into the Schur
 complement of the border.  A cell's couplings are a dense panel over the few
 border columns it touches, so the elimination is one batched product over
-all cells.  The Schur complement is a block-tridiagonal band plus an arrow
-(Golub & Van Loan, sec. 4.5): ``dsytrf`` factors each band block, which is
-eliminated into the next block and into the arrow, and ``scipy.linalg.ldl``
-factors only what is left of the arrow, so the border costs time linear in
-its band.  A zero pivot in a cell, a band block or the arrow marks the
-matrix singular, which also sets the constraint regularization.  Cells
-meet only through the border: a Hessian or Jacobian entry that links two
-cells is rejected, so a problem writes any quantity that couples cells as a
-border variable with its own defining row.  That row belongs to the border
-when its cell's own rows already fix the cell's variables, because each cell
-block must be regular.  A problem declares its Jacobian and Hessian structure
+all cells.  The Schur complement is a band plus an arrow: one banded LU,
+LAPACK's ``dgbtrf`` (Golub & Van Loan, sec. 4.3), factors the band, whose
+width does not grow with its length, the band is eliminated into the arrow,
+and ``scipy.linalg.ldl`` factors only what is left of the arrow, so the
+border costs time linear in its band.  A zero pivot in a cell, the band or
+the arrow marks the matrix singular, which also sets the constraint
+regularization.  Cells meet only through the border: a Hessian or Jacobian
+entry that links two cells is rejected, so a problem writes any quantity
+that couples cells as a border variable with its own defining row.  That
+row belongs to the border when its cell's own rows already fix the cell's
+variables, because each cell block must be regular.  A problem declares its Jacobian and Hessian structure
 once (Ipopt's TNLP contract), so the KKT pattern is split before any callback
 runs and each iteration only scatters values.  The split also allocates the
 solve's one KKT workspace: the cell blocks, panels and border, and the
@@ -65,7 +65,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dsytrf, dsytrs, dtrtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dsytrf, dsytrs, dtrtrs
 
 log = logging.getLogger("gasflow.nlp")
 
@@ -84,8 +84,6 @@ G_PHI = 1e-5
 S_THETA = 1.1
 S_PHI = 2.3
 FILTER_DELTA = 1.0
-# fewest rows of a band block of the border's Schur complement
-BAND_ROWS = 32
 
 
 class SolveStatus(Enum):
@@ -119,12 +117,12 @@ class NlpProblem:
     -1 the border's dense arrow, and a label <= -2 places the unknown in the
     border's band at position ``-2 - label`` (unknowns sharing a position
     follow in index order).  Cells must have equal sizes, and no Jacobian or
-    Hessian entry may link two cells.  The band is factored in blocks of
-    consecutive positions, each of at least ``BAND_ROWS`` rows (or the whole
-    band) and at least as wide as the farthest reach of a Hessian or Jacobian
-    entry between two band unknowns; a cell coupled to band unknowns in
-    blocks that are not neighbours is rejected.  ``None`` puts every unknown
-    in one cell, so the whole KKT matrix is one Bunch-Kaufman factorization.
+    Hessian entry may link two cells.  The band's LU stores as many
+    diagonals as the farthest reach between two band unknowns that a Hessian
+    or Jacobian entry joins, or that one cell touches, so the band costs time
+    linear in its length when that reach does not grow with it.  ``None``
+    puts every unknown in one cell, so the whole KKT matrix is one
+    Bunch-Kaufman factorization.
 
     ``barrier_weights`` gives each variable a finite positive weight w on the
     log barrier of its bounds, ``mu * w * log(slack)``; ``None`` means ones.
@@ -250,13 +248,12 @@ class _BorderedKkt:
     touches, and a cell touching fewer has zero rows.
 
     The border is ordered band first, by position ``-2 - label`` (ties in
-    index order), then the arrow.  The band is cut into blocks of ``block``
-    rows: at least ``BAND_ROWS`` (or the whole band, when it is shorter) and
-    at least the farthest reach of a Hessian or Jacobian entry between two
-    band unknowns, so the entries the problem writes make the band block
-    tridiagonal.  A cell whose couplings reach two band unknowns in blocks
-    that are not neighbours would fill the band outside that envelope, and
-    raises ``ValueError``.  The last block is padded with unit diagonal rows.
+    index order), then the arrow.  ``reach`` is the farthest distance, in
+    that order, between two band unknowns that a Hessian or Jacobian entry
+    joins or that one cell touches, which is every band entry of the Schur
+    complement.  The band is kept in LAPACK band storage with ``reach``
+    diagonals on either side and ``reach`` more for the LU's fill; the
+    arrow keeps its panel to the band and its own square block.
     """
 
     def __init__(self, blocks, n: int, m: int, hess_structure, jac_structure):
@@ -316,53 +313,42 @@ class _BorderedKkt:
         self.cols[pairs // width, rank] = pairs % width
         self._b_at = (cell * t + rank[pair_of]) * size + row
 
-        # band blocks of at least BAND_ROWS rows (or the whole band) that span
-        # every band entry of H and J, evenly sized to keep the padding short;
-        # then the panels and the arrow
+        # the band in LAPACK band storage, as wide as the farthest band entry
+        # of H and J and the farthest pair of band columns one cell touches;
+        # then the arrow's panel to the band and the arrow
         both = np.flatnonzero((bi < 0) & (bj < 0))
         li, lj = li[both], lj[both]
-        reach = np.abs(li - lj)[(li < nband) & (lj < nband)].max(initial=0)
-        b = self.block = -(-nband // max(1, nband // max(BAND_ROWS, reach))) if nband else 1
-        p = -(-nband // b)
-        self._p_at = p * b * b
-        self._r_at = self._p_at + p * (b + width - nband) * b
-        self._s_size = self._r_at + (width - nband) ** 2
+        touch = (np.arange(t) < count[:, None]) & (self.cols < nband)
+        spread = (np.where(touch, self.cols, -1).max(axis=1, initial=-1)
+                  - np.where(touch, self.cols, nband).min(axis=1, initial=nband))
+        self.reach = int(max(np.abs(li - lj)[(li < nband) & (lj < nband)].max(initial=0),
+                             spread.max(initial=0)))
+        na = width - nband
+        self._p_at = (3 * self.reach + 1) * nband
+        self._r_at = self._p_at + na * nband
+        self._s_size = self._r_at + na * na
         at = self._home(li, lj)
         self._s_of, self._s_at = both[at >= 0], at[at >= 0]
         self.diag_at = self._home(np.arange(width), np.arange(width))
-        pad = np.arange(nband, p * b)
 
-        # each cell's (t, t) Schur block goes to its homes; padding rows and
-        # the transposed halves go to one slot past the end
+        # each cell's (t, t) Schur block goes to its homes; the rows past a
+        # cell's count and the band-to-arrow half go to one slot past the end
         real = np.arange(t) < count[:, None]
         real = real[:, :, None] & real[:, None, :]
-        i, j = self.cols[:, :, None], self.cols[:, None, :]
-        far = np.argwhere(real & (i < nband) & (j < nband) & (np.abs(i // b - j // b) > 1))
-        if far.size:
-            k, a, c = far[0]
-            u, w = (f"variable {x}" if x < n else f"constraint row {x - n}"
-                    for x in self.border[self.cols[k, [a, c]]])
-            raise ValueError(
-                f"cell {k} couples {u} and {w}, band unknowns "
-                f"{abs(self.cols[k, a] - self.cols[k, c])} positions apart; the band's blocks "
-                f"of {b} rows meet only their neighbours"
-            )
-        at = self._home(i, j)
+        at = self._home(self.cols[:, :, None], self.cols[:, None, :])
         self.schur_at = np.where(real & (at >= 0), at, self._s_size).ravel()
 
         # the one workspace of a solve: the system's cell blocks, panels and
-        # border, whose positions outside the pattern stay zero and whose
-        # padding is set here, and the factor's copies of them and its band
-        # panels
+        # border, whose positions outside the pattern stay zero, and the
+        # factor's copies of them and its band solve of the arrow's panel
         A, B, S = self._values = (np.zeros((n_cells, size, size)),
                                   np.zeros(self.cols.shape + (size,)), np.zeros(self._s_size))
-        S[pad * b + pad % b] = 1.0
         self._lu = np.empty_like(A)
         self._piv = np.empty((n_cells, size), dtype=np.int32)
         self._X = np.empty_like(B)
         self._S = np.empty_like(S)
-        self._band_piv = np.empty((p, b), dtype=np.int32)
-        self._Y = np.empty_like(self.border_blocks(S)[1])
+        self._band_piv = np.empty(nband, dtype=np.int32)
+        self._Y = np.empty((na, nband))
 
     def system(self, H, J) -> "_KktSystem":
         """Scatter the KKT matrix of Hessian ``H`` (symmetrized here) and
@@ -383,31 +369,25 @@ class _BorderedKkt:
         return _KktSystem(self, A, B, S)
 
     def border_blocks(self, S: np.ndarray):
-        """Views of the flat border storage ``S``: the band's diagonal blocks
-        (p, block, block), each block's panel (p, block + arrow, block) whose
-        first ``block`` rows are the next block's and whose other rows are
-        the arrow's, and the arrow (arrow, arrow)."""
-        b, na = self.block, self.border.size - self.band
-        p = self._p_at // (b * b)
-        return (S[: self._p_at].reshape(p, b, b),
-                S[self._p_at : self._r_at].reshape(p, b + na, b),
+        """Views of the flat border storage ``S``: the band in LAPACK band
+        storage (3 reach + 1, band), Fortran-ordered, whose entry (i, j) is
+        at row 2 reach + i - j and whose first ``reach`` rows are room for
+        the LU's fill; the arrow's panel to the band (arrow, band); and the
+        arrow (arrow, arrow)."""
+        nband, na = self.band, self.border.size - self.band
+        return (S[: self._p_at].reshape(nband, 3 * self.reach + 1).T,
+                S[self._p_at : self._r_at].reshape(na, nband),
                 S[self._r_at :].reshape(na, na))
 
     def _home(self, i, j):
         """Flat position in the border storage of border entry (i, j), local
-        indices; -1 where the entry is kept only as its transpose."""
-        nband, b, na = self.band, self.block, self.border.size - self.band
-        qi, qj = i // b, j // b
-        home = np.full(np.broadcast(i, j).shape, -1, dtype=np.intp)
-        in_band = (i < nband) & (j < nband)
-        for keep, at in (
-            (in_band & (qi == qj), i * b + j % b),
-            (in_band & (qi == qj + 1), self._p_at + (qj * (b + na) + i % b) * b + j % b),
-            ((i >= nband) & (j < nband), self._p_at + (qj * (b + na) + b + i - nband) * b + j % b),
-            ((i >= nband) & (j >= nband), self._r_at + (i - nband) * na + j - nband),
-        ):
-            home = np.where(keep, at, home)
-        return home
+        indices; -1 where a band row meets an arrow column, an entry kept
+        only as its transpose in the arrow's panel."""
+        nband, na, r = self.band, self.border.size - self.band, self.reach
+        home = np.where((i < nband) & (j < nband), j * (3 * r + 1) + 2 * r + i - j, -1)
+        home = np.where((i >= nband) & (j < nband), self._p_at + (i - nband) * nband + j, home)
+        return np.where((i >= nband) & (j >= nband), self._r_at + (i - nband) * na + j - nband, home)
+
 
 @dataclass
 class _KktSystem:
@@ -418,22 +398,22 @@ class _KktSystem:
 
 
 class _BorderedFactor:
-    """Bunch-Kaufman factors of every cell (LAPACK ``dsytrf``) and of the
-    border's Schur complement, which is a block-tridiagonal band plus a small
-    arrow (Golub & Van Loan, sec. 4.5): ``dsytrf`` factors each band block
-    and the block is eliminated into the next block and into the arrow, whose
-    remaining complement ``scipy.linalg.ldl`` factors.  ``singular`` is True
-    when a pivot is exactly zero: ``dsytrf``'s ``info`` of a cell or a band
-    block, after which the rest is left unfactored, or a 1x1 pivot of the
-    arrow (a Bunch-Kaufman 2x2 pivot is never singular).  Only a factor that
-    is not singular can solve.  ``shift`` (length n + m) is added to the
-    diagonal.
+    """Bunch-Kaufman factors of every cell (LAPACK ``dsytrf``) and the
+    factors of the border's Schur complement, a band plus a small arrow: one
+    banded LU (``dgbtrf``) of the band, whose solve ``Y^T`` of the arrow's
+    panel ``P`` eliminates the band from the arrow, and ``scipy.linalg.ldl``
+    of what is left of the arrow, ``R - P Y^T``.  ``singular`` is True when a
+    pivot is exactly zero: the ``info`` of a cell's ``dsytrf`` or of the
+    band's ``dgbtrf``, after which the rest is left unfactored, or a 1x1
+    pivot of the arrow (a Bunch-Kaufman 2x2 pivot is never singular).  Only
+    a factor that is not singular can solve.  ``shift`` (length n + m) is
+    added to the diagonal.
 
     A cell block is symmetric, so its transpose is a Fortran-ordered view
     that ``dsytrf`` factors in place; ``dsytrs`` solves in place on the
     Fortran views of the panels ``X = B A^-1`` and of the right-hand sides.
-    A band block and its panel ``Y`` to the next block and the arrow are
-    treated the same way.
+    The band storage is Fortran-ordered and ``Y^T`` is the Fortran view of
+    ``Y``, so ``dgbtrf`` and ``dgbtrs`` work in place too.
 
     The factors live in the workspace of ``system.kkt``: they stay valid
     until the next factorization or ``system()`` call on it."""
@@ -462,22 +442,19 @@ class _BorderedFactor:
         # each cell's (t, t) block B X^T goes to its border columns
         S -= np.bincount(kkt.schur_at, (system.B @ self.X.transpose(0, 2, 1)).ravel(),
                          minlength=S.size + 1)[:-1]
-        # the band, block by block: factor it, solve its panel and update the
-        # next block and the next panel's arrow rows
-        self.band_lu, P, R = kkt.border_blocks(S)
-        b, p = kkt.block, self.band_lu.shape[0]
+        # the band: one LU, one solve of the arrow's panel, and the update
+        # of the arrow
+        self.band_lu, self.P, R = kkt.border_blocks(S)
         self.band_piv, self.Y = kkt._band_piv, kkt._Y
-        for q in range(p):
-            self.band_piv[q], info = dsytrf(self.band_lu[q].T, lower=1, overwrite_a=1)[1:]
-            if info:
+        if kkt.band:
+            r = kkt.reach
+            self.band_piv[:], info = dgbtrf(self.band_lu, r, r, overwrite_ab=1)[1:]
+            if info:  # an exactly zero pivot
                 return
-            self.Y[q] = P[q]
-            dsytrs(self.band_lu[q].T, self.band_piv[q], self.Y[q].T, lower=1, overwrite_b=1)
-            if q + 1 < p:
-                update = self.Y[q] @ P[q, :b].T
-                self.band_lu[q + 1] -= update[:b]
-                P[q + 1, b:] -= update[b:]
-        R -= np.tensordot(self.Y[:, b:], P[:, b:], axes=([0, 2], [0, 2]))
+            if self.Y.size:
+                np.copyto(self.Y, self.P)
+                dgbtrs(self.band_lu, r, r, self.Y.T, self.band_piv, overwrite_b=1)
+                R -= self.P @ self.Y.T
         lu, D, self.perm = sla.ldl(R, lower=True, overwrite_a=True, check_finite=False)
         self.L = np.asfortranarray(lu[self.perm])
         self.first = np.flatnonzero(np.diag(D, -1))  # 2x2 pivots at (i, i + 1)
@@ -505,24 +482,15 @@ class _BorderedFactor:
         return out
 
     def _band_solve(self, r: np.ndarray) -> np.ndarray:
-        """Solve with the border's Schur complement: forward through the band
-        blocks, then the arrow, then back through the band."""
+        """Solve with the border's Schur complement: the band, then the arrow
+        with the band eliminated, then the band's back-substitution."""
         kkt = self.system.kkt
-        b, nband = kkt.block, kkt.band
-        w = np.zeros(self.band_lu.shape[:2])
-        w.reshape(-1)[:nband] = r[:nband]
-        rest = r[nband:].copy()
-        for q in range(w.shape[0]):
-            update = self.Y[q] @ w[q]
-            if q + 1 < w.shape[0]:
-                w[q + 1] -= update[:b]
-            rest -= update[b:]
-            dsytrs(self.band_lu[q].T, self.band_piv[q], w[q][:, None], lower=1, overwrite_b=1)
-        z = self._border_solve(rest)
-        w -= self.Y[:, b:].transpose(0, 2, 1) @ z
-        for q in range(w.shape[0] - 2, -1, -1):
-            w[q] -= w[q + 1] @ self.Y[q, :b]
-        return np.concatenate([w.reshape(-1)[:nband], z])
+        nband = kkt.band
+        w = r[:nband, None].copy()
+        if nband:
+            dgbtrs(self.band_lu, kkt.reach, kkt.reach, w, self.band_piv, overwrite_b=1)
+        z = self._border_solve(r[nband:] - self.P @ w[:, 0])
+        return np.concatenate([w[:, 0] - self.Y.T @ z, z])
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         kkt = self.system.kkt

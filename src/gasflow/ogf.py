@@ -104,8 +104,8 @@ class CcLayout:
     cell_mass: np.ndarray
     cell_omega: np.ndarray  # uncertain-node increment per cell (kg/s)
     alpha_idx: dict[str, int]
-    d_idx: dict[str, np.ndarray]
-    s_idx: dict[str, np.ndarray]
+    nom_idx: dict[str, np.ndarray]  # (K,) optimized nominations: demands, then supplies
+    nom_sign: dict[str, float]  # +1 for a demand, -1 for a supply
     pi_idx: np.ndarray  # (K, nv), -1 at the slack column
     phi_idx: np.ndarray  # (K, ne)
     qs_idx: np.ndarray  # (K,)
@@ -126,6 +126,38 @@ class CcLayout:
     @property
     def deterministic(self) -> bool:
         return self.grid is None
+
+    def withdrawals(self, nominations: dict[str, np.ndarray], omega: np.ndarray | None = None) -> np.ndarray:
+        """Nodal withdrawals (kg/s), one row per cell or, given increments
+        ``omega`` of the uncertain node, one per increment: the fixed loads,
+        plus ``omega`` at the uncertain node, plus each optimized node's
+        nomination in ``nominations`` (kg/s) with its sign."""
+        idx = self.net.node_index
+        rows = self.K if omega is None else len(omega)
+        q = np.tile(np.array(list(self.base_withdrawal.values())), (rows, 1))
+        if omega is not None:
+            q[:, idx[self.grid.node_id]] += omega
+        for nid, values in nominations.items():
+            q[:, idx[nid]] += self.nom_sign[nid] * values
+        return q
+
+    def economic_value(self, expected: dict[str, float]) -> float:
+        """Expected economic value of the priced flows (currency per s): each
+        node's demand times its price, less its supply times its price, with
+        a fixed load split into its demand and supply parts, the uncertain
+        node's mean increment added to its demand, and an optimized node's
+        nomination read from ``expected`` (zero where absent)."""
+        value = 0.0
+        for n in self.net.nodes:
+            load = self.base_withdrawal[n.id]
+            d, s = max(load, 0.0), max(-load, 0.0)
+            if self.nom_sign.get(n.id, 0.0) > 0:
+                d = expected.get(n.id, 0.0)
+            elif self.nom_sign.get(n.id, 0.0) < 0:
+                s = expected.get(n.id, 0.0)
+            r_mean = 0.0 if n.uncertainty is None or self.deterministic else n.uncertainty.measure_mean()
+            value += n.demand_price * (d + r_mean) - n.supply_price * s
+        return value
 
     def shortfall(self, x: np.ndarray, cid: str):
         """Penalty value, slope and curvature at chance node ``cid``'s Greville points."""
@@ -214,22 +246,19 @@ def _assemble(
     slack = kern.slack
     cell = np.arange(K)[:, None]
 
-    opt_d = [n for n in nodes if n.demand_optimized]
-    opt_s = [n for n in nodes if n.supply_optimized]
+    # the optimized nominations, demands then supplies, each with its sign,
+    # bound and price
+    nominated = [(n, 1.0, n.demand_max, n.demand_price) for n in nodes if n.demand_optimized]
+    nominated += [(n, -1.0, n.supply_max, n.supply_price) for n in nodes if n.supply_optimized]
     chance_ids = sorted(n.id for n in chance)
 
     # ---- variable layout -------------------------------------------------
     pos = 0
     alpha_idx = {c.id: pos + i for i, c in enumerate(net.compressors)}
     pos += n_comp
-    d_idx = {}
-    for n in opt_d:
-        d_idx[n.id] = np.arange(pos, pos + K)
-        pos += K
-    s_idx = {}
-    for n in opt_s:
-        s_idx[n.id] = np.arange(pos, pos + K)
-        pos += K
+    nom_idx = {n.id: pos + K * i + np.arange(K) for i, (n, *_) in enumerate(nominated)}
+    nom_sign = {n.id: sign for n, sign, *_ in nominated}
+    pos += K * len(nominated)
     # per cell: the kernel's states (free squared pressures, then flows), then qs
     stride = kern.n_state + 1
     state = pos + stride * cell + np.arange(kern.n_state)
@@ -266,20 +295,8 @@ def _assemble(
         r_cells[:, idx[unc_node.id]] = cell_omega
     q_cells_nd = (base_q[None, :] + r_cells) / flow_sc
 
-    # expected economic value of fixed priced flows (constant in the objective)
-    econ_const = 0.0
-    for n in nodes:
-        d_fixed = 0.0 if n.demand_optimized else n.demand
-        s_fixed = 0.0 if n.supply_optimized else n.supply
-        if n.id in loads and not n.demand_optimized:
-            d_fixed = max(loads[n.id], 0.0)
-            s_fixed = max(-loads[n.id], 0.0)
-        r_mean = n.uncertainty.measure_mean() if (grid is not None and n.uncertainty) else 0.0
-        econ_const += n.demand_price * (d_fixed + r_mean) - n.supply_price * s_fixed
-    econ_const_nd = econ_const / f_scale
-
-    price_d_nd = {n.id: n.demand_price * flow_sc / f_scale for n in opt_d}
-    price_s_nd = {n.id: n.supply_price * flow_sc / f_scale for n in opt_s}
+    # the signed price of each nomination: a demand earns, a supply costs
+    price_nd = {n.id: sign * price * flow_sc / f_scale for n, sign, _, price in nominated}
 
     # chance machinery: one grid serves every chance node
     if grid is not None:
@@ -300,12 +317,9 @@ def _assemble(
     for i, c in enumerate(net.compressors):
         lower[alpha_idx[c.id]] = 1.0
         upper[alpha_idx[c.id]] = c.alpha_max
-    for n in opt_d:
-        lower[d_idx[n.id]] = 0.0
-        upper[d_idx[n.id]] = n.demand_max / flow_sc if math.isfinite(n.demand_max) else np.inf
-    for n in opt_s:
-        lower[s_idx[n.id]] = 0.0
-        upper[s_idx[n.id]] = n.supply_max / flow_sc if math.isfinite(n.supply_max) else np.inf
+    for n, _, cap, _ in nominated:
+        lower[nom_idx[n.id]] = 0.0
+        upper[nom_idx[n.id]] = cap / flow_sc if math.isfinite(cap) else np.inf
     for j, n in enumerate(nodes):
         if j == slack:
             continue
@@ -325,8 +339,8 @@ def _assemble(
         cell_mass=cell_mass,
         cell_omega=cell_omega,
         alpha_idx=alpha_idx,
-        d_idx=d_idx,
-        s_idx=s_idx,
+        nom_idx=nom_idx,
+        nom_sign=nom_sign,
         pi_idx=pi_idx,
         phi_idx=phi_idx,
         qs_idx=qs_idx,
@@ -340,6 +354,9 @@ def _assemble(
         n=n_var,
         base_withdrawal={n.id: float(base_q[j]) for j, n in enumerate(nodes)},
     )
+    # the expected economic value of the fixed priced flows, a constant of
+    # the objective
+    econ_const_nd = layout.economic_value({}) / f_scale
 
     # ---- evaluation helpers ---------------------------------------------------
     def gather(x):
@@ -351,10 +368,8 @@ def _assemble(
 
     def q_all(x):
         q = q_cells_nd.copy()
-        for nid, cols in d_idx.items():
-            q[:, idx[nid]] += x[cols]
-        for nid, cols in s_idx.items():
-            q[:, idx[nid]] -= x[cols]
+        for nid, cols in nom_idx.items():
+            q[:, idx[nid]] += nom_sign[nid] * x[cols]
         q[:, slack] = x[qs_idx]  # the slack withdrawal is the qs variable
         return q
 
@@ -362,10 +377,8 @@ def _assemble(
         alpha, Pi, phi = gather(x)
         exp_flow = cell_mass @ magnitude(phi[:, n_pipe:], delta_nd)  # (n_comp,)
         val = float(np.sum(eta_nd * (alpha**comp_m - 1.0) * exp_flow))
-        for nid, cols in d_idx.items():
-            val -= price_d_nd[nid] * float(cell_mass @ x[cols])
-        for nid, cols in s_idx.items():
-            val += price_s_nd[nid] * float(cell_mass @ x[cols])
+        for nid, cols in nom_idx.items():
+            val -= price_nd[nid] * float(cell_mass @ x[cols])
         return val - econ_const_nd
 
     def gradient(x):
@@ -375,10 +388,8 @@ def _assemble(
         s_phi = magnitude(phi_c, delta_nd)
         g[a_cols] = eta_nd * comp_m * alpha ** (comp_m - 1.0) * (cell_mass @ s_phi)
         g[phi_idx[:, n_pipe:]] = eta_nd * (alpha**comp_m - 1.0) * cell_mass[:, None] * (phi_c / s_phi)
-        for nid, cols in d_idx.items():
-            g[cols] = -price_d_nd[nid] * cell_mass
-        for nid, cols in s_idx.items():
-            g[cols] = price_s_nd[nid] * cell_mass
+        for nid, cols in nom_idx.items():
+            g[cols] = -price_nd[nid] * cell_mass
         return g
 
     def constraints(x):
@@ -397,8 +408,7 @@ def _assemble(
     jac_structure, jac_fixed = _structure(
         [(cell_rows[:, kern.jac_rows], state[:, kern.jac_cols]), (comp_rows, a_cols)]
         + [(cc_rows[cid], c_idx[cid]) for cid in chance_ids]
-        + [(bal_rows[:, idx[nid]], cols, -1.0) for nid, cols in d_idx.items()]
-        + [(bal_rows[:, idx[nid]], cols, 1.0) for nid, cols in s_idx.items()]
+        + [(bal_rows[:, idx[nid]], cols, -nom_sign[nid]) for nid, cols in nom_idx.items()]
         + [(bal_rows[:, slack], qs_idx, -1.0)]
         + [block for cid in chance_ids for block in (
             (spline_rows[cid], pi_idx[:, idx[cid]], 1.0),
@@ -453,7 +463,7 @@ def _assemble(
     # expectation does, and every other variable by 1
     in_cell = np.full(n_var, -1)
     in_cell[state] = cell
-    for cols in (qs_idx, *d_idx.values(), *s_idx.values()):
+    for cols in (qs_idx, *nom_idx.values()):
         in_cell[cols] = cell[:, 0]
     barrier_weights = np.where(in_cell >= 0, cell_mass[in_cell], 1.0)
     blocks = None
@@ -573,16 +583,9 @@ class CcSolution:
 
     def withdrawal(self, node_id: str) -> np.ndarray:
         """Per-cell total withdrawal at a node (kg/s)."""
-        net = self.layout.net
-        node = net.node(node_id)
-        q = np.full(self.K, self.layout.base_withdrawal[node_id])
-        if node.uncertainty is not None and not self.layout.deterministic:
-            q = q + self.cell_omega
-        if node_id in self.d:
-            q = q + self.d[node_id]
-        if node_id in self.s:
-            q = q - self.s[node_id]
-        return q
+        layout = self.layout
+        omega = None if layout.deterministic else self.cell_omega
+        return layout.withdrawals(self.d | self.s, omega)[:, layout.net.node_index[node_id]]
 
     def expected(self, values: np.ndarray) -> float:
         return float(self.cell_mass @ values)
@@ -660,12 +663,13 @@ def decode(solution: NlpSolution, layout: CcLayout) -> CcSolution:
     qs = x[layout.qs_idx] * flow_sc
 
     alpha = {cid: float(x[i]) for cid, i in layout.alpha_idx.items()}
-    d = {nid: x[cols] * flow_sc for nid, cols in layout.d_idx.items()}
-    s = {nid: x[cols] * flow_sc for nid, cols in layout.s_idx.items()}
+    nominated = {nid: x[cols] * flow_sc for nid, cols in layout.nom_idx.items()}
+    d = {nid: v for nid, v in nominated.items() if layout.nom_sign[nid] > 0}
+    s = {nid: v for nid, v in nominated.items() if layout.nom_sign[nid] < 0}
+    lambda_d = {nid: solution.lambda_hi[layout.nom_idx[nid]] * price_unit for nid in d}
+    lambda_s = {nid: solution.lambda_hi[layout.nom_idx[nid]] * price_unit for nid in s}
 
     lambda_q = {node.id: -y[layout.bal_rows[:, j]] * price_unit for j, node in enumerate(net.nodes)}
-    lambda_d = {nid: solution.lambda_hi[cols] * price_unit for nid, cols in layout.d_idx.items()}
-    lambda_s = {nid: solution.lambda_hi[cols] * price_unit for nid, cols in layout.s_idx.items()}
 
     # the penalty's integral rho @ v at the Greville points, scaled by the
     # curvature, from the spline coefficients
@@ -683,17 +687,7 @@ def decode(solution: NlpSolution, layout: CcLayout) -> CcSolution:
     for i, c in enumerate(net.compressors):
         s_phi = magnitude(phi[:, kern.n_pipe + i] / flow_sc, delta_nd) * flow_sc
         wc += c.eta * (alpha[c.id] ** c.m - 1.0) * float(mass @ s_phi)
-    we = 0.0
-    for node in net.nodes:
-        bw = layout.base_withdrawal[node.id]  # effective fixed load after overrides
-        d_val = float(mass @ d[node.id]) if node.id in d else max(bw, 0.0)
-        s_val = float(mass @ s[node.id]) if node.id in s else max(-bw, 0.0)
-        r_mean = (
-            node.uncertainty.measure_mean()
-            if (node.uncertainty is not None and not layout.deterministic)
-            else 0.0
-        )
-        we += node.demand_price * (d_val + r_mean) - node.supply_price * s_val
+    we = layout.economic_value({nid: float(mass @ v) for nid, v in nominated.items()})
 
     return CcSolution(
         status=solution.status,
@@ -729,18 +723,16 @@ def _initial_point_deterministic(net: Network, layout: CcLayout) -> np.ndarray:
     for c in net.compressors:
         x0[layout.alpha_idx[c.id]] = min(1.0 + 0.05 * (c.alpha_max - 1.0), c.alpha_max)
     q = np.array([n.base_withdrawal for n in net.nodes], dtype=float)
-    for nid, cols in layout.d_idx.items():
+    for nid, cols in layout.nom_idx.items():
         node = net.node(nid)
-        warm = min(node.demand, node.demand_max) if node.demand > 0 else min(
-            100.0, node.demand_max
-        )
+        if layout.nom_sign[nid] < 0:
+            warm = min(node.supply, node.supply_max)
+        elif node.demand > 0:
+            warm = min(node.demand, node.demand_max)
+        else:
+            warm = min(100.0, node.demand_max)
         x0[cols] = warm / flow_sc
-        q[idx[nid]] += warm
-    for nid, cols in layout.s_idx.items():
-        node = net.node(nid)
-        warm = min(node.supply, node.supply_max)
-        x0[cols] = warm / flow_sc
-        q[idx[nid]] -= warm
+        q[idx[nid]] += layout.nom_sign[nid] * warm
     x0[layout.pi_idx[layout.pi_idx >= 0]] = kernel(net).pi_slack
     phi0 = _spanning_tree_flows(net, q / flow_sc)
     x0[layout.phi_idx] = phi0[None, :]
@@ -777,23 +769,15 @@ def initial_point_chance_constrained(
     x0 = np.zeros(layout.n)
     for cid, i in layout.alpha_idx.items():
         x0[i] = det.alpha[cid]
-    for nid, cols in layout.d_idx.items():
-        x0[cols] = det.d[nid][0] / flow_sc if nid in det.d else 0.0
-    for nid, cols in layout.s_idx.items():
-        x0[cols] = det.s[nid][0] / flow_sc if nid in det.s else 0.0
+    nominated = {nid: v[0] for nid, v in (det.d | det.s).items()}
+    for nid, cols in layout.nom_idx.items():
+        x0[cols] = nominated[nid] / flow_sc
 
     alpha_vec = np.array([det.alpha[c.id] for c in net.compressors])
-    base_q = np.array([n.base_withdrawal for n in net.nodes], dtype=float)
-    for nid in layout.d_idx:
-        base_q[idx[nid]] += det.d[nid][0]
-    for nid in layout.s_idx:
-        base_q[idx[nid]] -= det.s[nid][0]
-
+    q = layout.withdrawals(nominated, layout.cell_omega)
     pi_det = det.Pi[0]
     phi_det = det.phi[0]
-    for k in range(layout.K):
-        q_k = base_q.copy()
-        q_k[idx[unc_id]] += layout.cell_omega[k]
+    for k, q_k in enumerate(q):
         try:
             st = solve_steady(net, alpha_vec, q_k, x0=(pi_det, phi_det))
             pi_k, phi_k = st.Pi, st.phi

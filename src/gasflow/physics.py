@@ -29,11 +29,10 @@ from gasflow.network import Network, incidence
 
 @dataclass(frozen=True)
 class Scaling:
-    """Nondimensionalization record: pressure (Pa), flow (kg/s), length (m)."""
+    """Nondimensionalization record: pressure (Pa) and flow (kg/s)."""
 
     pressure: float
     flow: float
-    length: float
 
     @property
     def squared_pressure(self) -> float:
@@ -51,8 +50,7 @@ def nondimensionalize(net: Network) -> Scaling:
     else:
         demands = [abs(n.base_withdrawal) for n in net.nodes]
         flow = max(max(demands, default=0.0), 1.0)
-    length = max((p.length for p in net.pipes), default=1.0)
-    return Scaling(pressure=p0, flow=flow, length=length)
+    return Scaling(pressure=p0, flow=flow)
 
 
 def _spanning_tree_flows(net: Network, q: np.ndarray) -> np.ndarray:

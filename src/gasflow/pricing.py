@@ -254,7 +254,6 @@ def violation_probability(
     if mc_samples < 2:
         raise PricingError(f"the Monte-Carlo check needs at least 2 samples, got {mc_samples}")
     net, grid = layout.net, layout.grid
-    unc_id = grid.node_id
     idx = net.node_index
     gamma = layout.penalty.gamma
     pi_sc = layout.scaling.squared_pressure
@@ -264,14 +263,10 @@ def violation_probability(
     omega = np.sort(grid.spec.ppf(rng.random(mc_samples)))
     alpha_vec = np.array([solution.alpha[c.id] for c in net.compressors])
     # per-sample withdrawals: nominations follow their interpolants, clipped
-    q = np.tile(np.array([n.base_withdrawal for n in net.nodes], dtype=float), (mc_samples, 1))
-    q[:, idx[unc_id]] += omega
-    for nid, values in solution.d.items():
-        cap = net.node(nid).demand_max
-        q[:, idx[nid]] += np.clip(grid.value_interpolator(values)(omega), 0.0, cap)
-    for nid, values in solution.s.items():
-        cap = net.node(nid).supply_max
-        q[:, idx[nid]] -= np.clip(grid.value_interpolator(values)(omega), 0.0, cap)
+    caps = {nid: net.node(nid).demand_max for nid in solution.d} | {
+        nid: net.node(nid).supply_max for nid in solution.s}
+    q = layout.withdrawals({nid: np.clip(grid.value_interpolator(values)(omega), 0.0, caps[nid])
+                            for nid, values in (solution.d | solution.s).items()}, omega)
 
     ok = np.ones(mc_samples, dtype=bool)
     # every sample's start: the cubic interpolants of the solved cell states

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,106 @@ class TestValidation:
         ]
         with pytest.raises(NetworkError, match="alpha_max"):
             parse_network(doc)
+
+
+DELETE = object()
+
+
+def edited(path, value):
+    """minimal_doc() with the entry at ``path`` (keys and indices) set to
+    ``value``, or removed when ``value`` is DELETE; an empty path replaces the
+    whole document."""
+    if not path:
+        return value
+    doc = minimal_doc()
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+def compressor(**changes):
+    """A valid compressor entry from A to B, with ``changes`` applied."""
+    return {"id": "C", "from": "A", "to": "B", "alpha_max": 1.5, "eta": 1.0, "m": 0.5} | changes
+
+
+B_TWICE = minimal_doc()["nodes"] + minimal_doc()["nodes"][1:]
+UNIFORM = {"dist": "uniform", "lo": -1.0, "hi": 1.0}
+
+
+class TestEveryRejection:
+    @pytest.mark.parametrize("path, value, error, message, entity", [
+        pytest.param(("nodes", 1, "demand"), -1.0, NetworkError,
+                     "node 'B': demand and supply must be nonnegative", "B", id="negative-demand"),
+        pytest.param(("nodes", 0, "slack_pressure"), DELETE, NetworkError,
+                     "node 'A': slack node requires slack_pressure", "A", id="slack-without-pressure"),
+        pytest.param(("nodes", 1), minimal_doc()["nodes"][1] | {"demand_optimized": True,
+                                                               "supply_optimized": True},
+                     NetworkError, "node 'B': cannot optimize demand and supply at the same node", "B",
+                     id="demand-and-supply-optimized"),
+        pytest.param(("nodes", 0, "uncertainty"), UNIFORM, NetworkError,
+                     "node 'A': uncertainty is only supported at flow nodes", "A",
+                     id="uncertainty-at-slack"),
+        pytest.param(("pipes", 0, "length"), 0.0, NetworkError,
+                     "pipe 'P': length, diameter and friction must be positive", "P", id="pipe-length"),
+        pytest.param(("pipes", 0, "to"), "A", NetworkError,
+                     "pipe 'P': from and to must differ", "P", id="pipe-loop"),
+        pytest.param(("compressors",), [compressor(eta=-1.0)], NetworkError,
+                     "compressor 'C': eta must be >= 0", "C", id="compressor-eta"),
+        pytest.param(("compressors",), [compressor(m=0.0)], NetworkError,
+                     "compressor 'C': exponent m must be in (0, 1]", "C", id="compressor-m-zero"),
+        pytest.param(("compressors",), [compressor(m=1.5)], NetworkError,
+                     "compressor 'C': exponent m must be in (0, 1]", "C", id="compressor-m-above-one"),
+        pytest.param(("compressors",), [compressor(to="A")], NetworkError,
+                     "compressor 'C': from and to must differ", "C", id="compressor-loop"),
+        pytest.param(("wave_speed",), 0.0, NetworkError, "wave_speed must be positive", None,
+                     id="wave-speed"),
+        pytest.param(("nodes",), B_TWICE, NetworkError, "duplicate node id 'B'", "B",
+                     id="duplicate-node"),
+        pytest.param(("compressors",), [compressor(id="P")], NetworkError,
+                     "duplicate edge id 'P'", "P", id="duplicate-edge"),
+        pytest.param(("nodes", 1, "uncertainty"), [UNIFORM], SchemaError,
+                     "node 'B': uncertainty must be an object", "node 'B'", id="uncertainty-not-object"),
+        pytest.param(("nodes", 1), "B", SchemaError, "node entry must be an object", None,
+                     id="node-not-object"),
+        pytest.param(("nodes", 1, "id"), DELETE, SchemaError,
+                     "node entry requires a nonempty string 'id'", None, id="node-without-id"),
+        pytest.param(("nodes", 1, "kind"), "sink", SchemaError,
+                     "node 'B': kind must be 'slack' or 'flow'", "B", id="node-kind"),
+        pytest.param((), [minimal_doc()], SchemaError, "network document must be a JSON object", None,
+                     id="document-not-object"),
+        pytest.param((), "[]", SchemaError, "network document must be a JSON object", None,
+                     id="document-text-not-object"),
+        pytest.param(("nodes",), {"A": {}}, SchemaError, "network: 'nodes' must be a list", None,
+                     id="nodes-not-list"),
+        pytest.param(("pipes", 0), "P", SchemaError, "pipe entry must be an object", None,
+                     id="pipe-not-object"),
+        pytest.param(("pipes", 0, "id"), "", SchemaError, "pipe entry requires a nonempty string 'id'",
+                     None, id="pipe-without-id"),
+        pytest.param(("compressors",), [None], SchemaError, "compressor entry must be an object", None,
+                     id="compressor-not-object"),
+        pytest.param(("compressors",), [compressor(id=7)], SchemaError,
+                     "compressor entry requires a nonempty string 'id'", None, id="compressor-without-id"),
+    ])
+    def test_rejection_names_its_entity(self, path, value, error, message, entity):
+        # each check of the parser and of the model it builds, reached from a
+        # document that breaks only that check
+        with pytest.raises(error) as err:
+            parse_network(edited(path, value))
+        assert str(err.value) == message
+        assert err.value.entity == entity
+
+    def test_unknown_node_lookup(self):
+        net = parse_network(minimal_doc())
+        for call in (lambda: net.node("Z"), lambda: net.with_node(replace(net.node("B"), id="Z"))):
+            with pytest.raises(NetworkError) as err:
+                call()
+            assert str(err.value) == "unknown node 'Z'" and err.value.entity == "Z"
 
 
 class TestSchema:

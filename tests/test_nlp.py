@@ -694,48 +694,49 @@ class TestBorderedKkt:
         assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("rows", [32, 4], ids=["default-blocks", "small-blocks"])
+    @pytest.mark.parametrize("reach", [40, 3], ids=["default-blocks", "small-blocks"])
     @pytest.mark.parametrize("arrow", [(2, 1), (0, 0)], ids=["arrow", "no-arrow"])
-    def test_band_and_arrow_match_dense(self, seed, rows, arrow, monkeypatch, capfd):
-        # 41 band unknowns: one block by default, or nine blocks of 5 rows, the
-        # last padded by 4, when BAND_ROWS is 4 and the reach 3; without an
-        # arrow no LAPACK routine is handed an empty argument
-        monkeypatch.setattr(nlp, "BAND_ROWS", rows)
+    def test_band_and_arrow_match_dense(self, seed, reach, arrow, capfd):
+        # 41 band unknowns whose entries span the whole band (default-blocks,
+        # the widest band storage) or 3 positions (small-blocks); the band
+        # storage is Fortran-ordered so that LAPACK factors it in place, and
+        # without an arrow no LAPACK routine is handed an empty argument
         rng = np.random.default_rng(200 + seed)
-        blocks, H, J, shift = random_banded(rng, cells=6, band=(22, 19), arrow=arrow)
+        blocks, H, J, shift = random_banded(rng, cells=6, band=(22, 19), arrow=arrow, reach=reach)
         kkt, system = bordered(blocks, H, J)
-        expect = (1, 41) if rows == 32 else (9, 5)
-        assert kkt.band == 41 and (kkt.border_blocks(system.S)[0].shape[0], kkt.block) == expect
+        band = kkt.border_blocks(system.S)[0]
+        assert kkt.band == 41 and kkt.reach <= max(reach, 4)
+        assert band.shape == (3 * kkt.reach + 1, 41) and band.flags.f_contiguous
         assert_matches_dense(rng, blocks, H, J, shift)
         assert capfd.readouterr() == ("", "")
 
-    def test_singular_leading_band_block_reported_as_zero(self, monkeypatch):
-        # band variables x0..x3 in blocks of two; x0 and x1 have no curvature
-        # and meet only the arrow row x0 + x1 + x2 + x3 - t = 0, so the first
-        # band block is singular while the whole matrix is not
-        monkeypatch.setattr(nlp, "BAND_ROWS", 2)
+    def test_singular_leading_band_block_reported_as_zero(self):
+        # band variables x0..x3; x0 and x1 have no curvature and meet only the
+        # arrow row x0 + x1 + x2 + x3 - t = 0, so the band's LU meets a zero
+        # pivot while the whole matrix is regular
         H = np.diag([0.0, 0.0, 1.0, 1.0, 2.0])
         H[2, 3] = H[3, 2] = 0.5
         J = np.array([[1.0, 1.0, 1.0, 1.0, -1.0]])
         blocks = np.array([-2, -3, -4, -5, -1, -1])
         kkt, system = bordered(blocks, H, J)
-        assert kkt.block == 2
+        assert kkt.reach == 1
         assert _BorderedFactor(system, np.zeros(6)).singular
         shift = np.r_[np.full(5, 1e-4), -1e-8]
         assert not _BorderedFactor(system, shift).singular
         assert_matches_dense(np.random.default_rng(0), blocks, H, J, shift)
 
-    def test_band_entry_outside_the_envelope_rejected(self, monkeypatch):
-        # band variables x1..x6 in blocks of two; cell 0 (x0 and row 0) couples
-        # to x1 in the first block and to x6 in the third
-        monkeypatch.setattr(nlp, "BAND_ROWS", 2)
+    def test_far_band_coupling_widens_the_reach(self):
+        # band variables x1..x6 in a tridiagonal chain; cell 0 (x0 and row 0)
+        # couples to x1 and to x6, whose fill five positions apart widens
+        # the band storage to reach 5
         H = np.eye(7)
         for i in range(1, 6):
             H[i, i + 1] = H[i + 1, i] = 0.5
         J = np.zeros((1, 7))
         J[0, [0, 1, 6]] = 1.0
-        with pytest.raises(ValueError, match="cell 0 couples variable 1 and variable 6"):
-            _BorderedKkt(np.array([0, -2, -3, -4, -5, -6, -7, 0]), 7, 1, np.nonzero(H), np.nonzero(J))
+        blocks = np.array([0, -2, -3, -4, -5, -6, -7, 0])
+        assert bordered(blocks, H, J)[0].reach == 5
+        assert_matches_dense(np.random.default_rng(1), blocks, H, J, np.zeros(8))
 
     def test_hessian_linking_two_cells_rejected(self):
         # variable 1 (cell 0) and variable 2 (cell 1) share a Hessian entry
@@ -789,10 +790,11 @@ class TestBorderedKkt:
             _BorderedKkt(blocks, n, m, np.nonzero(cross), js)
         np.testing.assert_array_equal(kkt.system(h, j).A, want.A)
 
-    def test_factorizations_share_the_workspace(self, monkeypatch):
+    def test_factorizations_share_the_workspace(self):
         # two factorizations of one system write the same storage, and
-        # neither changes the system they copy
-        monkeypatch.setattr(nlp, "BAND_ROWS", 4)
+        # neither changes the system they copy; the band's LU, pivots and
+        # panel solve are the workspace's own arrays, which LAPACK writes in
+        # place only when they are Fortran-contiguous
         rng = np.random.default_rng(7)
         blocks, H, J, shift = random_banded(rng, cells=6, band=(22, 19))
         kkt, system = bordered(blocks, H, J)
@@ -801,17 +803,19 @@ class TestBorderedKkt:
         second = _BorderedFactor(system, shift + 1.0)
         for name in ("lu", "piv", "X", "band_lu", "band_piv", "Y"):
             assert np.shares_memory(getattr(first, name), getattr(second, name)), name
+        assert np.shares_memory(first.band_lu, kkt._S) and first.band_lu.flags.f_contiguous
+        assert first.band_piv is kkt._band_piv and first.Y is kkt._Y
+        assert first.Y.T.flags.f_contiguous
         for now, before in zip((system.A, system.B, system.S), kept):
             np.testing.assert_array_equal(now, before)
         again = kkt.system(*(coo(M)[1] for M in (H, J)))
         assert all(a is b for a, b in zip((again.A, again.B, again.S), (system.A, system.B, system.S)))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_reused_storage_solves_as_fresh_storage(self, seed, monkeypatch):
+    def test_reused_storage_solves_as_fresh_storage(self, seed):
         # one system factored at several shifts, each factor solved before
         # the next overwrites it, gives the bits of a fresh split per shift
         # and the dense solution
-        monkeypatch.setattr(nlp, "BAND_ROWS", 4)
         rng = np.random.default_rng(300 + seed)
         blocks, H, J, shift = random_banded(rng, cells=6, band=(22, 19))
         kkt, system = bordered(blocks, H, J)

@@ -159,7 +159,7 @@ class TestChanceConstrainedStructure:
         assert np.ptp(grid.cell_mass) > 0.0
         problem, layout = assemble_chance_constrained(net, grid, PEN)
         cell_cols = np.column_stack([layout.pi_idx[:, layout.pi_idx[0] >= 0], layout.phi_idx, layout.qs_idx,
-                                     *layout.d_idx.values(), *layout.s_idx.values()])
+                                     *layout.nom_idx.values()])
         w = problem.barrier_weights
         np.testing.assert_array_equal(w[cell_cols], np.broadcast_to(grid.cell_mass[:, None], cell_cols.shape))
         rest = np.setdiff1d(np.arange(problem.n), cell_cols)
@@ -490,6 +490,24 @@ class TestStructuredKkt:
         assert band.iterations == arrow.iterations
         assert band.objective == pytest.approx(arrow.objective, rel=1e-10)
 
+    @pytest.mark.parametrize("case", ["eight_node", "single_pipe", "eight_node-two-chance-nodes"])
+    def test_band_reach_is_independent_of_k(self, case):
+        # the band's LU stores a fixed number of diagonals however many cells
+        # there are, so the border costs time linear in K; a second chance
+        # node shares every band position and doubles the reach
+        net = configs.load(case.split("-")[0])
+        chance = 2 if case.endswith("nodes") else 1
+        if chance == 2:
+            net = net.with_node(replace(net.node("J3"), epsilon=0.1))
+        unc = net.uncertain_nodes[0]
+        for K in (8, 50, 400):
+            grid = build_grid(unc.uncertainty, K, node_id=unc.id)
+            problem, layout = assemble_chance_constrained(net, grid, PEN)
+            kkt = _BorderedKkt(problem.blocks, problem.n, problem.m, problem.hess_structure,
+                               problem.jac_structure)
+            assert len(layout.chance_nodes) == chance and kkt.band == 2 * chance * K
+            assert kkt.reach == 7 * chance, K
+
     def test_no_border_sized_array_at_k400(self, eight_node):
         # nothing the split or the factorization keeps is as large as a dense
         # matrix over the 805-row border
@@ -574,6 +592,20 @@ class TestOptimizedSupply:
         # the delivered quantity is interior, so its dual equals the bid
         assert 15.0 < sol.d["L"][0] < 100.0 - 1e-4
         assert sol.lambda_q["L"][0] == pytest.approx(30.0, abs=1e-4)
+
+    @pytest.mark.parametrize("node", ["M", "L"])
+    def test_objective_decomposition_with_override_at_an_optimized_node(self, node):
+        # a load override at an optimized node is a fixed injection beside its
+        # nomination: the objective's constant and the decoded economic value
+        # price the same flows, so the objective is still power less value
+        net = supply_relief_net()
+        net = net.with_node(replace(net.node("L"), demand_optimized=True, demand_max=100.0))
+        sol = solve_deterministic(net, loads={node: -5.0}, penalty=PEN)
+        assert sol.optimal
+        assert sol.objective == pytest.approx(
+            sol.expected_compressor_power - sol.expected_economic_value,
+            abs=1e-9 * max(1.0, abs(sol.objective)),
+        )
 
     def test_capped_supply_infeasibility_detected(self):
         # with a fixed load, capping the injection below the relief need
